@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -28,30 +29,40 @@ def _sub_seed(seed: int, *tags: int) -> int:
 # ---------------------------------------------------------------------------
 # decision trees
 
-@dataclass
 class TreeNode:
-    feature: int = -1
-    threshold: float = 0.0
-    left: Optional["TreeNode"] = None
-    right: Optional["TreeNode"] = None
-    value: Optional[np.ndarray] = None  # leaf payload
+    """Read-only view of one node of a fitted tree's flat arrays."""
+
+    __slots__ = ("_tree", "_i")
+
+    def __init__(self, tree: "_FlatTree", i: int):
+        self._tree = tree
+        self._i = i
 
     @property
     def is_leaf(self) -> bool:
-        return self.value is not None
+        return bool(self._tree.left[self._i] < 0)
 
-    def to_dict(self) -> dict:
-        if self.is_leaf:
-            return {"value": np.asarray(self.value).tolist()}
-        return {"feature": self.feature, "threshold": self.threshold,
-                "left": self.left.to_dict(), "right": self.right.to_dict()}
+    @property
+    def feature(self) -> int:
+        return int(self._tree.feature[self._i])
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "TreeNode":
-        if "value" in d:
-            return cls(value=np.asarray(d["value"], dtype=float))
-        return cls(feature=d["feature"], threshold=d["threshold"],
-                   left=cls.from_dict(d["left"]), right=cls.from_dict(d["right"]))
+    @property
+    def threshold(self) -> float:
+        return float(self._tree.threshold[self._i])
+
+    @property
+    def value(self) -> Optional[np.ndarray]:
+        return self._tree.value[self._i] if self.is_leaf else None
+
+    @property
+    def left(self) -> Optional["TreeNode"]:
+        return None if self.is_leaf else TreeNode(self._tree,
+                                                  self._tree.left[self._i])
+
+    @property
+    def right(self) -> Optional["TreeNode"]:
+        return None if self.is_leaf else TreeNode(self._tree,
+                                                  self._tree.right[self._i])
 
 
 def _gini(counts: np.ndarray) -> float:
@@ -62,11 +73,130 @@ def _gini(counts: np.ndarray) -> float:
     return float(1.0 - np.sum(p * p))
 
 
-class DecisionTree:
-    """CART classifier with exhaustive midpoint threshold search.
+def _presort(X) -> np.ndarray:
+    """(features, rows): each column's row order by value, equal values in
+    row order, i.e. the stable argsort of every column."""
+    return np.ascontiguousarray(np.argsort(X, axis=0, kind="stable").T)
 
-    Ties in impurity are broken by lowest feature index, then lowest
-    threshold (guaranteed by ascending scan order and strict improvement).
+
+def _best_split(xs, stats, loss):
+    """Exact best midpoint split of one node over its candidate features.
+
+    `xs` is (features, rows): each candidate column's node values in
+    ascending order.  `stats` holds each row's statistic in the same order,
+    (features, rows) or (features, rows, classes).  `loss(left, nl, nr)`
+    scores every cut from the prefix sums of `stats` left of it and the row
+    counts on each side.  Cuts between equal values are not allowed.  One
+    flat argmin over (feature, cut) picks the lowest loss; ties go to the
+    lowest candidate, then the lowest threshold.  Returns (candidate
+    position, midpoint threshold, loss), or None when no cut exists.
+    """
+    m = xs.shape[1]
+    if m < 2 or xs.shape[0] == 0:
+        return None
+    nl = np.arange(1, m, dtype=float)
+    cost = loss(np.cumsum(stats, axis=1)[:, :-1], nl, m - nl)
+    cost[~(xs[:, :-1] < xs[:, 1:])] = np.inf
+    f, cut = divmod(int(np.argmin(cost)), m - 1)
+    if not np.isfinite(cost[f, cut]):
+        return None
+    return f, (xs[f, cut] + xs[f, cut + 1]) / 2.0, float(cost[f, cut])
+
+
+class _FlatTree:
+    """A fitted binary tree held as flat arrays indexed by node id.
+
+    Node 0 is the root and ids follow depth-first pre-order, left subtree
+    first, so a child's id always exceeds its parent's.  Leaves have
+    `left == right == -1`; a row goes left when x[feature] <= threshold.
+    `value` holds each leaf's payload (zeros at internal nodes).
+    """
+
+    feature = threshold = left = right = value = None
+
+    @property
+    def root(self) -> Optional[TreeNode]:
+        return None if self.feature is None else TreeNode(self, 0)
+
+    def _build(self, root, expand) -> None:
+        """Lay out the tree under `root` in pre-order with an explicit stack.
+
+        `expand(item, node_id)` returns (feature, threshold, left item,
+        right item) for an internal node, or the value array of a leaf.
+        """
+        feature, threshold, left, right, value = [], [], [], [], []
+        stack = [(root, None, 0)]
+        while stack:
+            item, links, parent = stack.pop()
+            node = len(feature)
+            if links is not None:
+                links[parent] = node
+            got = expand(item, node)
+            left.append(-1)
+            right.append(-1)
+            if isinstance(got, tuple):
+                feat, thr, left_item, right_item = got
+                feature.append(feat)
+                threshold.append(thr)
+                value.append(None)
+                stack.append((right_item, right, node))
+                stack.append((left_item, left, node))
+            else:
+                feature.append(-1)
+                threshold.append(0.0)
+                value.append(got)
+        blank = np.zeros(len(next(v for v in value if v is not None)))
+        self.feature = np.array(feature, dtype=np.intp)
+        self.threshold = np.array(threshold, dtype=float)
+        self.left = np.array(left, dtype=np.intp)
+        self.right = np.array(right, dtype=np.intp)
+        self.value = np.array([blank if v is None else v for v in value],
+                              dtype=float)
+
+    def _leaves(self, X) -> np.ndarray:
+        """Leaf id of every row of X, one vectorised step per tree level."""
+        X = np.asarray(X, dtype=float)
+        node = np.zeros(X.shape[0], dtype=np.intp)
+        rows = np.flatnonzero(self.left[node] >= 0)
+        while rows.size:
+            at = node[rows]
+            goes_left = X[rows, self.feature[at]] <= self.threshold[at]
+            node[rows] = np.where(goes_left, self.left[at], self.right[at])
+            rows = rows[self.left[node[rows]] >= 0]
+        return node
+
+    def _root_dict(self) -> dict:
+        """Model format 1: nested {"feature", "threshold", "left", "right"}
+        dicts down to {"value"} leaves, built bottom-up without recursion."""
+        feature, threshold = self.feature.tolist(), self.threshold.tolist()
+        left, right = self.left.tolist(), self.right.tolist()
+        out = [None] * len(feature)
+        for i in range(len(out) - 1, -1, -1):
+            if left[i] < 0:
+                out[i] = {"value": self.value[i].tolist()}
+            else:
+                out[i] = {"feature": feature[i], "threshold": threshold[i],
+                          "left": out[left[i]], "right": out[right[i]]}
+        return out[0]
+
+    def _load_root(self, root: dict) -> None:
+        def expand(d, node):
+            if "value" in d:
+                return np.asarray(d["value"], dtype=float)
+            return d["feature"], d["threshold"], d["left"], d["right"]
+        self._build(root, expand)
+
+
+class DecisionTree(_FlatTree):
+    """CART classifier with exact midpoint threshold search.
+
+    Each node stable-argsorts only its candidate columns (all of them, or
+    `max_features` drawn from `rng`) and scores every cut of every
+    candidate at once from 3-D prefix sums of one-hot class counts
+    (`_best_split`).  Ties in impurity go to the lowest feature index, then
+    the lowest threshold.  Nodes are grown depth-first, left child first,
+    with an explicit stack, so depth is bounded by the data, not by
+    Python's recursion limit.
     """
 
     def __init__(self, max_depth=None, min_samples_split=2,
@@ -75,7 +205,6 @@ class DecisionTree:
         self.min_samples_split = min_samples_split
         self.max_features = max_features
         self.rng = rng
-        self.root: Optional[TreeNode] = None
         self.classes_: Optional[np.ndarray] = None
         self._imp_raw: Optional[np.ndarray] = None
 
@@ -88,9 +217,42 @@ class DecisionTree:
                                    else np.unique(y))
         class_pos = {c: i for i, c in enumerate(self.classes_.tolist())}
         yi = np.array([class_pos[v] for v in y.tolist()], dtype=int)
-        self._n_total = X.shape[0]
+        c = len(self.classes_)
+        n_total = X.shape[0]
         self._imp_raw = np.zeros(X.shape[1])
-        self.root = self._grow(X, yi, 0)
+
+        def expand(item, node):
+            rows, depth = item
+            yn = yi[rows]
+            counts = np.bincount(yn, minlength=c).astype(float)
+            n = len(rows)
+            if (counts.max() == n
+                    or (self.max_depth is not None and depth >= self.max_depth)
+                    or n < self.min_samples_split):
+                return counts / n
+            feats = self._feature_indices(X.shape[1])
+            sub = X[np.ix_(rows, feats)].T
+            order = np.argsort(sub, axis=1, kind="stable")
+            onehot = (yn[order][..., None] == np.arange(c)).astype(float)
+
+            def gini_loss(left, nl, nr):
+                gl = 1.0 - np.sum((left / nl[:, None]) ** 2, axis=2)
+                gr = 1.0 - np.sum(((counts - left) / nr[:, None]) ** 2, axis=2)
+                return (nl * gl + nr * gr) / n
+
+            split = _best_split(np.take_along_axis(sub, order, axis=1),
+                                onehot, gini_loss)
+            if split is None:
+                return counts / n
+            f, thr, w = split
+            feat = int(feats[f])
+            # zero-gain splits are kept: XOR-style targets need them
+            self._imp_raw[feat] += (n / n_total) * max(_gini(counts) - w, 0.0)
+            goes_left = X[rows, feat] <= thr
+            return (feat, float(thr), (rows[goes_left], depth + 1),
+                    (rows[~goes_left], depth + 1))
+
+        self._build((np.arange(n_total), 0), expand)
         return self
 
     def _feature_indices(self, d: int) -> np.ndarray:
@@ -99,164 +261,92 @@ class DecisionTree:
         picked = self.rng.choice(d, size=self.max_features, replace=False)
         return np.sort(picked)
 
-    def _grow(self, X, yi, depth) -> TreeNode:
-        c = len(self.classes_)
-        counts = np.bincount(yi, minlength=c).astype(float)
-        n = len(yi)
-        dist = counts / n
-        if (counts.max() == n
-                or (self.max_depth is not None and depth >= self.max_depth)
-                or n < self.min_samples_split):
-            return TreeNode(value=dist)
-        split = self._best_split(X, yi, c)
-        if split is None:
-            return TreeNode(value=dist)
-        feat, thr, decrease = split
-        self._imp_raw[feat] += (n / self._n_total) * decrease
-        mask = X[:, feat] <= thr
-        return TreeNode(feature=int(feat), threshold=float(thr),
-                        left=self._grow(X[mask], yi[mask], depth + 1),
-                        right=self._grow(X[~mask], yi[~mask], depth + 1))
-
-    def _best_split(self, X, yi, c):
-        n, d = X.shape
-        total = np.bincount(yi, minlength=c).astype(float)
-        parent_imp = _gini(total)
-        best = None  # (feat, thr, weighted_impurity)
-        for j in self._feature_indices(d):
-            x = X[:, j]
-            order = np.argsort(x, kind="stable")
-            xs = x[order]
-            valid = xs[:-1] < xs[1:]
-            if not valid.any():
-                continue
-            onehot = np.zeros((n, c))
-            onehot[np.arange(n), yi[order]] = 1.0
-            cum = np.cumsum(onehot, axis=0)
-            left = cum[:-1]
-            nl = np.arange(1, n, dtype=float)
-            nr = n - nl
-            right = total - left
-            with np.errstate(invalid="ignore", divide="ignore"):
-                gl = 1.0 - np.sum((left / nl[:, None]) ** 2, axis=1)
-                gr = 1.0 - np.sum((right / nr[:, None]) ** 2, axis=1)
-            w = (nl * gl + nr * gr) / n
-            w[~valid] = np.inf
-            i = int(np.argmin(w))
-            if not np.isfinite(w[i]):
-                continue
-            if best is None or w[i] < best[2]:
-                thr = (xs[i] + xs[i + 1]) / 2.0
-                best = (j, thr, float(w[i]))
-        if best is None:
-            return None
-        # zero-gain splits are kept: XOR-style targets need them
-        feat, thr, w = best
-        return feat, thr, max(parent_imp - w, 0.0)
-
     def predict_proba(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        out = np.empty((X.shape[0], len(self.classes_)))
-        for i, row in enumerate(X):
-            node = self.root
-            while not node.is_leaf:
-                node = node.left if row[node.feature] <= node.threshold else node.right
-            out[i] = node.value
-        return out
+        return self.value[self._leaves(X)]
 
     def predict(self, X) -> np.ndarray:
         return self.classes_[np.argmax(self.predict_proba(X), axis=1)]
 
     def to_dict(self) -> dict:
-        return {"classes": self.classes_.tolist(), "root": self.root.to_dict()}
+        return {"classes": self.classes_.tolist(), "root": self._root_dict()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "DecisionTree":
         t = cls()
         t.classes_ = np.asarray(d["classes"])
-        t.root = TreeNode.from_dict(d["root"])
+        t._load_root(d["root"])
         return t
 
 
-class RegressionTree:
+class RegressionTree(_FlatTree):
     """Variance-reduction tree for boosting residuals; Newton leaf values
-    sum(g)/sum(h)."""
+    sum(g)/sum(h).
+
+    Split search is presorted: `fit` takes (or computes) the stable argsort
+    of every column of X, and each split stable-partitions that (features,
+    rows) order with one boolean mask, so every node sees its rows in the
+    order a stable argsort of its own subset would give.  That order
+    matters: the SSE of each cut comes from a float prefix sum of g
+    (`_best_split`).  Ties go to the lowest feature, then the lowest
+    threshold.  After `fit`, `fit_leaves_` holds the leaf id of each
+    training row.
+    """
 
     def __init__(self, max_depth=3, min_samples_split=2):
         self.max_depth = max_depth
         self.min_samples_split = min_samples_split
-        self.root: Optional[TreeNode] = None
+        self.fit_leaves_: Optional[np.ndarray] = None
 
-    def fit(self, X, g, h):
+    def fit(self, X, g, h, order=None):
+        """`order` may pass in `_presort(X)` when the caller fits many
+        trees on the same X."""
         X = np.asarray(X, dtype=float)
         g = np.asarray(g, dtype=float)
         h = np.asarray(h, dtype=float)
-        self.root = self._grow(X, g, h, 0)
+        XT = X.T
+        if order is None:
+            order = _presort(X)
+        cols = np.arange(X.shape[1])[:, None]
+        self.fit_leaves_ = np.empty(len(g), dtype=np.intp)
+
+        def expand(item, node):
+            rows, order, depth = item
+            gn = g[rows]
+            n = len(gn)
+            if depth < self.max_depth and n >= self.min_samples_split:
+                total_sum = gn.sum()
+                total_sq = np.sum(gn * gn)
+
+                def sse(cum, nl, nr):
+                    return (total_sq - cum ** 2 / nl
+                            - (total_sum - cum) ** 2 / nr)
+
+                split = _best_split(XT[cols, order], g[order], sse)
+                base = total_sq - total_sum ** 2 / n
+                if split is not None and base - split[2] > 1e-12:
+                    feat, thr = int(split[0]), float(split[1])
+                    goes_left = XT[feat] <= thr
+                    keep, here = goes_left[order], goes_left[rows]
+                    d = len(order)
+                    return (feat, thr,
+                            (rows[here], order[keep].reshape(d, -1), depth + 1),
+                            (rows[~here], order[~keep].reshape(d, -1), depth + 1))
+            self.fit_leaves_[rows] = node
+            return np.array([gn.sum() / (h[rows].sum() + 1e-12)])
+
+        self._build((np.arange(len(g)), order, 0), expand)
         return self
 
-    def _leaf(self, g, h) -> TreeNode:
-        return TreeNode(value=np.array([g.sum() / (h.sum() + 1e-12)]))
-
-    def _grow(self, X, g, h, depth) -> TreeNode:
-        n = len(g)
-        if depth >= self.max_depth or n < self.min_samples_split:
-            return self._leaf(g, h)
-        split = self._best_split(X, g)
-        if split is None:
-            return self._leaf(g, h)
-        feat, thr = split
-        mask = X[:, feat] <= thr
-        return TreeNode(feature=int(feat), threshold=float(thr),
-                        left=self._grow(X[mask], g[mask], h[mask], depth + 1),
-                        right=self._grow(X[~mask], g[~mask], h[~mask], depth + 1))
-
-    def _best_split(self, X, g):
-        n, d = X.shape
-        total_sum = g.sum()
-        total_sq = np.sum(g * g)
-        best = None
-        for j in range(d):
-            x = X[:, j]
-            order = np.argsort(x, kind="stable")
-            xs = x[order]
-            gs = g[order]
-            valid = xs[:-1] < xs[1:]
-            if not valid.any():
-                continue
-            cum = np.cumsum(gs)[:-1]
-            nl = np.arange(1, n, dtype=float)
-            nr = n - nl
-            sse = total_sq - cum ** 2 / nl - (total_sum - cum) ** 2 / nr
-            sse[~valid] = np.inf
-            i = int(np.argmin(sse))
-            if not np.isfinite(sse[i]):
-                continue
-            if best is None or sse[i] < best[2]:
-                best = (j, (xs[i] + xs[i + 1]) / 2.0, float(sse[i]))
-        if best is None:
-            return None
-        base = total_sq - total_sum ** 2 / n
-        if base - best[2] <= 1e-12:
-            return None
-        return best[0], best[1]
-
     def predict(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        out = np.empty(X.shape[0])
-        for i, row in enumerate(X):
-            node = self.root
-            while not node.is_leaf:
-                node = node.left if row[node.feature] <= node.threshold else node.right
-            out[i] = node.value[0]
-        return out
+        return self.value[self._leaves(X), 0]
 
     def to_dict(self) -> dict:
-        return {"root": self.root.to_dict()}
+        return {"root": self._root_dict()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "RegressionTree":
         t = cls()
-        t.root = TreeNode.from_dict(d["root"])
+        t._load_root(d["root"])
         return t
 
 
@@ -305,14 +395,14 @@ class RandomForest:
         return np.mean([t.predict_proba(X) for t in self.trees], axis=0)
 
     def predict(self, X) -> np.ndarray:
-        # majority vote over hard per-tree predictions; ties -> lowest class
+        # majority vote over hard per-tree predictions; ties -> lowest class.
+        # Every tree is fit with the forest's classes, so a tree's argmax
+        # column is the forest's class position.
         X = np.asarray(X, dtype=float)
         votes = np.zeros((X.shape[0], len(self.classes_)), dtype=int)
-        pos = {c: i for i, c in enumerate(self.classes_.tolist())}
+        rows = np.arange(X.shape[0])
         for t in self.trees:
-            pred = t.predict(X)
-            for i, p in enumerate(pred.tolist()):
-                votes[i, pos[p]] += 1
+            votes[rows, np.argmax(t.predict_proba(X), axis=1)] += 1
         return self.classes_[np.argmax(votes, axis=1)]
 
     def feature_importances(self) -> np.ndarray:
@@ -378,15 +468,16 @@ class GradientBoosting:
         self.prior = math.log(pbar / (1.0 - pbar))
         F = np.full(X.shape[0], self.prior)
         self.train_losses = [_log_loss(y, _sigmoid(F))]
+        order = _presort(X)
         for _ in range(self.n_rounds):
             p = _sigmoid(F)
             g = y - p
             h = p * (1.0 - p)
             tree = RegressionTree(max_depth=self.max_depth,
                                   min_samples_split=self.min_samples_split)
-            tree.fit(X, g, h)
+            tree.fit(X, g, h, order)
             scale = self.learning_rate
-            upd = scale * tree.predict(X)
+            upd = scale * tree.value[tree.fit_leaves_, 0]
             prev = self.train_losses[-1]
             # halve the step if it would increase training loss
             for _ in range(40):
@@ -641,6 +732,83 @@ def train_one_vs_rest(X, tasks, params=None, seed=0, feature_names=None) -> Mode
     return train("one_vs_rest", X, tasks, params, seed, feature_names)
 
 
+# The stdlib json encoder and decoder recurse once per nesting level, and a
+# tree can be thousands of levels deep.  These two do the same work with an
+# explicit stack; `_json_dumps(obj) == json.dumps(obj)` for any JSON value.
+
+class _Text(str):
+    """Literal JSON text queued by `_json_dumps`."""
+
+
+def _json_dumps(obj) -> str:
+    out, todo = [], [obj]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, _Text):
+            out.append(item)
+        elif isinstance(item, dict):
+            parts = [_Text("{")]
+            for i, (k, v) in enumerate(item.items()):
+                key = k if isinstance(k, str) else json.dumps(k)
+                parts += [_Text((", " if i else "") + json.dumps(key) + ": "), v]
+            todo += reversed(parts + [_Text("}")])
+        elif isinstance(item, (list, tuple)):
+            parts = [_Text("[")]
+            for i, v in enumerate(item):
+                parts += [_Text(", "), v] if i else [v]
+            todo += reversed(parts + [_Text("]")])
+        else:
+            out.append(json.dumps(item))
+    return "".join(out)
+
+
+_JSON_TOKEN = re.compile(
+    r'[ \t\n\r]*([{}\[\]:,]|"(?:[^"\\]|\\.)*"|[^ \t\n\r{}\[\]:,"]+)')
+
+
+def _json_loads(text: str):
+    stack = []  # [container, pending key] of every open container
+    want, pos, result = "value", 0, None
+    while True:
+        m = _JSON_TOKEN.match(text, pos)
+        if m is None:
+            if want == "end" and not text[pos:].strip(" \t\n\r"):
+                return result
+            raise ValueError(f"malformed JSON at offset {pos}")
+        tok, pos = m.group(1), m.end()
+        top = stack[-1] if stack else None
+        if (top is not None and want in ("value_or_close", "key_or_close", "more")
+                and tok == ("}" if isinstance(top[0], dict) else "]")):
+            stack.pop()
+            value = top[0]
+        elif want in ("value", "value_or_close") and tok in "{[":
+            stack.append([{} if tok == "{" else [], None])
+            want = "key_or_close" if tok == "{" else "value_or_close"
+            continue
+        elif want in ("value", "value_or_close") and tok not in "]}:,":
+            value = json.loads(tok)
+        elif want in ("key", "key_or_close") and tok.startswith('"'):
+            top[1] = json.loads(tok)
+            want = "colon"
+            continue
+        elif want == "colon" and tok == ":":
+            want = "value"
+            continue
+        elif want == "more" and tok == ",":
+            want = "key" if isinstance(top[0], dict) else "value"
+            continue
+        else:
+            raise ValueError(f"malformed JSON at offset {m.start(1)}")
+        if not stack:
+            result, want = value, "end"
+        elif isinstance(stack[-1][0], dict):
+            stack[-1][0][stack[-1][1]] = value
+            want = "more"
+        else:
+            stack[-1][0].append(value)
+            want = "more"
+
+
 def save_model(model: Model, path) -> None:
     payload = {
         "version": MODEL_FORMAT_VERSION,
@@ -650,11 +818,11 @@ def save_model(model: Model, path) -> None:
         "feature_names": model.feature_names,
         "state": model.impl.to_dict(),
     }
-    Path(path).write_text(json.dumps(payload))
+    Path(path).write_text(_json_dumps(payload))
 
 
 def load_model(path) -> Model:
-    payload = json.loads(Path(path).read_text())
+    payload = _json_loads(Path(path).read_text())
     if payload.get("version") != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model version {payload.get('version')}")
     impl = _IMPL_CLASSES[payload["kind"]].from_dict(payload["state"])

@@ -93,6 +93,21 @@ class TestPipeline:
         assert set(data) >= {"accuracy", "precision", "recall", "f1",
                              "roc_auc", "confusion"}
 
+    def test_train_and_eval_deep_tree(self, tmp_path):
+        # an unlimited-depth tree on these rows is a 1,500-level chain
+        csv = tmp_path / "deep.csv"
+        csv.write_text("count_x,label,task\n"
+                       + "".join(f"{i},{i % 2},\n" for i in range(1500)))
+        model = tmp_path / "model.json"
+        rc = run(["train", "--features", str(csv), "--learner", "tree",
+                  "--seed", "0", "--out", str(model)])
+        assert rc == 0
+        metrics = tmp_path / "metrics.json"
+        rc = run(["eval", "--model", str(model), "--features", str(csv),
+                  "--out", str(metrics)])
+        assert rc == 0
+        assert json.loads(metrics.read_text())["accuracy"] == 1.0
+
     def test_curve(self, feature_csv, tmp_path):
         out = tmp_path / "curve.csv"
         rc = run(["curve", "--features", str(feature_csv),

@@ -1,7 +1,10 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ftracekit import learners as ln
 from ftracekit.errors import EmptyData, WidthMismatch
@@ -139,6 +142,58 @@ class TestGradientBoosting:
         model = ln.GradientBoosting(n_rounds=10).fit(X, y)
         again = ln.GradientBoosting.from_dict(model.to_dict())
         assert model.decision_scores(X) == pytest.approx(again.decision_scores(X))
+
+
+class TestDeepTrees:
+    """X = arange(n), y = n % 2: every Gini-best cut peels off one row, so
+    an unlimited-depth tree is a chain n levels deep."""
+
+    N = 1500
+
+    def test_fit_predict_save_load(self, tmp_path):
+        X = np.arange(self.N, dtype=float)[:, None]
+        y = np.arange(self.N) % 2
+        model = ln.train("tree", X, y)
+        assert len(model.impl.feature) == 2 * self.N - 1
+        assert np.array_equal(model.predict(X), y)
+        ln.save_model(model, tmp_path / "model.json")
+        again = ln.load_model(tmp_path / "model.json")
+        assert np.array_equal(again.predict(X), y)
+        assert again.impl.to_dict()["root"]["threshold"] == 0.5
+        for name in ("feature", "threshold", "left", "right"):
+            assert np.array_equal(getattr(again.impl, name),
+                                  getattr(model.impl, name))
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda kids: st.lists(kids) | st.dictionaries(st.text(), kids),
+    max_leaves=20)
+
+
+class TestJsonCodec:
+    @given(json_values)
+    def test_matches_stdlib(self, value):
+        text = ln._json_dumps(value)
+        assert text == json.dumps(value)
+        assert json.dumps(ln._json_loads(text)) == text
+        assert json.dumps(ln._json_loads(json.dumps(value, indent=2))) == text
+
+    @pytest.mark.parametrize("text", [
+        "", "{", "[1,]", '{"a" 1}', '{"a": 1,}', "[1 2]", "1 2", "{1: 2}",
+        '"abc', "tru", "[}", '{"a": ]}', ",", "]"])
+    def test_rejects_what_stdlib_rejects(self, text):
+        with pytest.raises(ValueError):
+            json.loads(text)
+        with pytest.raises(ValueError):
+            ln._json_loads(text)
+
+    def test_any_depth(self):
+        value = [{"k": 1.5}]
+        for _ in range(5000):
+            value = {"left": value, "right": [None]}
+        text = ln._json_dumps(value)
+        assert ln._json_dumps(ln._json_loads(text)) == text
 
 
 class TestLogistic:

@@ -1,0 +1,471 @@
+"""Presorted split search against the per-node argsort search it replaced.
+
+The classes below, down to the end of the "decision trees" section, are
+the earlier recursive implementation kept verbatim as a reference: every
+node re-argsorts every candidate column and scans one feature at a time.
+The flat-array trees in `ftracekit.learners` must fit exactly the same
+trees (same features, thresholds, leaf values, importances and rng draws)
+on data with heavy ties, constant columns, duplicate and bootstrap rows and
+nodes of one or two rows.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+from dataclasses import dataclass
+from typing import Optional
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from ftracekit import learners as ln
+from ftracekit.errors import EmptyData
+
+# decision trees
+
+@dataclass
+class TreeNode:
+    feature: int = -1
+    threshold: float = 0.0
+    left: Optional["TreeNode"] = None
+    right: Optional["TreeNode"] = None
+    value: Optional[np.ndarray] = None  # leaf payload
+
+    @property
+    def is_leaf(self) -> bool:
+        return self.value is not None
+
+    def to_dict(self) -> dict:
+        if self.is_leaf:
+            return {"value": np.asarray(self.value).tolist()}
+        return {"feature": self.feature, "threshold": self.threshold,
+                "left": self.left.to_dict(), "right": self.right.to_dict()}
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "TreeNode":
+        if "value" in d:
+            return cls(value=np.asarray(d["value"], dtype=float))
+        return cls(feature=d["feature"], threshold=d["threshold"],
+                   left=cls.from_dict(d["left"]), right=cls.from_dict(d["right"]))
+
+
+def _gini(counts: np.ndarray) -> float:
+    n = counts.sum()
+    if n == 0:
+        return 0.0
+    p = counts / n
+    return float(1.0 - np.sum(p * p))
+
+
+class DecisionTree:
+    """CART classifier with exhaustive midpoint threshold search.
+
+    Ties in impurity are broken by lowest feature index, then lowest
+    threshold (guaranteed by ascending scan order and strict improvement).
+    """
+
+    def __init__(self, max_depth=None, min_samples_split=2,
+                 max_features=None, rng=None):
+        self.max_depth = max_depth
+        self.min_samples_split = min_samples_split
+        self.max_features = max_features
+        self.rng = rng
+        self.root: Optional[TreeNode] = None
+        self.classes_: Optional[np.ndarray] = None
+        self._imp_raw: Optional[np.ndarray] = None
+
+    def fit(self, X, y, classes=None):
+        X = np.asarray(X, dtype=float)
+        y = np.asarray(y)
+        if X.shape[0] == 0:
+            raise EmptyData("cannot fit a tree on zero samples")
+        self.classes_ = np.asarray(classes if classes is not None
+                                   else np.unique(y))
+        class_pos = {c: i for i, c in enumerate(self.classes_.tolist())}
+        yi = np.array([class_pos[v] for v in y.tolist()], dtype=int)
+        self._n_total = X.shape[0]
+        self._imp_raw = np.zeros(X.shape[1])
+        self.root = self._grow(X, yi, 0)
+        return self
+
+    def _feature_indices(self, d: int) -> np.ndarray:
+        if self.max_features is None or self.max_features >= d:
+            return np.arange(d)
+        picked = self.rng.choice(d, size=self.max_features, replace=False)
+        return np.sort(picked)
+
+    def _grow(self, X, yi, depth) -> TreeNode:
+        c = len(self.classes_)
+        counts = np.bincount(yi, minlength=c).astype(float)
+        n = len(yi)
+        dist = counts / n
+        if (counts.max() == n
+                or (self.max_depth is not None and depth >= self.max_depth)
+                or n < self.min_samples_split):
+            return TreeNode(value=dist)
+        split = self._best_split(X, yi, c)
+        if split is None:
+            return TreeNode(value=dist)
+        feat, thr, decrease = split
+        self._imp_raw[feat] += (n / self._n_total) * decrease
+        mask = X[:, feat] <= thr
+        return TreeNode(feature=int(feat), threshold=float(thr),
+                        left=self._grow(X[mask], yi[mask], depth + 1),
+                        right=self._grow(X[~mask], yi[~mask], depth + 1))
+
+    def _best_split(self, X, yi, c):
+        n, d = X.shape
+        total = np.bincount(yi, minlength=c).astype(float)
+        parent_imp = _gini(total)
+        best = None  # (feat, thr, weighted_impurity)
+        for j in self._feature_indices(d):
+            x = X[:, j]
+            order = np.argsort(x, kind="stable")
+            xs = x[order]
+            valid = xs[:-1] < xs[1:]
+            if not valid.any():
+                continue
+            onehot = np.zeros((n, c))
+            onehot[np.arange(n), yi[order]] = 1.0
+            cum = np.cumsum(onehot, axis=0)
+            left = cum[:-1]
+            nl = np.arange(1, n, dtype=float)
+            nr = n - nl
+            right = total - left
+            with np.errstate(invalid="ignore", divide="ignore"):
+                gl = 1.0 - np.sum((left / nl[:, None]) ** 2, axis=1)
+                gr = 1.0 - np.sum((right / nr[:, None]) ** 2, axis=1)
+            w = (nl * gl + nr * gr) / n
+            w[~valid] = np.inf
+            i = int(np.argmin(w))
+            if not np.isfinite(w[i]):
+                continue
+            if best is None or w[i] < best[2]:
+                thr = (xs[i] + xs[i + 1]) / 2.0
+                best = (j, thr, float(w[i]))
+        if best is None:
+            return None
+        # zero-gain splits are kept: XOR-style targets need them
+        feat, thr, w = best
+        return feat, thr, max(parent_imp - w, 0.0)
+
+    def predict_proba(self, X) -> np.ndarray:
+        X = np.asarray(X, dtype=float)
+        out = np.empty((X.shape[0], len(self.classes_)))
+        for i, row in enumerate(X):
+            node = self.root
+            while not node.is_leaf:
+                node = node.left if row[node.feature] <= node.threshold else node.right
+            out[i] = node.value
+        return out
+
+    def predict(self, X) -> np.ndarray:
+        return self.classes_[np.argmax(self.predict_proba(X), axis=1)]
+
+    def to_dict(self) -> dict:
+        return {"classes": self.classes_.tolist(), "root": self.root.to_dict()}
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "DecisionTree":
+        t = cls()
+        t.classes_ = np.asarray(d["classes"])
+        t.root = TreeNode.from_dict(d["root"])
+        return t
+
+
+class RegressionTree:
+    """Variance-reduction tree for boosting residuals; Newton leaf values
+    sum(g)/sum(h)."""
+
+    def __init__(self, max_depth=3, min_samples_split=2):
+        self.max_depth = max_depth
+        self.min_samples_split = min_samples_split
+        self.root: Optional[TreeNode] = None
+
+    def fit(self, X, g, h):
+        X = np.asarray(X, dtype=float)
+        g = np.asarray(g, dtype=float)
+        h = np.asarray(h, dtype=float)
+        self.root = self._grow(X, g, h, 0)
+        return self
+
+    def _leaf(self, g, h) -> TreeNode:
+        return TreeNode(value=np.array([g.sum() / (h.sum() + 1e-12)]))
+
+    def _grow(self, X, g, h, depth) -> TreeNode:
+        n = len(g)
+        if depth >= self.max_depth or n < self.min_samples_split:
+            return self._leaf(g, h)
+        split = self._best_split(X, g)
+        if split is None:
+            return self._leaf(g, h)
+        feat, thr = split
+        mask = X[:, feat] <= thr
+        return TreeNode(feature=int(feat), threshold=float(thr),
+                        left=self._grow(X[mask], g[mask], h[mask], depth + 1),
+                        right=self._grow(X[~mask], g[~mask], h[~mask], depth + 1))
+
+    def _best_split(self, X, g):
+        n, d = X.shape
+        total_sum = g.sum()
+        total_sq = np.sum(g * g)
+        best = None
+        for j in range(d):
+            x = X[:, j]
+            order = np.argsort(x, kind="stable")
+            xs = x[order]
+            gs = g[order]
+            valid = xs[:-1] < xs[1:]
+            if not valid.any():
+                continue
+            cum = np.cumsum(gs)[:-1]
+            nl = np.arange(1, n, dtype=float)
+            nr = n - nl
+            sse = total_sq - cum ** 2 / nl - (total_sum - cum) ** 2 / nr
+            sse[~valid] = np.inf
+            i = int(np.argmin(sse))
+            if not np.isfinite(sse[i]):
+                continue
+            if best is None or sse[i] < best[2]:
+                best = (j, (xs[i] + xs[i + 1]) / 2.0, float(sse[i]))
+        if best is None:
+            return None
+        base = total_sq - total_sum ** 2 / n
+        if base - best[2] <= 1e-12:
+            return None
+        return best[0], best[1]
+
+    def predict(self, X) -> np.ndarray:
+        X = np.asarray(X, dtype=float)
+        out = np.empty(X.shape[0])
+        for i, row in enumerate(X):
+            node = self.root
+            while not node.is_leaf:
+                node = node.left if row[node.feature] <= node.threshold else node.right
+            out[i] = node.value[0]
+        return out
+
+    def to_dict(self) -> dict:
+        return {"root": self.root.to_dict()}
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "RegressionTree":
+        t = cls()
+        t.root = TreeNode.from_dict(d["root"])
+        return t
+
+
+# ---------------------------------------------------------------------------
+# reference ensembles: the earlier fit loops, driving the reference trees
+
+def oracle_forest(X, y, n_trees, max_depth, min_samples_split, max_features,
+                  bootstrap, seed):
+    classes = np.unique(y)
+    d = X.shape[1]
+    mf = (None if max_features in (None, "all")
+          else int(math.ceil(math.sqrt(d))) if max_features == "sqrt"
+          else int(max_features))
+    n = X.shape[0]
+    trees = []
+    for t in range(n_trees):
+        rng = np.random.default_rng(ln._sub_seed(seed, t))
+        idx = rng.integers(0, n, n) if bootstrap else np.arange(n)
+        tree = DecisionTree(max_depth=max_depth,
+                            min_samples_split=min_samples_split,
+                            max_features=mf, rng=rng)
+        tree.fit(X[idx], y[idx], classes=classes)
+        trees.append(tree)
+    return classes, trees
+
+
+def oracle_forest_predict(classes, trees, X):
+    votes = np.zeros((X.shape[0], len(classes)), dtype=int)
+    pos = {c: i for i, c in enumerate(classes.tolist())}
+    for t in trees:
+        pred = t.predict(X)
+        for i, p in enumerate(pred.tolist()):
+            votes[i, pos[p]] += 1
+    return classes[np.argmax(votes, axis=1)]
+
+
+def oracle_boosting(X, y, n_rounds, learning_rate, max_depth,
+                    min_samples_split):
+    """(prior, trees, scales, train_losses) of the earlier boosting loop."""
+    pbar = float(np.mean(y))
+    prior = math.log(pbar / (1.0 - pbar))
+    F = np.full(X.shape[0], prior)
+    losses = [ln._log_loss(y, ln._sigmoid(F))]
+    trees, scales = [], []
+    for _ in range(n_rounds):
+        p = ln._sigmoid(F)
+        g = y - p
+        h = p * (1.0 - p)
+        tree = RegressionTree(max_depth=max_depth,
+                              min_samples_split=min_samples_split)
+        tree.fit(X, g, h)
+        scale = learning_rate
+        upd = scale * tree.predict(X)
+        prev = losses[-1]
+        for _ in range(40):
+            if ln._log_loss(y, ln._sigmoid(F + upd)) <= prev + 1e-12:
+                break
+            scale *= 0.5
+            upd *= 0.5
+        else:
+            scale = 0.0
+            upd = np.zeros_like(upd)
+        F = F + upd
+        trees.append(tree)
+        scales.append(scale)
+        losses.append(ln._log_loss(y, ln._sigmoid(F)))
+    return prior, trees, scales, losses
+
+
+# ---------------------------------------------------------------------------
+# data
+
+@st.composite
+def tied_matrix(draw, min_rows=1, max_rows=24, max_cols=5):
+    """Values from a pool of at most four floats (heavy ties), some columns
+    forced constant, and some rows repeated."""
+    n = draw(st.integers(min_rows, max_rows))
+    d = draw(st.integers(1, max_cols))
+    pool = np.array(draw(st.lists(
+        st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False),
+        min_size=1, max_size=4, unique=True)))
+    cells = draw(st.lists(st.integers(0, len(pool) - 1),
+                          min_size=n * d, max_size=n * d))
+    X = pool[np.array(cells)].reshape(n, d)
+    constant = np.array(draw(st.lists(st.booleans(), min_size=d, max_size=d)))
+    X[:, constant] = pool[0]
+    repeats = draw(st.lists(st.integers(0, n - 1), max_size=n))
+    return np.vstack([X, X[repeats]]) if repeats else X
+
+
+def labels(draw, n, n_classes):
+    return np.array(draw(st.lists(st.integers(0, n_classes - 1),
+                                  min_size=n, max_size=n)))
+
+
+def residuals(draw, n, lo, hi):
+    return np.array(draw(st.lists(st.floats(lo, hi, allow_nan=False),
+                                  min_size=n, max_size=n)))
+
+
+def assert_same(a: dict, b: dict):
+    # JSON text: exact float reprs, and NaN leaves (a cut whose midpoint
+    # rounds onto the upper value leaves one side empty) compare equal
+    assert json.dumps(a) == json.dumps(b)
+
+
+PROPS = settings(max_examples=150, deadline=None,
+                 suppress_health_check=[HealthCheck.too_slow])
+
+
+# ---------------------------------------------------------------------------
+# properties
+
+@PROPS
+@given(st.data())
+def test_decision_tree_matches_reference(data):
+    X = data.draw(tied_matrix())
+    n, d = X.shape
+    if data.draw(st.booleans()):  # bootstrap rows
+        X = X[np.array(data.draw(st.lists(st.integers(0, n - 1),
+                                          min_size=n, max_size=n)))]
+    y = labels(data.draw, n, data.draw(st.sampled_from([2, 3])))
+    params = dict(
+        max_depth=data.draw(st.none() | st.integers(0, 6)),
+        min_samples_split=data.draw(st.integers(1, 5)),
+        max_features=data.draw(st.none() | st.integers(0, d)))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    new = ln.DecisionTree(rng=rng_new, **params).fit(X, y)
+    ref = DecisionTree(rng=rng_ref, **params).fit(X, y)
+    probe = np.vstack([X, X + 0.5, X - 0.5])
+    assert np.array_equal(new.predict_proba(probe), ref.predict_proba(probe),
+                          equal_nan=True)
+    assert_same(new.to_dict(), ref.to_dict())
+    assert np.array_equal(new._imp_raw, ref._imp_raw)
+    assert rng_new.random() == rng_ref.random()
+
+
+@PROPS
+@given(st.data())
+def test_regression_tree_matches_reference(data):
+    X = data.draw(tied_matrix())
+    n = X.shape[0]
+    g = residuals(data.draw, n, -1.0, 1.0)
+    h = residuals(data.draw, n, 1e-3, 0.25)
+    params = dict(max_depth=data.draw(st.integers(0, 5)),
+                  min_samples_split=data.draw(st.integers(1, 5)))
+    new = ln.RegressionTree(**params).fit(X, g, h)
+    ref = RegressionTree(**params).fit(X, g, h)
+    assert_same(new.to_dict(), ref.to_dict())
+    assert np.array_equal(new.value[new.fit_leaves_, 0], ref.predict(X))
+    probe = np.vstack([X, X + 0.5, X - 0.5])
+    assert np.array_equal(new.predict(probe), ref.predict(probe))
+
+
+def test_equal_values_keep_row_order():
+    # Rows 0-2 tie on feature 0 and reach the same cut on feature 1 in the
+    # reverse order.  Only the float prefix sum 0.49 + 0.81 + 0.85 taken in
+    # row order makes feature 1's SSE the lower one, so a presort that
+    # reorders equal values picks feature 0 instead.
+    X = np.array([[0.0, 3.0], [0.0, 2.0], [0.0, 1.0], [1.0, 4.0]])
+    g = np.array([0.49, 0.81, 0.85, -3.0])
+    h = np.ones(4)
+    ref = RegressionTree(max_depth=1).fit(X, g, h)
+    assert ref.root.feature == 1
+    assert_same(ln.RegressionTree(max_depth=1).fit(X, g, h).to_dict(),
+                ref.to_dict())
+
+
+@settings(PROPS, max_examples=60)
+@given(st.data())
+def test_gradient_boosting_matches_reference(data):
+    X = data.draw(tied_matrix(min_rows=2, max_rows=16))
+    n = X.shape[0]
+    y = labels(data.draw, n, 2).astype(float)
+    if y.min() == y.max():
+        y[0] = 1.0 - y[0]
+    params = dict(n_rounds=data.draw(st.integers(1, 6)),
+                  learning_rate=data.draw(st.sampled_from([0.1, 1.0, 8.0])),
+                  max_depth=data.draw(st.integers(1, 3)),
+                  min_samples_split=data.draw(st.integers(1, 4)))
+    new = ln.GradientBoosting(**params).fit(X, y)
+    prior, trees, scales, losses = oracle_boosting(X, y, **params)
+    assert_same(new.to_dict(),
+                {"prior": prior, "constant": False, "scales": scales,
+                 "trees": [t.to_dict() for t in trees]})
+    assert new.train_losses == losses
+
+
+@settings(PROPS, max_examples=60)
+@given(st.data())
+def test_random_forest_matches_reference(data):
+    X = data.draw(tied_matrix(max_rows=16))
+    n = X.shape[0]
+    y = labels(data.draw, n, data.draw(st.sampled_from([2, 3])))
+    params = dict(n_trees=data.draw(st.integers(1, 5)),
+                  max_depth=data.draw(st.none() | st.integers(0, 4)),
+                  min_samples_split=data.draw(st.integers(1, 4)),
+                  max_features=data.draw(st.sampled_from(["sqrt", None, 1])),
+                  bootstrap=data.draw(st.booleans()),
+                  seed=data.draw(st.integers(0, 2**16)))
+    new = ln.RandomForest(**params).fit(X, y)
+    classes, trees = oracle_forest(X, y, **params)
+    probe = np.vstack([X, X + 0.5, X - 0.5])
+    assert np.array_equal(new.predict(probe),
+                          oracle_forest_predict(classes, trees, probe))
+    assert np.array_equal(
+        new.predict_proba(probe),
+        np.mean([t.predict_proba(probe) for t in trees], axis=0),
+        equal_nan=True)
+    assert_same(new.to_dict(),
+                {"n_trees": params["n_trees"], "classes": classes.tolist(),
+                 "trees": [t.to_dict() for t in trees]})
+    for a, b in zip(new.trees, trees):
+        assert np.array_equal(a._imp_raw, b._imp_raw)
