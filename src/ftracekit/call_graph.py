@@ -21,7 +21,6 @@ from .trace_parser import TraceSample
 class CallGraph:
     nodes: set[str] = field(default_factory=set)
     edges: dict[tuple[str, str], int] = field(default_factory=dict)
-    node_stats: dict[str, dict] = field(default_factory=dict)
 
     def undirected_adjacency(self) -> dict[str, set[str]]:
         adj: dict[str, set[str]] = {v: set() for v in self.nodes}
@@ -32,24 +31,12 @@ class CallGraph:
         return adj
 
 
-@dataclass
-class NodeMetrics:
-    betweenness: float
-    eigenvector: float
-    clustering: float
-    avg_neighbor_degree: float
-
-
 def build_graph(sample: TraceSample) -> CallGraph:
     """One node per function name, one edge per (parent, child) pair with
     call-count multiplicity."""
     g = CallGraph()
     for rec in sample.iter_records():
         g.nodes.add(rec.name)
-        stats = g.node_stats.setdefault(
-            rec.name, {"total_calls": 0, "total_duration_us": 0.0})
-        stats["total_calls"] += 1
-        stats["total_duration_us"] += rec.duration_us or 0.0
         for child in rec.children:
             key = (rec.name, child.name)
             g.edges[key] = g.edges.get(key, 0) + 1
@@ -188,17 +175,3 @@ def avg_neighbor_degree(graph: CallGraph) -> dict[str, float]:
         else:
             out[v] = sum(len(adj[w]) for w in nbrs) / len(nbrs)
     return out
-
-
-def node_metrics(graph: CallGraph) -> dict[str, NodeMetrics]:
-    bc = betweenness(graph)
-    ev = eigenvector(graph)
-    cc = clustering(graph)
-    nd = avg_neighbor_degree(graph)
-    return {v: NodeMetrics(bc[v], ev[v], cc[v], nd[v]) for v in sorted(graph.nodes)}
-
-
-def dump_edges(graph: CallGraph) -> str:
-    """Edge list as `caller callee count`, one edge per line."""
-    lines = [f"{a} {b} {c}" for (a, b), c in sorted(graph.edges.items())]
-    return "\n".join(lines) + ("\n" if lines else "")

@@ -112,12 +112,21 @@ def _records_to_dict(rec: trace_parser.CallRecord) -> dict:
             "children": [_records_to_dict(c) for c in rec.children]}
 
 
-def _write_table_csv(path, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(
-            f"{v:.9g}" if isinstance(v, float) else str(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+def _curve_table(rows: list[dict]):
+    return (["fraction", "train_mean", "train_std", "val_mean", "val_std"],
+            [[r["fraction"], r["train_mean"], r["train_std"],
+              r["val_mean"], r["val_std"]] for r in rows])
+
+
+def _perturbation_table(table: dict):
+    return (["feature"] + [f"sigma_{s:g}" for s in table["sigmas"]],
+            [[n] + row for n, row in zip(table["features"], table["accuracy"])])
+
+
+def _ablation_table(rows: list[dict]):
+    return (["config", "n_features", "accuracy", "f1", "roc_auc"],
+            [[r["config"], r["n_features"], r["means"]["accuracy"],
+              r["means"]["f1"], r["means"]["roc_auc"]] for r in rows])
 
 
 def cmd_gen(args) -> int:
@@ -200,10 +209,7 @@ def cmd_curve(args) -> int:
     rows = experiments.learning_curve(m, m.labels, args.learner,
                                       json.loads(args.params),
                                       fractions=fractions, seed=args.seed)
-    _write_table_csv(args.out,
-                     ["fraction", "train_mean", "train_std", "val_mean", "val_std"],
-                     [[r["fraction"], r["train_mean"], r["train_std"],
-                       r["val_mean"], r["val_std"]] for r in rows])
+    features._write_table_csv(args.out, *_curve_table(rows))
     print(f"curve: {len(rows)} fractions -> {args.out}")
     return 0
 
@@ -219,10 +225,7 @@ def cmd_perturb(args) -> int:
     table = experiments.perturbation_study(pool, test, args.learner,
                                            json.loads(args.params),
                                            sigmas=sigmas, seed=args.seed)
-    header = ["feature"] + [f"sigma_{s:g}" for s in table["sigmas"]]
-    _write_table_csv(args.out, header,
-                     [[n] + row for n, row in
-                      zip(table["features"], table["accuracy"])])
+    features._write_table_csv(args.out, *_perturbation_table(table))
     print(f"perturb: {len(table['features'])} features x "
           f"{len(table['sigmas'])} sigmas -> {args.out}")
     return 0
@@ -233,30 +236,18 @@ def cmd_ablate(args) -> int:
     scaled = features.minmax_fit_transform(m)
     rows = experiments.ablation_study(scaled, m.labels, args.learner,
                                       json.loads(args.params), seed=args.seed)
-    _write_table_csv(args.out,
-                     ["config", "n_features", "accuracy", "f1", "roc_auc"],
-                     [[r["config"], r["n_features"], r["means"]["accuracy"],
-                       r["means"]["f1"], r["means"]["roc_auc"]] for r in rows])
+    features._write_table_csv(args.out, *_ablation_table(rows))
     print(f"ablate: {len(rows)} configurations -> {args.out}")
     return 0
 
 
 def _write_exp1_tables(report, out_dir: Path) -> None:
-    curve = report.payload["learning_curve"]
-    _write_table_csv(out_dir / "curve.csv",
-                     ["fraction", "train_mean", "train_std", "val_mean", "val_std"],
-                     [[r["fraction"], r["train_mean"], r["train_std"],
-                       r["val_mean"], r["val_std"]] for r in curve])
-    pt = report.payload["perturbation"]
-    header = ["feature"] + [f"sigma_{s:g}" for s in pt["sigmas"]]
-    _write_table_csv(out_dir / "perturbation.csv", header,
-                     [[n] + row for n, row in
-                      zip(pt["features"], pt["accuracy"])])
-    ab = report.payload["ablation"]
-    _write_table_csv(out_dir / "ablation.csv",
-                     ["config", "n_features", "accuracy", "f1", "roc_auc"],
-                     [[r["config"], r["n_features"], r["means"]["accuracy"],
-                       r["means"]["f1"], r["means"]["roc_auc"]] for r in ab])
+    payload = report.payload
+    for name, table in (
+            ("curve.csv", _curve_table(payload["learning_curve"])),
+            ("perturbation.csv", _perturbation_table(payload["perturbation"])),
+            ("ablation.csv", _ablation_table(payload["ablation"]))):
+        features._write_table_csv(out_dir / name, *table)
 
 
 _EXP1_GRIDS = {

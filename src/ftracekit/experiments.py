@@ -65,13 +65,9 @@ def _fold_seed(seed: int, *tags: int) -> int:
     return int(np.random.SeedSequence([seed, *tags]).generate_state(1)[0])
 
 
-def _as_key_array(labels) -> np.ndarray:
-    return np.asarray(labels)
-
-
 def stratified_split_indices(labels, spec: SplitSpec):
     """Per-class shuffled allocation; rounding remainder goes to train."""
-    labels = _as_key_array(labels)
+    labels = np.asarray(labels)
     n = len(labels)
     rng = np.random.default_rng(spec.seed)
     train, val, test = [], [], []
@@ -100,15 +96,10 @@ def stratified_split_indices(labels, spec: SplitSpec):
             np.sort(np.asarray(test, dtype=int)))
 
 
-def stratified_split(m: FeatureMatrix, labels, spec: SplitSpec):
-    tr, va, te = stratified_split_indices(labels, spec)
-    return m.subset_rows(tr), m.subset_rows(va), m.subset_rows(te)
-
-
 def stratified_folds(labels, k: int, seed: int) -> list[np.ndarray]:
     """k disjoint index sets, classes dealt round-robin after a seeded
     per-class shuffle."""
-    labels = _as_key_array(labels)
+    labels = np.asarray(labels)
     rng = np.random.default_rng(seed)
     folds: list[list[int]] = [[] for _ in range(k)]
     for c in sorted(set(labels.tolist())):
@@ -123,7 +114,7 @@ def stratified_folds(labels, k: int, seed: int) -> list[np.ndarray]:
 
 
 def _is_multilabel(labels) -> bool:
-    return _as_key_array(labels).dtype.kind in "UOS"
+    return np.asarray(labels).dtype.kind in "UOS"
 
 
 def _fit_and_eval(learner, params, seed, X_tr, y_tr, X_va, y_va,
@@ -151,7 +142,7 @@ class CvResult:
 def kfold_cv(m: FeatureMatrix, labels, learner: str, params: dict,
              k: int = 5, seed: int = 0) -> CvResult:
     """Stratified k-fold cross-validation; metrics reported mean +- std."""
-    labels = _as_key_array(labels)
+    labels = np.asarray(labels)
     folds = stratified_folds(labels, k, seed)
     all_idx = np.arange(len(labels))
     fold_metrics = []
@@ -175,16 +166,11 @@ def _grid_points(grid: dict) -> list[dict]:
             for combo in itertools.product(*(grid[k] for k in keys))]
 
 
-def _selection_metric(labels) -> str:
-    return "f1_micro" if _is_multilabel(labels) else "accuracy"
-
-
-def grid_search(m: FeatureMatrix, labels, learner: str, grid: dict,
-                k: int = 5, seed: int = 0):
-    """Evaluate every grid point with k-fold CV; best by mean accuracy
-    (binary) or F1-micro (multi-label), first-encountered on ties."""
-    points = _grid_points(grid)
-    metric = _selection_metric(labels)
+def _best_by_cv(m: FeatureMatrix, labels, learner: str, points: list[dict],
+                k: int, seed: int):
+    """k-fold CV of every parameter point; best by mean accuracy (binary)
+    or F1-micro (multi-label), first-encountered on ties."""
+    metric = "f1_micro" if _is_multilabel(labels) else "accuracy"
     rows = []
     best = None
     for params in points:
@@ -196,6 +182,12 @@ def grid_search(m: FeatureMatrix, labels, learner: str, grid: dict,
     return best[1], {"metric": metric, "evaluations": rows}
 
 
+def grid_search(m: FeatureMatrix, labels, learner: str, grid: dict,
+                k: int = 5, seed: int = 0):
+    """Evaluate every grid point with k-fold CV (see `_best_by_cv`)."""
+    return _best_by_cv(m, labels, learner, _grid_points(grid), k, seed)
+
+
 def random_search(m: FeatureMatrix, labels, learner: str, grid: dict,
                   n_draws: int, k: int = 5, seed: int = 0):
     """Uniform draws from the grid axes instead of the full product."""
@@ -203,18 +195,9 @@ def random_search(m: FeatureMatrix, labels, learner: str, grid: dict,
         raise EmptyGrid("parameter grid is empty")
     rng = np.random.default_rng(seed)
     keys = sorted(grid)
-    metric = _selection_metric(labels)
-    rows = []
-    best = None
-    for _ in range(n_draws):
-        params = {key: grid[key][int(rng.integers(len(grid[key])))]
-                  for key in keys}
-        cv = kfold_cv(m, labels, learner, params, k, seed)
-        rows.append({"params": params, "cv": cv.as_dict()})
-        score = cv.means[metric]
-        if best is None or score > best[0]:
-            best = (score, params)
-    return best[1], {"metric": metric, "evaluations": rows}
+    points = [{key: grid[key][int(rng.integers(len(grid[key])))]
+               for key in keys} for _ in range(n_draws)]
+    return _best_by_cv(m, labels, learner, points, k, seed)
 
 
 DEFAULT_FRACTIONS = [round(0.1 * i, 1) for i in range(1, 11)]
@@ -229,7 +212,7 @@ def learning_curve(m: FeatureMatrix, labels, learner: str, params: dict,
     while the held-out fold stays complete, keeping folds consistent.
     """
     fractions = list(fractions or DEFAULT_FRACTIONS)
-    labels = _as_key_array(labels)
+    labels = np.asarray(labels)
     folds = stratified_folds(labels, k, seed)
 
     # fixed per-fold per-class orders; taking a prefix subsamples stratified

@@ -267,20 +267,22 @@ def zscore_apply(m: FeatureMatrix, state: ScalingState) -> FeatureMatrix:
                          scaling=state, warnings=list(m.warnings))
 
 
-def _fmt_cell(x: float) -> str:
-    return f"{x:.9g}"
+def _write_table_csv(path, header: list[str], rows) -> None:
+    """Comma-separated table: floats as `.9g`, everything else as `str`."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(
+            f"{v:.9g}" if isinstance(v, float) else str(v) for v in row))
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def write_csv(m: FeatureMatrix, path) -> None:
-    path = Path(path)
-    header = m.vocab.column_names + ["label", "task"]
-    lines = [",".join(header)]
-    for i in range(m.n_rows):
-        cells = [_fmt_cell(v) for v in m.X[i]]
-        cells.append(str(int(m.labels[i])) if m.labels is not None else "")
-        cells.append(m.tasks[i] if m.tasks is not None else "")
-        lines.append(",".join(cells))
-    path.write_text("\n".join(lines) + "\n")
+    labels = ([int(v) for v in m.labels] if m.labels is not None
+              else [""] * m.n_rows)
+    tasks = m.tasks if m.tasks is not None else [""] * m.n_rows
+    _write_table_csv(path, m.vocab.column_names + ["label", "task"],
+                     (list(x) + [lab, task]
+                      for x, lab, task in zip(m.X, labels, tasks)))
 
 
 def read_csv(path, vocab: Optional[FeatureVocabulary] = None) -> FeatureMatrix:

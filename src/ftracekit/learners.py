@@ -440,12 +440,11 @@ class GradientBoosting:
     """
 
     def __init__(self, n_rounds=100, learning_rate=0.1, max_depth=3,
-                 min_samples_split=2, seed=0):
+                 min_samples_split=2):
         self.n_rounds = n_rounds
         self.learning_rate = learning_rate
         self.max_depth = max_depth
         self.min_samples_split = min_samples_split
-        self.seed = seed
         self.prior = 0.0
         self.trees: list[RegressionTree] = []
         self.scales: list[float] = []
@@ -646,8 +645,7 @@ def _fit_impl(kind, X, y, params, seed):
         impl = GradientBoosting(n_rounds=params.get("n_rounds", 100),
                                 learning_rate=params.get("learning_rate", 0.1),
                                 max_depth=params.get("max_depth", 3),
-                                min_samples_split=params.get("min_samples_split", 2),
-                                seed=seed)
+                                min_samples_split=params.get("min_samples_split", 2))
         return impl.fit(X, y)
     if kind == "logistic":
         impl = LogisticModel(epochs=params.get("epochs", 500),
@@ -710,26 +708,6 @@ def train(kind: str, X, y, params: Optional[dict] = None, seed: int = 0,
         feature_names = [f"f{i}" for i in range(X.shape[1])]
     return Model(kind=kind, params=params, seed=seed,
                  feature_names=list(feature_names), impl=impl)
-
-
-def train_tree(X, y, params=None, seed=0, feature_names=None) -> Model:
-    return train("tree", X, y, params, seed, feature_names)
-
-
-def train_forest(X, y, params=None, seed=0, feature_names=None) -> Model:
-    return train("forest", X, y, params, seed, feature_names)
-
-
-def train_boosting(X, y, params=None, seed=0, feature_names=None) -> Model:
-    return train("boosting", X, y, params, seed, feature_names)
-
-
-def train_logistic(X, y, params=None, seed=0, feature_names=None) -> Model:
-    return train("logistic", X, y, params, seed, feature_names)
-
-
-def train_one_vs_rest(X, tasks, params=None, seed=0, feature_names=None) -> Model:
-    return train("one_vs_rest", X, tasks, params, seed, feature_names)
 
 
 # The stdlib json encoder and decoder recurse once per nesting level, and a

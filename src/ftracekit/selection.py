@@ -5,12 +5,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import KTooLarge, NegativeFeature, PValueClampWarning, SingleClass
-from .features import FeatureMatrix
+from .features import FeatureMatrix, _write_table_csv
 
 _SMALLEST_POSITIVE = math.ulp(0.0)  # 5e-324
 
@@ -150,6 +149,5 @@ def forest_importance(m: FeatureMatrix, labels, forest_params: dict,
 
 def write_scores_csv(scores: list[ScoredFeature], path) -> None:
     ordered = sorted(scores, key=lambda s: (-s.score, s.name))
-    lines = ["name,score,p_value"]
-    lines += [f"{s.name},{s.score:.9g},{s.p_value:.9g}" for s in ordered]
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_table_csv(path, ["name", "score", "p_value"],
+                     ([s.name, s.score, s.p_value] for s in ordered))

@@ -8,13 +8,11 @@ CPUs, truncated dumps, comment lines and CPU-switch boundary markers.
 from __future__ import annotations
 
 import json
-import os
 import re
-import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .errors import MalformedLine, NestingError
 
@@ -95,15 +93,6 @@ class CallRecord:
         for child in self.children:
             yield from child.walk()
 
-    def containment_ok(self, slack_us: float = 1e-3) -> bool:
-        """Parent duration covers the sum of known child durations."""
-        if self.duration_us is None:
-            return True
-        child_durs = [c.duration_us for c in self.children]
-        if any(d is None for d in child_durs):
-            return True
-        return self.duration_us >= sum(child_durs) - slack_us
-
 
 @dataclass
 class TraceSample:
@@ -141,22 +130,9 @@ _EXIT_RE = re.compile(r"^\}\s*(?:;)?\s*(?:/\*\s*(.*?)\s*\*/)?$")
 _NAME_RE = re.compile(r"^(\S+)\(\)$")
 
 
-def parse_line(line: str, options: ParserOptions = ParserOptions()) -> RawLine:
-    """Classify one physical line of function_graph output.
-
-    In strict mode malformed lines raise MalformedLine; otherwise they are
-    returned as Comment-equivalent skips (the streaming parser records the
-    warning).
-    """
-    try:
-        return _parse_line_strict(line, options)
-    except MalformedLine:
-        if options.strict:
-            raise
-        return RawLine(kind=BodyKind.COMMENT)
-
-
 def _parse_line_strict(line: str, options: ParserOptions) -> RawLine:
+    """Classify one physical line of function_graph output; a malformed
+    line raises MalformedLine."""
     stripped = line.strip()
     if not stripped or stripped.startswith("#"):
         return RawLine(kind=BodyKind.COMMENT)
@@ -325,43 +301,6 @@ def parse_trace(stream, options: ParserOptions = ParserOptions()) -> TraceSample
     return TraceSample(records=roots, warnings=warnings, has_abstime=has_abstime)
 
 
-def filter_records(sample: TraceSample, keep: Callable[[str], bool]) -> TraceSample:
-    """Drop records whose name fails the predicate.
-
-    Children of a removed record are promoted to its parent, so an A->B->C
-    chain with B removed yields A->C.
-    """
-    removed = 0
-
-    def go(rec: CallRecord, parent_name: Optional[str], depth: int) -> list[CallRecord]:
-        nonlocal removed
-        if keep(rec.name):
-            kids: list[CallRecord] = []
-            for c in rec.children:
-                kids.extend(go(c, rec.name, depth + 1))
-            return [replace(rec, depth=depth, parent_name=parent_name, children=kids)]
-        removed += 1
-        out: list[CallRecord] = []
-        for c in rec.children:
-            out.extend(go(c, parent_name, depth))
-        return out
-
-    new_roots: dict[int, list[CallRecord]] = {}
-    for cpu, cpu_roots in sample.records.items():
-        forest: list[CallRecord] = []
-        for root in cpu_roots:
-            forest.extend(go(root, None, 0))
-        new_roots[cpu] = forest
-
-    warnings = list(sample.warnings)
-    if removed:
-        warnings.append(f"filter: removed {removed} records")
-    return TraceSample(records=new_roots, io_meta=sample.io_meta,
-                       label=sample.label, task_name=sample.task_name,
-                       warnings=warnings, has_abstime=sample.has_abstime,
-                       source=sample.source)
-
-
 def overhead_marker(duration_us: float) -> Optional[str]:
     for threshold, marker in _MARKER_THRESHOLDS:
         if duration_us >= threshold:
@@ -446,32 +385,3 @@ def load_corpus(corpus_dir, options: ParserOptions = ParserOptions()) -> list[Tr
     """Load every *.trace file under a directory (sorted, recursive)."""
     paths = sorted(Path(corpus_dir).rglob("*.trace"))
     return [load_sample(p, options) for p in paths]
-
-
-TRACEFS_CANDIDATES = ("/sys/kernel/tracing", "/sys/kernel/debug/tracing")
-
-
-def capture_live(seconds: float, tracefs: Optional[str] = None) -> str:
-    """Capture a live function_graph trace from tracefs (root only).
-
-    Disabled by default everywhere else in the toolkit; provided for
-    completeness and excluded from the test suite.
-    """
-    if tracefs is None:
-        for cand in TRACEFS_CANDIDATES:
-            if os.path.isdir(cand):
-                tracefs = cand
-                break
-    if tracefs is None:
-        raise OSError("tracefs not available on this system")
-    with open(os.path.join(tracefs, "current_tracer"), "w") as fh:
-        fh.write("function_graph")
-    with open(os.path.join(tracefs, "tracing_on"), "w") as fh:
-        fh.write("1")
-    try:
-        time.sleep(seconds)
-    finally:
-        with open(os.path.join(tracefs, "tracing_on"), "w") as fh:
-            fh.write("0")
-    with open(os.path.join(tracefs, "trace"), "r") as fh:
-        return fh.read()

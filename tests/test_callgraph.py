@@ -234,19 +234,3 @@ class TestAgainstOracles:
             got = fn(h)
             for v, want in fn(g).items():
                 assert got[mapping[v]] == pytest.approx(want, abs=1e-9)
-
-
-class TestNodeMetricsAndDump:
-    def test_node_metrics_bundles_all_four(self):
-        g = graph_from_edges([("a", "b"), ("b", "c"), ("a", "c"), ("c", "d")])
-        nm = cg.node_metrics(g)
-        assert set(nm) == {"a", "b", "c", "d"}
-        assert nm["c"].betweenness == pytest.approx(2 / 3)
-        assert nm["c"].clustering == pytest.approx(1 / 3)
-        assert nm["d"].avg_neighbor_degree == 3.0
-        assert nm["c"].eigenvector > nm["d"].eigenvector > 0
-
-    def test_dump_edges_sorted(self):
-        g = graph_from_edges([("b", "c"), ("a", "b")])
-        g.edges[("a", "b")] = 2
-        assert cg.dump_edges(g) == "a b 2\nb c 1\n"

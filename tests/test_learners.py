@@ -260,8 +260,8 @@ class TestModelWrapper:
     def test_train_and_width_check(self):
         X = np.random.default_rng(0).random((20, 3))
         y = (X[:, 0] > 0.5).astype(int)
-        model = ln.train_tree(X, y, {"max_depth": 2}, seed=0,
-                              feature_names=["a", "b", "c"])
+        model = ln.train("tree", X, y, {"max_depth": 2}, seed=0,
+                         feature_names=["a", "b", "c"])
         assert model.predict(X).shape == (20,)
         with pytest.raises(WidthMismatch):
             model.predict(X[:, :2])
@@ -283,7 +283,7 @@ class TestModelWrapper:
     def test_one_vs_rest_save_load(self, tmp_path):
         X = np.random.default_rng(2).random((30, 2))
         tasks = ["a" if v > 0.5 else "b" for v in X[:, 0]]
-        model = ln.train_one_vs_rest(X, tasks, {"n_trees": 5}, seed=3)
+        model = ln.train("one_vs_rest", X, tasks, {"n_trees": 5}, seed=3)
         ln.save_model(model, tmp_path / "m.json")
         again = ln.load_model(tmp_path / "m.json")
         assert np.array_equal(model.predict(X), again.predict(X))
@@ -291,7 +291,7 @@ class TestModelWrapper:
     def test_bad_version_rejected(self, tmp_path):
         X = np.random.default_rng(3).random((10, 2))
         y = np.array([0, 1] * 5)
-        model = ln.train_tree(X, y)
+        model = ln.train("tree", X, y)
         path = tmp_path / "m.json"
         ln.save_model(model, path)
         import json
@@ -360,7 +360,7 @@ class TestMetrics:
     def test_evaluate_bundles_metrics(self):
         X = np.random.default_rng(5).random((60, 2))
         y = (X[:, 0] > 0.5).astype(int)
-        model = ln.train_forest(X, y, {"n_trees": 10, "max_depth": 4}, seed=0)
+        model = ln.train("forest", X, y, {"n_trees": 10, "max_depth": 4}, seed=0)
         m = ln.evaluate(model, X, y)
         assert m.accuracy >= 0.9
         assert 0.0 <= m.roc_auc <= 1.0
@@ -369,8 +369,8 @@ class TestMetrics:
     def test_evaluate_multilabel(self):
         X = np.random.default_rng(7).random((60, 2))
         tasks = ["hi" if v > 0.5 else "lo" for v in X[:, 0]]
-        model = ln.train_one_vs_rest(X, tasks,
-                                     {"n_trees": 15, "max_depth": 4}, seed=0)
+        model = ln.train("one_vs_rest", X, tasks,
+                         {"n_trees": 15, "max_depth": 4}, seed=0)
         m = ln.evaluate_multilabel(model, X, tasks)
         assert m.f1_micro >= 0.9
         assert m.f1_macro is not None
