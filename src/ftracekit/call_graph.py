@@ -23,7 +23,9 @@ class CallGraph:
     edges: dict[tuple[str, str], int] = field(default_factory=dict)
 
     def undirected_adjacency(self) -> dict[str, set[str]]:
-        adj: dict[str, set[str]] = {v: set() for v in self.nodes}
+        """Neighbour sets keyed in sorted node order, so that float sums
+        over the keys do not depend on the string hash seed."""
+        adj: dict[str, set[str]] = {v: set() for v in sorted(self.nodes)}
         for (a, b) in self.edges:
             if a != b:
                 adj[a].add(b)
@@ -123,16 +125,17 @@ def eigenvector(graph: CallGraph, tol: float = 1e-10,
         return scores  # no edges: centrality is ill-defined, use 0
 
     idx = {v: i for i, v in enumerate(comp)}
+    # sorted, so the float sums below do not follow set (hash) order
+    nbrs = [sorted(idx[w] for w in adj[v]) for v in comp]
     k = len(comp)
     x = [1.0 / math.sqrt(k)] * k
     converged = False
     for _ in range(max_iter):
         y = [0.0] * k
-        for v in comp:
-            i = idx[v]
+        for i in range(k):
             acc = x[i]  # identity shift
-            for w in adj[v]:
-                acc += x[idx[w]]
+            for j in nbrs[i]:
+                acc += x[j]
             y[i] = acc
         norm = math.sqrt(sum(t * t for t in y))
         y = [t / norm for t in y]

@@ -112,6 +112,13 @@ def _records_to_dict(rec: trace_parser.CallRecord) -> dict:
             "children": [_records_to_dict(c) for c in rec.children]}
 
 
+def _read_labeled_csv(path) -> features.FeatureMatrix:
+    m = features.read_csv(path)
+    if m.labels is None:
+        raise ValueError(f"feature CSV {path} has rows without a label")
+    return m
+
+
 def _curve_table(rows: list[dict]):
     return (["fraction", "train_mean", "train_std", "val_mean", "val_std"],
             [[r["fraction"], r["train_mean"], r["train_std"],
@@ -168,7 +175,7 @@ def cmd_features(args) -> int:
 
 
 def cmd_select(args) -> int:
-    m = features.read_csv(args.features)
+    m = _read_labeled_csv(args.features)
     scaled = features.minmax_fit_transform(m)
     scores = selection.chi2_scores(scaled, m.labels)
     top = selection.select_top_k(scores, min(args.k, len(scores)))
@@ -179,7 +186,7 @@ def cmd_select(args) -> int:
 
 
 def cmd_train(args) -> int:
-    m = features.read_csv(args.features)
+    m = _read_labeled_csv(args.features)
     params = json.loads(args.params)
     model = learners.train(args.learner, m.X, m.labels, params, args.seed,
                            m.vocab.column_names)
@@ -192,7 +199,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     model = learners.load_model(args.model)
-    m = features.read_csv(args.features)
+    m = _read_labeled_csv(args.features)
     kept = m.subset_columns(model.feature_names)
     metrics = learners.evaluate(model, kept.X, m.labels)
     text = json.dumps(metrics.as_dict(), indent=2)
@@ -204,7 +211,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_curve(args) -> int:
-    m = features.read_csv(args.features)
+    m = _read_labeled_csv(args.features)
     fractions = [float(f) for f in args.fractions.split(",")]
     rows = experiments.learning_curve(m, m.labels, args.learner,
                                       json.loads(args.params),
@@ -215,7 +222,7 @@ def cmd_curve(args) -> int:
 
 
 def cmd_perturb(args) -> int:
-    m = features.read_csv(args.features)
+    m = _read_labeled_csv(args.features)
     sigmas = [float(s) for s in args.sigmas.split(",")]
     spec = experiments.SplitSpec(seed=args.seed)
     tr, va, te = experiments.stratified_split_indices(m.labels, spec)
@@ -232,7 +239,7 @@ def cmd_perturb(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    m = features.read_csv(args.features)
+    m = _read_labeled_csv(args.features)
     scaled = features.minmax_fit_transform(m)
     rows = experiments.ablation_study(scaled, m.labels, args.learner,
                                       json.loads(args.params), seed=args.seed)

@@ -395,15 +395,9 @@ class RandomForest:
         return np.mean([t.predict_proba(X) for t in self.trees], axis=0)
 
     def predict(self, X) -> np.ndarray:
-        # majority vote over hard per-tree predictions; ties -> lowest class.
-        # Every tree is fit with the forest's classes, so a tree's argmax
-        # column is the forest's class position.
-        X = np.asarray(X, dtype=float)
-        votes = np.zeros((X.shape[0], len(self.classes_)), dtype=int)
-        rows = np.arange(X.shape[0])
-        for t in self.trees:
-            votes[rows, np.argmax(t.predict_proba(X), axis=1)] += 1
-        return self.classes_[np.argmax(votes, axis=1)]
+        """The class of highest mean probability, the one `predict_proba`
+        scores; ties go to the lowest class."""
+        return self.classes_[np.argmax(self.predict_proba(X), axis=1)]
 
     def feature_importances(self) -> np.ndarray:
         raw = np.mean([t._imp_raw for t in self.trees], axis=0)

@@ -89,9 +89,13 @@ class CallRecord:
     children: list["CallRecord"] = field(default_factory=list)
 
     def walk(self) -> Iterator["CallRecord"]:
-        yield self
-        for child in self.children:
-            yield from child.walk()
+        """This record and its descendants in pre-order, with an explicit
+        stack, so any nesting depth the parser accepts can be walked."""
+        stack = [self]
+        while stack:
+            rec = stack.pop()
+            yield rec
+            stack.extend(reversed(rec.children))
 
 
 @dataclass

@@ -53,6 +53,20 @@ class TestExitCodes:
                   "--out", str(tmp_path / "m.json")])
         assert rc == 2
 
+    def test_unlabeled_csv_is_runtime_error(self, feature_csv, tmp_path,
+                                            capsys):
+        model = tmp_path / "m.json"
+        assert run(["train", "--features", str(feature_csv), "--learner",
+                    "tree", "--seed", "0", "--out", str(model)]) == 0
+        header, *rows = feature_csv.read_text().splitlines()
+        unlabeled = tmp_path / "unlabeled.csv"
+        unlabeled.write_text("".join(
+            line + "\n" for line in
+            [header] + [row.rsplit(",", 2)[0] + ",," for row in rows]))
+        rc = run(["eval", "--model", str(model), "--features", str(unlabeled)])
+        assert rc == 2
+        assert "without a label" in capsys.readouterr().err
+
 
 class TestPipeline:
     def test_gen_layout(self, small_corpus):

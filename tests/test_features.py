@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -103,6 +108,24 @@ class TestExtract:
         b = ft.extract_matrix(samples, vocab)
         assert np.array_equal(a.X, b.X)
         assert a.labels.tolist() == b.labels.tolist() == [0, 1, 0, 1]
+
+    def test_extract_matrix_independent_of_hash_seed(self, tmp_path):
+        # graph metrics once summed floats in set order, which follows
+        # the per-process string hash seed
+        wg.generate_corpus(wg.task_profiles(), 3, seed=7, out_dir=tmp_path,
+                           multi_cpu=True, abstime=True)
+        code = ("import hashlib, sys\n"
+                "from ftracekit import features, trace_parser\n"
+                "s = trace_parser.load_corpus(sys.argv[1])\n"
+                "m = features.extract_matrix(s, features.build_vocabulary(s))\n"
+                "print(hashlib.sha256(m.X.tobytes()).hexdigest())\n")
+        src = str(Path(ft.__file__).resolve().parents[1])
+        digests = {subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path)], check=True,
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": h}).stdout
+            for h in ("1", "2", "3")}
+        assert len(digests) == 1
 
     def test_labels_dropped_if_any_missing(self):
         s1 = sample_from_text(TWO_FN_TEXT, label=1)

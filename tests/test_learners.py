@@ -87,6 +87,17 @@ class TestRandomForest:
         forest = ln.RandomForest(n_trees=30, max_depth=6, seed=0).fit(X, y)
         assert (forest.predict(X) == y).mean() >= 0.95
 
+    def test_predict_agrees_with_predict_proba(self):
+        # accuracy and AUC must describe one classifier; a hard majority
+        # vote over the trees disagrees with the mean probability on 605
+        # of these 4,000 rows
+        rng = np.random.default_rng(0)
+        X, y = rng.random((200, 5)), rng.integers(0, 2, 200)
+        forest = ln.RandomForest(n_trees=7, max_depth=4, seed=1).fit(X, y)
+        probe = rng.random((4000, 5))
+        want = forest.classes_[np.argmax(forest.predict_proba(probe), axis=1)]
+        assert np.array_equal(forest.predict(probe), want)
+
     def test_importances_normalized(self):
         X, y = self._data()
         forest = ln.RandomForest(n_trees=15, max_depth=5, seed=1).fit(X, y)

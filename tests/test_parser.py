@@ -1,5 +1,6 @@
 import pytest
 
+from ftracekit import features as ft
 from ftracekit import trace_parser as tp
 from ftracekit import workloadgen as wg
 from ftracekit.errors import MalformedLine, NestingError
@@ -139,6 +140,19 @@ class TestParseTrace:
             for _ in range(200))
         sample = tp.parse_trace(junk)  # must not raise
         assert isinstance(sample.warnings, list)
+
+    def test_deep_nesting_is_walked_without_recursion(self):
+        depth = 3000
+        lines = [f" 0)               |  {'  ' * i}f{i % 3}() {{"
+                 for i in range(depth)]
+        lines += [f" 0)   1.000 us    |  {'  ' * i}}} /* f{i % 3} */"
+                  for i in reversed(range(depth))]
+        sample = tp.parse_trace("\n".join(lines), STRICT)
+        assert sample.record_count() == depth
+        assert [r.depth for r in sample.iter_records()] == list(range(depth))
+        vocab = ft.build_vocabulary([sample])
+        row = ft.extract(sample, vocab)
+        assert row[vocab.column_names.index("total_calls")] == depth
 
 
 class TestGeneratedTraces:

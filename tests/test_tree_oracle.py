@@ -280,16 +280,6 @@ def oracle_forest(X, y, n_trees, max_depth, min_samples_split, max_features,
     return classes, trees
 
 
-def oracle_forest_predict(classes, trees, X):
-    votes = np.zeros((X.shape[0], len(classes)), dtype=int)
-    pos = {c: i for i, c in enumerate(classes.tolist())}
-    for t in trees:
-        pred = t.predict(X)
-        for i, p in enumerate(pred.tolist()):
-            votes[i, pos[p]] += 1
-    return classes[np.argmax(votes, axis=1)]
-
-
 def oracle_boosting(X, y, n_rounds, learning_rate, max_depth,
                     min_samples_split):
     """(prior, trees, scales, train_losses) of the earlier boosting loop."""
@@ -458,12 +448,10 @@ def test_random_forest_matches_reference(data):
     new = ln.RandomForest(**params).fit(X, y)
     classes, trees = oracle_forest(X, y, **params)
     probe = np.vstack([X, X + 0.5, X - 0.5])
+    proba = np.mean([t.predict_proba(probe) for t in trees], axis=0)
+    assert np.array_equal(new.predict_proba(probe), proba, equal_nan=True)
     assert np.array_equal(new.predict(probe),
-                          oracle_forest_predict(classes, trees, probe))
-    assert np.array_equal(
-        new.predict_proba(probe),
-        np.mean([t.predict_proba(probe) for t in trees], axis=0),
-        equal_nan=True)
+                          classes[np.argmax(proba, axis=1)])
     assert_same(new.to_dict(),
                 {"n_trees": params["n_trees"], "classes": classes.tolist(),
                  "trees": [t.to_dict() for t in trees]})
