@@ -10,8 +10,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import experiments, features, learners, selection, trace_parser, workloadgen
 from .errors import FtraceKitError
 
@@ -105,11 +103,15 @@ def _common_study_flags(sp):
     sp.add_argument("--out", required=True, help="output CSV")
 
 
-def _records_to_dict(rec: trace_parser.CallRecord) -> dict:
-    return {"name": rec.name, "cpu": rec.cpu, "depth": rec.depth,
-            "duration_us": rec.duration_us, "start_time": rec.start_time,
-            "end_time": rec.end_time, "parent_name": rec.parent_name,
-            "children": [_records_to_dict(c) for c in rec.children]}
+def _records_to_dict(root: trace_parser.CallRecord) -> dict:
+    """A record tree as nested dicts, built with an explicit stack."""
+    out: dict = {}
+    stack = [(root, out)]
+    while stack:
+        rec, d = stack.pop()
+        d.update(vars(rec), children=[{} for _ in rec.children])
+        stack += zip(rec.children, d["children"])
+    return out
 
 
 def _read_labeled_csv(path) -> features.FeatureMatrix:
@@ -155,28 +157,27 @@ def cmd_parse(args) -> int:
         "records": {str(cpu): [_records_to_dict(r) for r in roots]
                     for cpu, roots in sorted(sample.records.items())},
     }
-    Path(args.out).write_text(json.dumps(out, indent=2))
+    Path(args.out).write_text(learners._json_dumps(out, indent=2))
     print(f"parse: {sample.record_count()} records, "
           f"{len(sample.warnings)} warnings -> {args.out}")
     return 0
 
 
 def cmd_features(args) -> int:
-    options = trace_parser.ParserOptions(strict=args.strict)
-    samples = trace_parser.load_corpus(args.corpus, options)
-    vocab = features.build_vocabulary(samples)
-    matrix = features.extract_matrix(samples, vocab)
+    matrix = features.load_matrix(args.corpus, args.strict)
     features.write_csv(matrix, args.out)
     if args.vocab:
-        Path(args.vocab).write_text(vocab.to_json())
-    print(f"features: {matrix.n_rows} rows x {len(vocab.columns)} columns "
-          f"-> {args.out}")
+        Path(args.vocab).write_text(matrix.vocab.to_json())
+    for warning in matrix.warnings:
+        print(f"warning: {warning}", file=sys.stderr)
+    print(f"features: {matrix.n_rows} rows x {len(matrix.vocab.columns)} "
+          f"columns -> {args.out}")
     return 0
 
 
 def cmd_select(args) -> int:
     m = _read_labeled_csv(args.features)
-    scaled = features.minmax_fit_transform(m)
+    scaled = features.ScalingState.fit("minmax", m).apply(m)
     scores = selection.chi2_scores(scaled, m.labels)
     top = selection.select_top_k(scores, min(args.k, len(scores)))
     keep = [s for s in scores if s.name in set(top)]
@@ -213,8 +214,8 @@ def cmd_eval(args) -> int:
 def cmd_curve(args) -> int:
     m = _read_labeled_csv(args.features)
     fractions = [float(f) for f in args.fractions.split(",")]
-    rows = experiments.learning_curve(m, m.labels, args.learner,
-                                      json.loads(args.params),
+    pipe = experiments.Pipeline(args.learner, json.loads(args.params))
+    rows = experiments.learning_curve(m, m.labels, pipe,
                                       fractions=fractions, seed=args.seed)
     features._write_table_csv(args.out, *_curve_table(rows))
     print(f"curve: {len(rows)} fractions -> {args.out}")
@@ -224,14 +225,11 @@ def cmd_curve(args) -> int:
 def cmd_perturb(args) -> int:
     m = _read_labeled_csv(args.features)
     sigmas = [float(s) for s in args.sigmas.split(",")]
-    spec = experiments.SplitSpec(seed=args.seed)
-    tr, va, te = experiments.stratified_split_indices(m.labels, spec)
-    fit_idx = np.sort(np.concatenate([tr, va]))
-    pool = features.zscore_fit_transform(m.subset_rows(fit_idx))
-    test = features.zscore_apply(m.subset_rows(te), pool.scaling)
-    table = experiments.perturbation_study(pool, test, args.learner,
-                                           json.loads(args.params),
-                                           sigmas=sigmas, seed=args.seed)
+    _, pool, test = experiments.holdout_split(m, m.labels, args.seed)
+    pipe = experiments.Pipeline(args.learner, json.loads(args.params),
+                                scaling="zscore")
+    table = experiments.perturbation_study(pool, test, pipe, sigmas=sigmas,
+                                           seed=args.seed)
     features._write_table_csv(args.out, *_perturbation_table(table))
     print(f"perturb: {len(table['features'])} features x "
           f"{len(table['sigmas'])} sigmas -> {args.out}")
@@ -240,9 +238,9 @@ def cmd_perturb(args) -> int:
 
 def cmd_ablate(args) -> int:
     m = _read_labeled_csv(args.features)
-    scaled = features.minmax_fit_transform(m)
-    rows = experiments.ablation_study(scaled, m.labels, args.learner,
-                                      json.loads(args.params), seed=args.seed)
+    pipe = experiments.Pipeline(args.learner, json.loads(args.params),
+                                scaling="minmax")
+    rows = experiments.ablation_study(m, m.labels, pipe, seed=args.seed)
     features._write_table_csv(args.out, *_ablation_table(rows))
     print(f"ablate: {len(rows)} configurations -> {args.out}")
     return 0
@@ -257,22 +255,11 @@ def _write_exp1_tables(report, out_dir: Path) -> None:
         features._write_table_csv(out_dir / name, *table)
 
 
-_EXP1_GRIDS = {
-    "boosting": {"n_rounds": [60], "max_depth": [2, 3]},
-    "forest": {"n_trees": [30], "max_depth": [8, 12]},
-    "tree": {"max_depth": [4, 8]},
-    "logistic": {"epochs": [300], "step": [0.25, 0.5]},
-}
-
-
 def cmd_exp1(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     report = experiments.run_experiment_1(
-        args.corpus,
-        {"k": args.k, "learner": args.learner,
-         "grid": _EXP1_GRIDS[args.learner]},
-        seed=args.seed)
+        args.corpus, {"k": args.k, "learner": args.learner}, seed=args.seed)
     (out_dir / "report.json").write_text(report.to_json())
     _write_exp1_tables(report, out_dir)
     tm = report.payload["test_metrics"]

@@ -12,18 +12,16 @@ import itertools
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from . import features as feat
-from . import learners, selection, trace_parser
+from . import learners, selection
 from .errors import ClassTooSmall, EmptyGrid, EmptyGroup
 from .features import FeatureMatrix
-
-METRIC_KEYS = ("accuracy", "precision", "recall", "f1", "roc_auc")
 
 
 @dataclass(frozen=True)
@@ -31,7 +29,6 @@ class SplitSpec:
     train_frac: float = 0.8
     val_frac: float = 0.1
     test_frac: float = 0.1
-    stratified: bool = True
     seed: int = 0
 
     def __post_init__(self):
@@ -68,17 +65,8 @@ def _fold_seed(seed: int, *tags: int) -> int:
 def stratified_split_indices(labels, spec: SplitSpec):
     """Per-class shuffled allocation; rounding remainder goes to train."""
     labels = np.asarray(labels)
-    n = len(labels)
     rng = np.random.default_rng(spec.seed)
     train, val, test = [], [], []
-    if not spec.stratified:
-        perm = rng.permutation(n)
-        n_val = int(n * spec.val_frac)
-        n_test = int(n * spec.test_frac)
-        val = perm[:n_val]
-        test = perm[n_val:n_val + n_test]
-        train = perm[n_val + n_test:]
-        return np.sort(train), np.sort(val), np.sort(test)
     classes = sorted(set(labels.tolist()))
     for c in classes:
         idx = np.flatnonzero(labels == c)
@@ -94,6 +82,14 @@ def stratified_split_indices(labels, spec: SplitSpec):
     return (np.sort(np.asarray(train, dtype=int)),
             np.sort(np.asarray(val, dtype=int)),
             np.sort(np.asarray(test, dtype=int)))
+
+
+def holdout_split(m: FeatureMatrix, labels, seed: int):
+    """Train rows, train+validation pool and test rows of the default
+    stratified split of `labels`."""
+    tr, va, te = stratified_split_indices(labels, SplitSpec(seed=seed))
+    pool = np.sort(np.concatenate([tr, va]))
+    return m.subset_rows(tr), m.subset_rows(pool), m.subset_rows(te)
 
 
 def stratified_folds(labels, k: int, seed: int) -> list[np.ndarray]:
@@ -117,15 +113,67 @@ def _is_multilabel(labels) -> bool:
     return np.asarray(labels).dtype.kind in "UOS"
 
 
-def _fit_and_eval(learner, params, seed, X_tr, y_tr, X_va, y_va,
-                  feature_names) -> learners.Metrics:
-    if _is_multilabel(y_tr):
-        model = learners.train("one_vs_rest", X_tr, list(y_tr),
-                               {"base": learner, **params}, seed,
-                               feature_names)
-        return learners.evaluate_multilabel(model, X_va, list(y_va))
-    model = learners.train(learner, X_tr, y_tr, params, seed, feature_names)
-    return learners.evaluate(model, X_va, y_va)
+@dataclass(frozen=True)
+class Pipeline:
+    """scale -> rank and keep the top k columns -> learn.
+
+    `fit` fits every stage on the rows it is given and nothing else, so the
+    result applies training-row statistics, columns and model to any other
+    rows.  Task-name targets train a one-vs-rest model over `learner`.  The
+    learner gets the fit's seed, the importance forest one derived from it.
+    """
+    learner: str
+    params: dict = field(default_factory=dict)
+    scaling: Optional[str] = None   # None | "minmax" | "zscore"
+    ranking: Optional[str] = None   # None | "chi2" | "importance"
+    k: int = 0
+    importance_params: dict = field(default_factory=dict)
+
+    def with_params(self, params: dict) -> "Pipeline":
+        return replace(self, params={**self.params, **params})
+
+    def fit(self, m: FeatureMatrix, y, seed: int) -> "FittedPipeline":
+        scaling = (feat.ScalingState.fit(self.scaling, m)
+                   if self.scaling else None)
+        scaled = scaling.apply(m) if scaling else m
+        scores = []
+        if self.ranking == "chi2":
+            scores = selection.chi2_scores(scaled, y)
+        elif self.ranking == "importance":
+            scores = selection.forest_importance(
+                scaled, y, self.importance_params, seed=_fold_seed(seed, 5))
+        elif self.ranking is not None:
+            raise ValueError(f"unknown ranking {self.ranking!r}")
+        columns = (selection.select_top_k(scores, min(self.k, len(scores)))
+                   if scores else scaled.vocab.column_names)
+        kind, params = self.learner, self.params
+        if _is_multilabel(y):
+            kind, params, y = "one_vs_rest", {"base": kind, **params}, list(y)
+        model = learners.train(kind, scaled.subset_columns(columns).X, y,
+                               params, seed, columns)
+        return FittedPipeline(scaling, scores, columns, model)
+
+
+@dataclass
+class FittedPipeline:
+    scaling: Optional[feat.ScalingState]
+    scores: list          # the ranking's ScoredFeature per column, if any
+    columns: list[str]
+    model: learners.Model
+
+    def transform(self, m: FeatureMatrix) -> FeatureMatrix:
+        """The fitted scaling and columns applied to other rows."""
+        scaled = self.scaling.apply(m) if self.scaling else m
+        return scaled.subset_columns(self.columns)
+
+    def metrics(self, X, y) -> learners.Metrics:
+        """Metrics on already transformed rows: binary or task-name y."""
+        if _is_multilabel(y):
+            return learners.evaluate_multilabel(self.model, X, list(y))
+        return learners.evaluate(self.model, X, y)
+
+    def evaluate(self, m: FeatureMatrix, y) -> learners.Metrics:
+        return self.metrics(self.transform(m).X, y)
 
 
 @dataclass
@@ -139,19 +187,20 @@ class CvResult:
                 "folds": self.fold_metrics}
 
 
-def kfold_cv(m: FeatureMatrix, labels, learner: str, params: dict,
+def kfold_cv(m: FeatureMatrix, labels, pipeline: Pipeline,
              k: int = 5, seed: int = 0) -> CvResult:
-    """Stratified k-fold cross-validation; metrics reported mean +- std."""
+    """Stratified k-fold cross-validation, the pipeline refit on each
+    fold's training rows; metrics reported mean +- std."""
     labels = np.asarray(labels)
     folds = stratified_folds(labels, k, seed)
     all_idx = np.arange(len(labels))
     fold_metrics = []
     for i, va in enumerate(folds):
         tr = np.setdiff1d(all_idx, va)
-        met = _fit_and_eval(learner, params, _fold_seed(seed, i),
-                            m.X[tr], labels[tr], m.X[va], labels[va],
-                            m.vocab.column_names)
-        fold_metrics.append(met.as_dict())
+        fitted = pipeline.fit(m.subset_rows(tr), labels[tr],
+                              _fold_seed(seed, i))
+        fold_metrics.append(
+            fitted.evaluate(m.subset_rows(va), labels[va]).as_dict())
     keys = [key for key in fold_metrics[0] if key != "confusion"]
     means = {key: float(np.mean([f[key] for f in fold_metrics])) for key in keys}
     stds = {key: float(np.std([f[key] for f in fold_metrics])) for key in keys}
@@ -166,15 +215,16 @@ def _grid_points(grid: dict) -> list[dict]:
             for combo in itertools.product(*(grid[k] for k in keys))]
 
 
-def _best_by_cv(m: FeatureMatrix, labels, learner: str, points: list[dict],
-                k: int, seed: int):
-    """k-fold CV of every parameter point; best by mean accuracy (binary)
-    or F1-micro (multi-label), first-encountered on ties."""
+def _best_by_cv(m: FeatureMatrix, labels, pipeline: Pipeline,
+                points: list[dict], k: int, seed: int):
+    """k-fold CV of the pipeline with each parameter point laid over its
+    params; best by mean accuracy (binary) or F1-micro (multi-label),
+    first-encountered on ties."""
     metric = "f1_micro" if _is_multilabel(labels) else "accuracy"
     rows = []
     best = None
     for params in points:
-        cv = kfold_cv(m, labels, learner, params, k, seed)
+        cv = kfold_cv(m, labels, pipeline.with_params(params), k, seed)
         rows.append({"params": params, "cv": cv.as_dict()})
         score = cv.means[metric]
         if best is None or score > best[0]:
@@ -182,13 +232,13 @@ def _best_by_cv(m: FeatureMatrix, labels, learner: str, points: list[dict],
     return best[1], {"metric": metric, "evaluations": rows}
 
 
-def grid_search(m: FeatureMatrix, labels, learner: str, grid: dict,
+def grid_search(m: FeatureMatrix, labels, pipeline: Pipeline, grid: dict,
                 k: int = 5, seed: int = 0):
     """Evaluate every grid point with k-fold CV (see `_best_by_cv`)."""
-    return _best_by_cv(m, labels, learner, _grid_points(grid), k, seed)
+    return _best_by_cv(m, labels, pipeline, _grid_points(grid), k, seed)
 
 
-def random_search(m: FeatureMatrix, labels, learner: str, grid: dict,
+def random_search(m: FeatureMatrix, labels, pipeline: Pipeline, grid: dict,
                   n_draws: int, k: int = 5, seed: int = 0):
     """Uniform draws from the grid axes instead of the full product."""
     if not grid:
@@ -197,19 +247,20 @@ def random_search(m: FeatureMatrix, labels, learner: str, grid: dict,
     keys = sorted(grid)
     points = [{key: grid[key][int(rng.integers(len(grid[key])))]
                for key in keys} for _ in range(n_draws)]
-    return _best_by_cv(m, labels, learner, points, k, seed)
+    return _best_by_cv(m, labels, pipeline, points, k, seed)
 
 
 DEFAULT_FRACTIONS = [round(0.1 * i, 1) for i in range(1, 11)]
 
 
-def learning_curve(m: FeatureMatrix, labels, learner: str, params: dict,
+def learning_curve(m: FeatureMatrix, labels, pipeline: Pipeline,
                    fractions=None, k: int = 5, seed: int = 0) -> list[dict]:
     """Train/validation accuracy versus training-set fraction.
 
     Fold assignment is fixed once from the full pool; at each fraction the
     *training* folds are stratified-subsampled (nested across fractions)
-    while the held-out fold stays complete, keeping folds consistent.
+    while the held-out fold stays complete, keeping folds consistent.  The
+    pipeline is refit on each subsample.
     """
     fractions = list(fractions or DEFAULT_FRACTIONS)
     labels = np.asarray(labels)
@@ -237,10 +288,11 @@ def learning_curve(m: FeatureMatrix, labels, learner: str, params: dict,
             tr = np.concatenate([subsample(j, frac)
                                  for j in range(k) if j != i])
             tr = np.sort(tr)
-            model = learners.train(learner, m.X[tr], labels[tr], params,
-                                   _fold_seed(seed, i), m.vocab.column_names)
-            train_accs.append(learners.evaluate(model, m.X[tr], labels[tr]).accuracy)
-            val_accs.append(learners.evaluate(model, m.X[va], labels[va]).accuracy)
+            m_tr = m.subset_rows(tr)
+            fitted = pipeline.fit(m_tr, labels[tr], _fold_seed(seed, i))
+            train_accs.append(fitted.evaluate(m_tr, labels[tr]).accuracy)
+            val_accs.append(
+                fitted.evaluate(m.subset_rows(va), labels[va]).accuracy)
         rows.append({"fraction": frac,
                      "train_mean": float(np.mean(train_accs)),
                      "train_std": float(np.std(train_accs)),
@@ -253,37 +305,36 @@ DEFAULT_SIGMAS = [0.1, 0.2, 0.5, 1.0]
 
 
 def perturbation_study(train_m: FeatureMatrix, test_m: FeatureMatrix,
-                       learner: str, params: dict, sigmas=None,
+                       pipeline: Pipeline, sigmas=None,
                        seed: int = 0) -> dict:
-    """Per-feature Gaussian-noise sensitivity of a model fit on clean data.
+    """Per-feature Gaussian-noise sensitivity of a pipeline fit on clean
+    training rows.
 
-    Expects z-scored features.  Output rows are features, columns are the
-    sigma=0 baseline plus each sigma.
+    Noise is added to the test rows' transformed columns, so a z-scoring
+    pipeline gives it the scale of one training-row std.  Output rows are
+    the pipeline's columns, columns are the sigma=0 baseline plus each sigma.
     """
     sigmas = list(sigmas or DEFAULT_SIGMAS)
-    model = learners.train(learner, train_m.X, train_m.labels, params, seed,
-                           train_m.vocab.column_names)
-    baseline = learners.evaluate(model, test_m.X, test_m.labels).accuracy
-    names = test_m.vocab.column_names
+    fitted = pipeline.fit(train_m, train_m.labels, seed)
+    X_test = fitted.transform(test_m).X
+    baseline = fitted.metrics(X_test, test_m.labels).accuracy
     table = []
-    for j, name in enumerate(names):
+    for j in range(len(fitted.columns)):
         row = [baseline]
         for s_idx, sigma in enumerate(sigmas):
             rng = np.random.default_rng(_fold_seed(seed, j, s_idx))
-            X = test_m.X.copy()
+            X = X_test.copy()
             X[:, j] += rng.normal(0.0, sigma, size=X.shape[0])
-            acc = learners.binary_metrics(
-                test_m.labels, model.predict(X), model.scores(X)).accuracy
-            row.append(acc)
+            row.append(fitted.metrics(X, test_m.labels).accuracy)
         table.append(row)
-    return {"features": names, "sigmas": [0.0] + sigmas,
+    return {"features": fitted.columns, "sigmas": [0.0] + sigmas,
             "baseline": baseline, "accuracy": table}
 
 
 ABLATION_GROUPS = (feat.GROUP_GRAPH, feat.GROUP_TEMPORAL, feat.GROUP_SYSTEM)
 
 
-def ablation_study(m: FeatureMatrix, labels, learner: str, params: dict,
+def ablation_study(m: FeatureMatrix, labels, pipeline: Pipeline,
                    k: int = 5, seed: int = 0) -> list[dict]:
     """Full set, each leave-one-group-out, and each single group: 7 rows."""
     group_cols = {}
@@ -303,7 +354,7 @@ def ablation_study(m: FeatureMatrix, labels, learner: str, params: dict,
     rows = []
     for name, cols in configs:
         sub = m.subset_columns(cols)
-        cv = kfold_cv(sub, labels, learner, params, k, seed)
+        cv = kfold_cv(sub, labels, pipeline, k, seed)
         rows.append({"config": name, "n_features": len(cols),
                      "means": cv.means, "stds": cv.stds})
     return rows
@@ -343,10 +394,17 @@ def corpus_digest(corpus_dir) -> str:
     return h.hexdigest()
 
 
+# grid searched per learner when the config gives none
+EXPERIMENT_1_GRIDS = {
+    "boosting": {"n_rounds": [60], "max_depth": [2, 3]},
+    "forest": {"n_trees": [30], "max_depth": [8, 12]},
+    "tree": {"max_depth": [4, 8]},
+    "logistic": {"epochs": [300], "step": [0.25, 0.5]},
+}
+
 EXPERIMENT_1_DEFAULTS = {
     "k": 60,
     "learner": "boosting",
-    "grid": {"n_rounds": [60], "max_depth": [2, 3]},
     "folds": 5,
     "fractions": DEFAULT_FRACTIONS,
     "sigmas": DEFAULT_SIGMAS,
@@ -356,64 +414,44 @@ EXPERIMENT_1_DEFAULTS = {
 
 def run_experiment_1(corpus_dir, config: Optional[dict] = None,
                      seed: int = 7) -> ExperimentReport:
-    """Binary encryption-detection pipeline: parse, extract, minmax,
-    chi-squared top-k, split, grid search, test metrics, learning curve,
-    perturbation and ablation."""
+    """Binary encryption-detection pipeline: parse, extract, split, then
+    minmax -> chi-squared top-k -> learner fit on training rows only: grid
+    search, test metrics, learning curve, perturbation and ablation."""
     t0 = time.monotonic()
     cfg = dict(EXPERIMENT_1_DEFAULTS)
     cfg.update(config or {})
-    options = trace_parser.ParserOptions(strict=cfg["strict"])
+    cfg.setdefault("grid", EXPERIMENT_1_GRIDS[cfg["learner"]])
 
-    samples = trace_parser.load_corpus(corpus_dir, options)
-    vocab = feat.build_vocabulary(samples)
-    matrix = feat.extract_matrix(samples, vocab)
-    labels = matrix.labels
-    scaled = feat.minmax_fit_transform(matrix)
-
-    scores = selection.chi2_scores(scaled, labels)
-    k = min(cfg["k"], len(scores))
-    selected = selection.select_top_k(scores, k)
-    m_sel = scaled.subset_columns(sorted(selected,
-                                         key=scaled.vocab.column_names.index))
-
-    spec = SplitSpec(seed=seed)
-    tr_idx, va_idx, te_idx = stratified_split_indices(labels, spec)
-    m_train = m_sel.subset_rows(tr_idx)
-    m_val = m_sel.subset_rows(va_idx)
-    m_test = m_sel.subset_rows(te_idx)
-
+    matrix = feat.load_matrix(corpus_dir, cfg["strict"])
+    train, pool, test = holdout_split(matrix, matrix.labels, seed)
+    pipe = Pipeline(cfg["learner"], scaling="minmax", ranking="chi2",
+                    k=cfg["k"])
     best_params, search_report = grid_search(
-        m_train, labels[tr_idx], cfg["learner"], cfg["grid"],
-        k=cfg["folds"], seed=seed)
+        train, train.labels, pipe, cfg["grid"], k=cfg["folds"], seed=seed)
+    pipe = pipe.with_params(best_params)
+    final = pipe.fit(pool, pool.labels, _fold_seed(seed, 99))
+    test_metrics = final.evaluate(test, test.labels)
 
-    fit_idx = np.sort(np.concatenate([tr_idx, va_idx]))
-    final = learners.train(cfg["learner"], m_sel.X[fit_idx], labels[fit_idx],
-                           best_params, _fold_seed(seed, 99),
-                           m_sel.vocab.column_names)
-    test_metrics = learners.evaluate(final, m_test.X, labels[te_idx])
-
-    pool = m_sel.subset_rows(fit_idx)
-    curve = learning_curve(pool, labels[fit_idx], cfg["learner"], best_params,
+    curve = learning_curve(pool, pool.labels, pipe,
                            fractions=cfg["fractions"], k=cfg["folds"],
                            seed=seed)
+    # robustness wants zero-mean features: z-score the selected columns
+    perturb = perturbation_study(
+        pool.subset_columns(final.columns), test.subset_columns(final.columns),
+        Pipeline(cfg["learner"], best_params, scaling="zscore"),
+        sigmas=cfg["sigmas"], seed=seed)
+    ablation = ablation_study(
+        matrix, matrix.labels,
+        Pipeline(cfg["learner"], best_params, scaling="minmax"),
+        k=cfg["folds"], seed=seed)
 
-    # robustness wants zero-mean features: z-score on the train+val pool
-    z_pool = feat.zscore_fit_transform(pool)
-    z_test = feat.zscore_apply(m_test, z_pool.scaling)
-    z_pool.labels = labels[fit_idx]
-    z_test.labels = labels[te_idx]
-    perturb = perturbation_study(z_pool, z_test, cfg["learner"], best_params,
-                                 sigmas=cfg["sigmas"], seed=seed)
-
-    ablation = ablation_study(scaled, labels, cfg["learner"], best_params,
-                              k=cfg["folds"], seed=seed)
-
-    top_table = sorted(scores, key=lambda s: (-s.score, s.name))[:k]
+    k = len(final.columns)
+    top_table = sorted(final.scores, key=lambda s: (-s.score, s.name))[:k]
     payload = {
         "n_samples": int(matrix.n_rows),
-        "n_features_before": len(scaled.vocab.columns),
+        "n_features_before": len(matrix.vocab.columns),
         "n_features_selected": k,
-        "selected_features": m_sel.vocab.column_names,
+        "selected_features": final.columns,
         "chi2_top": [{"name": s.name, "score": s.score, "p_value": s.p_value}
                      for s in top_table],
         "best_params": best_params,
@@ -447,60 +485,38 @@ EXPERIMENT_2_DEFAULTS = {
 
 def run_experiment_2(corpus_dir, config: Optional[dict] = None,
                      seed: int = 7) -> ExperimentReport:
-    """Multi-label task identification: balance, z-score, forest-importance
-    top-k, one-vs-rest training, F1-macro/micro plus noise robustness."""
+    """Multi-label task identification: balance, split, then z-score ->
+    forest-importance top-k -> one-vs-rest fit on training rows only;
+    F1-macro/micro plus noise robustness."""
     t0 = time.monotonic()
     cfg = dict(EXPERIMENT_2_DEFAULTS)
     cfg.update(config or {})
-    options = trace_parser.ParserOptions(strict=cfg["strict"])
 
-    samples = trace_parser.load_corpus(corpus_dir, options)
-    vocab = feat.build_vocabulary(samples)
-    matrix = feat.extract_matrix(samples, vocab)
+    matrix = feat.load_matrix(corpus_dir, cfg["strict"])
     if matrix.tasks is None:
         raise ValueError("experiment 2 needs task names in the sidecars")
-
     balanced = balance_by_resampling(matrix, matrix.tasks, seed=seed,
                                      oversample=cfg["oversample"])
-    tasks = np.asarray(balanced.tasks, dtype=object)
-
-    spec = SplitSpec(seed=seed)
-    tr_idx, va_idx, te_idx = stratified_split_indices(tasks, spec)
-    z_state = feat.zscore_fit_transform(balanced.subset_rows(tr_idx)).scaling
-    z_all = feat.zscore_apply(balanced, z_state)
-
-    imp = selection.forest_importance(z_all.subset_rows(tr_idx),
-                                      tasks[tr_idx],
-                                      cfg["importance_params"],
-                                      seed=_fold_seed(seed, 5))
-    k = min(cfg["k"], len(imp))
-    selected = selection.select_top_k(imp, k)
-    m_sel = z_all.subset_columns(sorted(selected,
-                                        key=z_all.vocab.column_names.index))
-
-    base_params = dict(cfg["base_params"])
+    train, pool, test = holdout_split(balanced, balanced.tasks, seed)
+    pipe = Pipeline(cfg["base_learner"], dict(cfg["base_params"]),
+                    scaling="zscore", ranking="importance", k=cfg["k"],
+                    importance_params=cfg["importance_params"])
     search_report = None
     if cfg["search_grid"]:
         best, search_report = random_search(
-            m_sel.subset_rows(tr_idx), tasks[tr_idx], cfg["base_learner"],
-            cfg["search_grid"], n_draws=cfg["search_draws"],
-            k=cfg["folds"], seed=seed)
-        base_params.update(best)
+            train, train.tasks, pipe, cfg["search_grid"],
+            n_draws=cfg["search_draws"], k=cfg["folds"], seed=seed)
+        pipe = pipe.with_params(best)
 
-    fit_idx = np.sort(np.concatenate([tr_idx, va_idx]))
-    model = learners.train("one_vs_rest", m_sel.X[fit_idx],
-                           [tasks[i] for i in fit_idx],
-                           {"base": cfg["base_learner"], **base_params},
-                           _fold_seed(seed, 99), m_sel.vocab.column_names)
-    test_tasks = [tasks[i] for i in te_idx]
-    test_metrics = learners.evaluate_multilabel(model, m_sel.X[te_idx],
-                                                test_tasks)
+    final = pipe.fit(pool, pool.tasks, _fold_seed(seed, 99))
+    X_test = final.transform(test).X
+    test_metrics = final.metrics(X_test, test.tasks)
 
     noise_rows = []
     for s_idx, sigma in enumerate(cfg["sigmas"]):
         rng = np.random.default_rng(_fold_seed(seed, 7, s_idx))
-        X = m_sel.X[te_idx] + rng.normal(0.0, sigma, size=m_sel.X[te_idx].shape)
-        met = learners.evaluate_multilabel(model, X, test_tasks)
+        X = X_test + rng.normal(0.0, sigma, size=X_test.shape)
+        met = final.metrics(X, test.tasks)
         noise_rows.append({"sigma": sigma, "f1_macro": met.f1_macro,
                            "f1_micro": met.f1_micro})
 
@@ -508,10 +524,10 @@ def run_experiment_2(corpus_dir, config: Optional[dict] = None,
     payload = {
         "n_samples": int(balanced.n_rows),
         "class_counts": counts,
-        "n_features_before": len(z_all.vocab.columns),
-        "n_features_selected": k,
-        "selected_features": m_sel.vocab.column_names,
-        "base_params": base_params,
+        "n_features_before": len(balanced.vocab.columns),
+        "n_features_selected": len(final.columns),
+        "selected_features": final.columns,
+        "base_params": pipe.params,
         "search": search_report,
         "test_metrics": test_metrics.as_dict(),
         "noise": noise_rows,

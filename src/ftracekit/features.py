@@ -19,7 +19,7 @@ import numpy as np
 
 from . import call_graph
 from .errors import EmptyCorpus, WidthMismatch
-from .trace_parser import TraceSample
+from .trace_parser import ParserOptions, TraceSample, load_corpus
 
 GROUP_GRAPH = "graph"
 GROUP_TEMPORAL = "temporal"
@@ -88,9 +88,29 @@ def infer_group(name: str) -> str:
 
 @dataclass(frozen=True)
 class ScalingState:
+    """Per-column statistics fit on some rows, applied to any rows: minmax
+    maps the fitted range onto [0,1] and clips, zscore centres and divides
+    by the std; constant columns map to 0."""
     kind: str  # "minmax" | "zscore"
     a: np.ndarray  # min or mean per column
     b: np.ndarray  # max or std per column
+
+    @classmethod
+    def fit(cls, kind: str, m: "FeatureMatrix") -> "ScalingState":
+        if kind == "minmax":
+            return cls(kind, m.X.min(axis=0), m.X.max(axis=0))
+        if kind == "zscore":
+            return cls(kind, m.X.mean(axis=0), m.X.std(axis=0))
+        raise ValueError(f"unknown scaling {kind!r}")
+
+    def apply(self, m: "FeatureMatrix") -> "FeatureMatrix":
+        span = self.b - self.a if self.kind == "minmax" else self.b
+        with np.errstate(invalid="ignore", divide="ignore"):
+            X = (m.X - self.a) / span
+        X[:, span == 0] = 0.0
+        if self.kind == "minmax":
+            X = np.clip(X, 0.0, 1.0)
+        return replace(m, X=X)
 
 
 @dataclass
@@ -99,7 +119,6 @@ class FeatureMatrix:
     X: np.ndarray
     labels: Optional[np.ndarray] = None        # binary 0/1 per row
     tasks: Optional[list[str]] = None          # multi-label target names
-    scaling: Optional[ScalingState] = None
     warnings: list[str] = field(default_factory=list)
 
     @property
@@ -113,7 +132,6 @@ class FeatureMatrix:
             X=self.X[idx],
             labels=self.labels[idx] if self.labels is not None else None,
             tasks=[self.tasks[i] for i in idx] if self.tasks is not None else None,
-            scaling=self.scaling,
         )
 
     def subset_columns(self, names: list[str]) -> "FeatureMatrix":
@@ -122,13 +140,8 @@ class FeatureMatrix:
         vocab = FeatureVocabulary(
             function_names=self.vocab.function_names,
             columns=[self.vocab.columns[i] for i in idx])
-        scaling = None
-        if self.scaling is not None:
-            scaling = ScalingState(self.scaling.kind,
-                                   self.scaling.a[idx], self.scaling.b[idx])
         return FeatureMatrix(vocab=vocab, X=self.X[:, idx],
-                             labels=self.labels, tasks=self.tasks,
-                             scaling=scaling)
+                             labels=self.labels, tasks=self.tasks)
 
 
 def build_vocabulary(corpus: list[TraceSample]) -> FeatureVocabulary:
@@ -217,6 +230,9 @@ def extract_matrix(samples: list[TraceSample],
         raise EmptyCorpus("no samples to extract")
     X = np.vstack([extract(s, vocab) for s in samples])
     warnings: list[str] = []
+    n_parse = sum(len(s.warnings) for s in samples)
+    if n_parse:
+        warnings.append(f"parser warnings: {n_parse}")
     n_unseen = sum(len(unseen_functions(s, vocab)) for s in samples)
     if n_unseen:
         warnings.append(f"coverage: {n_unseen} unseen function names ignored")
@@ -233,38 +249,11 @@ def extract_matrix(samples: list[TraceSample],
                          warnings=warnings)
 
 
-def minmax_fit_transform(m: FeatureMatrix) -> FeatureMatrix:
-    """Map each column onto [0,1] using this matrix's extrema (fit on
-    training rows only); constant columns map to 0."""
-    lo = m.X.min(axis=0)
-    hi = m.X.max(axis=0)
-    state = ScalingState("minmax", lo, hi)
-    return replace(minmax_apply(m, state), scaling=state)
-
-
-def minmax_apply(m: FeatureMatrix, state: ScalingState) -> FeatureMatrix:
-    span = state.b - state.a
-    with np.errstate(invalid="ignore", divide="ignore"):
-        X = (m.X - state.a) / span
-    X[:, span == 0] = 0.0
-    X = np.clip(X, 0.0, 1.0)
-    return FeatureMatrix(vocab=m.vocab, X=X, labels=m.labels, tasks=m.tasks,
-                         scaling=state, warnings=list(m.warnings))
-
-
-def zscore_fit_transform(m: FeatureMatrix) -> FeatureMatrix:
-    mean = m.X.mean(axis=0)
-    std = m.X.std(axis=0)
-    state = ScalingState("zscore", mean, std)
-    return replace(zscore_apply(m, state), scaling=state)
-
-
-def zscore_apply(m: FeatureMatrix, state: ScalingState) -> FeatureMatrix:
-    with np.errstate(invalid="ignore", divide="ignore"):
-        X = (m.X - state.a) / state.b
-    X[:, state.b == 0] = 0.0
-    return FeatureMatrix(vocab=m.vocab, X=X, labels=m.labels, tasks=m.tasks,
-                         scaling=state, warnings=list(m.warnings))
+def load_matrix(corpus_dir, strict: bool) -> FeatureMatrix:
+    """Parse every trace under a corpus directory, build its vocabulary and
+    extract one row per trace."""
+    samples = load_corpus(corpus_dir, ParserOptions(strict=strict))
+    return extract_matrix(samples, build_vocabulary(samples))
 
 
 def _write_table_csv(path, header: list[str], rows) -> None:

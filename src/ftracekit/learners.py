@@ -706,29 +706,34 @@ def train(kind: str, X, y, params: Optional[dict] = None, seed: int = 0,
 
 # The stdlib json encoder and decoder recurse once per nesting level, and a
 # tree can be thousands of levels deep.  These two do the same work with an
-# explicit stack; `_json_dumps(obj) == json.dumps(obj)` for any JSON value.
+# explicit stack; `_json_dumps(obj, indent) == json.dumps(obj, indent=indent)`
+# for any JSON value.
 
 class _Text(str):
     """Literal JSON text queued by `_json_dumps`."""
 
 
-def _json_dumps(obj) -> str:
-    out, todo = [], [obj]
+def _json_dumps(obj, indent: Optional[int] = None) -> str:
+    out, todo = [], [(obj, 0)]
     while todo:
-        item = todo.pop()
+        item, level = todo.pop()
         if isinstance(item, _Text):
             out.append(item)
-        elif isinstance(item, dict):
-            parts = [_Text("{")]
-            for i, (k, v) in enumerate(item.items()):
-                key = k if isinstance(k, str) else json.dumps(k)
-                parts += [_Text((", " if i else "") + json.dumps(key) + ": "), v]
-            todo += reversed(parts + [_Text("}")])
-        elif isinstance(item, (list, tuple)):
-            parts = [_Text("[")]
-            for i, v in enumerate(item):
-                parts += [_Text(", "), v] if i else [v]
-            todo += reversed(parts + [_Text("]")])
+        elif isinstance(item, (dict, list, tuple)) and item:
+            is_dict = isinstance(item, dict)
+            pad = "" if indent is None else "\n" + " " * (indent * (level + 1))
+            sep = ", " if indent is None else ","
+            parts = [(_Text("{" if is_dict else "["), 0)]
+            for i, v in enumerate(item.items() if is_dict else item):
+                text = (sep if i else "") + pad
+                if is_dict:
+                    k, v = v
+                    key = k if isinstance(k, str) else json.dumps(k)
+                    text += json.dumps(key) + ": "
+                parts += [(_Text(text), 0), (v, level + 1)]
+            parts.append((_Text(pad[:len(pad) - (indent or 0)]
+                                + ("}" if is_dict else "]")), 0))
+            todo += reversed(parts)
         else:
             out.append(json.dumps(item))
     return "".join(out)

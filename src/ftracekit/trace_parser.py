@@ -326,26 +326,26 @@ def format_forest(ordered_roots: list[CallRecord], abstime: bool = False) -> str
             return f"{(t if t is not None else 0.0):12.6f} |  {cpu}) "
         return f" {cpu}) "
 
-    def emit(rec: CallRecord, depth: int) -> None:
+    # explicit stack of (record, depth, closing?): traces nest arbitrarily deep
+    todo = [(root, 0, False) for root in reversed(ordered_roots)]
+    while todo:
+        rec, depth, closing = todo.pop()
         indent = "  " * depth
-        if not rec.children:
-            dur = rec.duration_us if rec.duration_us is not None else 0.0
+        dur = rec.duration_us if rec.duration_us is not None else 0.0
+        if closing:
+            out.append(prefix(rec.cpu, rec.end_time)
+                       + _format_duration_column(dur)
+                       + f"|  {indent}}} /* {rec.name} */")
+        elif not rec.children:
             out.append(prefix(rec.cpu, rec.start_time)
                        + _format_duration_column(dur)
                        + f"|  {indent}{rec.name}();")
-            return
-        out.append(prefix(rec.cpu, rec.start_time)
-                   + " " * len(_format_duration_column(0.0))
-                   + f"|  {indent}{rec.name}() {{")
-        for child in rec.children:
-            emit(child, depth + 1)
-        dur = rec.duration_us if rec.duration_us is not None else 0.0
-        out.append(prefix(rec.cpu, rec.end_time)
-                   + _format_duration_column(dur)
-                   + f"|  {indent}}} /* {rec.name} */")
-
-    for root in ordered_roots:
-        emit(root, 0)
+        else:
+            out.append(prefix(rec.cpu, rec.start_time)
+                       + " " * len(_format_duration_column(0.0))
+                       + f"|  {indent}{rec.name}() {{")
+            todo.append((rec, depth, True))
+            todo += [(c, depth + 1, False) for c in reversed(rec.children)]
     return "\n".join(out) + ("\n" if out else "")
 
 

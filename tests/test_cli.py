@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from ftracekit import cli
+from ftracekit import cli, experiments, learners
 
 
 def run(argv):
@@ -84,6 +84,23 @@ class TestPipeline:
         assert parsed["warnings"] == []
         assert parsed["records"]
 
+    def test_parse_deep_trace(self, tmp_path):
+        depth = 3000
+        lines = [f" 0)               |  {'  ' * i}f{i % 3}() {{"
+                 for i in range(depth)]
+        lines += [f" 0)   1.000 us    |  {'  ' * i}}} /* f{i % 3} */"
+                  for i in reversed(range(depth))]
+        trace = tmp_path / "deep.trace"
+        trace.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "parsed.json"
+        assert run(["parse", "--input", str(trace), "--out", str(out)]) == 0
+        # the stdlib decoder recurses too deep for this file
+        parsed = learners._json_loads(out.read_text())
+        node, levels = parsed["records"]["0"][0], 1
+        while node["children"]:
+            node, levels = node["children"][0], levels + 1
+        assert levels == depth and node["name"] == f"f{(depth - 1) % 3}"
+
     def test_select(self, feature_csv, tmp_path):
         out = tmp_path / "scores.csv"
         rc = run(["select", "--features", str(feature_csv), "--k", "10",
@@ -131,6 +148,29 @@ class TestPipeline:
         lines = out.read_text().splitlines()
         assert lines[0] == "fraction,train_mean,train_std,val_mean,val_std"
         assert len(lines) == 3
+
+    def test_features_reports_parser_warnings(self, tmp_path, capsys):
+        trace = " 0)   0.300 us    |  vfs_read();\n"
+        (tmp_path / "a.trace").write_text(trace)
+        (tmp_path / "b.trace").write_text(
+            trace + "this is not function_graph output\n")
+        rc = run(["features", "--corpus", str(tmp_path),
+                  "--out", str(tmp_path / "f.csv")])
+        assert rc == 0
+        assert "warning: parser warnings: 1" in capsys.readouterr().err
+
+    def test_exp1_searches_the_library_grid(self, small_corpus, tmp_path):
+        out = tmp_path / "exp1"
+        assert run(["exp1", "--corpus", str(small_corpus), "--seed", "5",
+                    "--learner", "forest", "--k", "10",
+                    "--out", str(out)]) == 0
+        searched = json.loads((out / "report.json").read_text())["payload"][
+            "search"]["evaluations"]
+        lib = experiments.run_experiment_1(
+            small_corpus, {"learner": "forest", "k": 10}, seed=5)
+        assert [e["params"] for e in searched] == \
+            [e["params"] for e in lib.payload["search"]["evaluations"]] == \
+            experiments._grid_points(experiments.EXPERIMENT_1_GRIDS["forest"])
 
     def test_ablate(self, feature_csv, tmp_path):
         out = tmp_path / "ablation.csv"

@@ -1,8 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
 from ftracekit import experiments as ex
 from ftracekit import features as ft
+from ftracekit import trace_parser as tp
+from ftracekit import workloadgen as wg
 from ftracekit.errors import ClassTooSmall, EmptyGrid, EmptyGroup
 
 
@@ -81,18 +85,48 @@ class TestStratifiedFolds:
             ex.stratified_folds(np.array([0] * 10 + [1] * 3), 5, seed=0)
 
 
+class TestPipeline:
+    def test_fit_sees_only_its_rows(self):
+        m, y = toy_problem(60, seed=12, d=6)
+        tr, held = np.arange(45), np.arange(45, 60)
+        pipe = ex.Pipeline("tree", {"max_depth": 3}, scaling="minmax",
+                           ranking="chi2", k=3)
+        a = pipe.fit(m.subset_rows(tr), y[tr], seed=0)
+        m.X[held] = 1e9
+        b = pipe.fit(m.subset_rows(tr), y[tr], seed=0)
+        assert np.array_equal(a.scaling.a, b.scaling.a)
+        assert np.array_equal(a.scaling.b, b.scaling.b)
+        assert a.columns == b.columns and len(a.columns) == 3
+        X_tr = a.transform(m.subset_rows(tr)).X
+        assert np.array_equal(a.model.predict(X_tr), b.model.predict(X_tr))
+        # held-out rows are scaled by the training rows' range
+        assert np.all(a.transform(m.subset_rows(held)).X == 1.0)
+
+    def test_task_names_train_one_vs_rest(self):
+        rng = np.random.default_rng(3)
+        X = rng.random((40, 3))
+        tasks = np.where(X[:, 1] > 0.5, "alpha", "beta")
+        fitted = ex.Pipeline("tree", scaling="zscore", ranking="importance",
+                             k=2, importance_params={"n_trees": 5}).fit(
+            matrix(X), tasks, seed=0)
+        assert fitted.model.kind == "one_vs_rest"
+        assert fitted.evaluate(matrix(X), tasks).f1_micro > 0.9
+
+
 class TestKfoldCv:
     def test_reports_mean_and_std(self):
         m, y = toy_problem(60, seed=1)
-        cv = ex.kfold_cv(m, y, "tree", {"max_depth": 3}, k=5, seed=0)
+        cv = ex.kfold_cv(m, y, ex.Pipeline("tree", {"max_depth": 3}),
+                         k=5, seed=0)
         assert 0.5 <= cv.means["accuracy"] <= 1.0
         assert cv.stds["accuracy"] >= 0.0
         assert len(cv.fold_metrics) == 5
 
     def test_deterministic(self):
         m, y = toy_problem(60, seed=2)
-        a = ex.kfold_cv(m, y, "forest", {"n_trees": 5}, k=3, seed=7)
-        b = ex.kfold_cv(m, y, "forest", {"n_trees": 5}, k=3, seed=7)
+        pipe = ex.Pipeline("forest", {"n_trees": 5})
+        a = ex.kfold_cv(m, y, pipe, k=3, seed=7)
+        b = ex.kfold_cv(m, y, pipe, k=3, seed=7)
         assert a.means == b.means and a.stds == b.stds
 
     def test_multilabel_auto_detected(self):
@@ -100,7 +134,8 @@ class TestKfoldCv:
         X = rng.random((60, 3))
         tasks = np.where(X[:, 0] > 0.5, "alpha", "beta")
         m = matrix(X)
-        cv = ex.kfold_cv(m, tasks, "forest", {"n_trees": 10}, k=3, seed=0)
+        cv = ex.kfold_cv(m, tasks, ex.Pipeline("forest", {"n_trees": 10}),
+                         k=3, seed=0)
         assert "f1_micro" in cv.means
         assert cv.means["f1_micro"] > 0.7
 
@@ -108,7 +143,7 @@ class TestKfoldCv:
 class TestSearch:
     def test_grid_evaluates_product(self):
         m, y = toy_problem(40, seed=3)
-        best, detail = ex.grid_search(m, y, "tree",
+        best, detail = ex.grid_search(m, y, ex.Pipeline("tree"),
                                       {"max_depth": [1, 2], "min_samples_split": [2]},
                                       k=2, seed=0)
         assert len(detail["evaluations"]) == 2
@@ -116,23 +151,23 @@ class TestSearch:
 
     def test_singleton_grid(self):
         m, y = toy_problem(30, seed=4)
-        best, detail = ex.grid_search(m, y, "tree", {"max_depth": [2]},
-                                      k=2, seed=0)
+        best, detail = ex.grid_search(m, y, ex.Pipeline("tree"),
+                                      {"max_depth": [2]}, k=2, seed=0)
         assert best == {"max_depth": 2}
         assert len(detail["evaluations"]) == 1
 
     def test_empty_grid_raises(self):
         m, y = toy_problem(20, seed=5)
         with pytest.raises(EmptyGrid):
-            ex.grid_search(m, y, "tree", {}, k=2, seed=0)
+            ex.grid_search(m, y, ex.Pipeline("tree"), {}, k=2, seed=0)
         with pytest.raises(EmptyGrid):
-            ex.random_search(m, y, "tree", {}, 3, k=2, seed=0)
+            ex.random_search(m, y, ex.Pipeline("tree"), {}, 3, k=2, seed=0)
 
     def test_random_search_deterministic(self):
         m, y = toy_problem(40, seed=6)
         grid = {"max_depth": [1, 2, 3, 4], "min_samples_split": [2, 4]}
-        a = ex.random_search(m, y, "tree", grid, 4, k=2, seed=11)
-        b = ex.random_search(m, y, "tree", grid, 4, k=2, seed=11)
+        a = ex.random_search(m, y, ex.Pipeline("tree"), grid, 4, k=2, seed=11)
+        b = ex.random_search(m, y, ex.Pipeline("tree"), grid, 4, k=2, seed=11)
         assert a[0] == b[0]
         assert [e["params"] for e in a[1]["evaluations"]] == \
             [e["params"] for e in b[1]["evaluations"]]
@@ -141,7 +176,7 @@ class TestSearch:
 class TestLearningCurve:
     def test_shape_and_monotone_sampling(self):
         m, y = toy_problem(100, seed=7)
-        rows = ex.learning_curve(m, y, "tree", {"max_depth": 3},
+        rows = ex.learning_curve(m, y, ex.Pipeline("tree", {"max_depth": 3}),
                                  fractions=[0.2, 0.6, 1.0], k=4, seed=0)
         assert [r["fraction"] for r in rows] == [0.2, 0.6, 1.0]
         for r in rows:
@@ -150,9 +185,10 @@ class TestLearningCurve:
 
     def test_full_fraction_matches_kfold(self):
         m, y = toy_problem(80, seed=8)
-        rows = ex.learning_curve(m, y, "tree", {"max_depth": 3},
+        rows = ex.learning_curve(m, y, ex.Pipeline("tree", {"max_depth": 3}),
                                  fractions=[1.0], k=4, seed=3)
-        cv = ex.kfold_cv(m, y, "tree", {"max_depth": 3}, k=4, seed=3)
+        cv = ex.kfold_cv(m, y, ex.Pipeline("tree", {"max_depth": 3}),
+                         k=4, seed=3)
         assert rows[0]["val_mean"] == pytest.approx(cv.means["accuracy"])
 
 
@@ -161,7 +197,8 @@ class TestPerturbation:
         m, y = toy_problem(80, seed=9, d=3)
         tr = m.subset_rows(np.arange(60))
         te = m.subset_rows(np.arange(60, 80))
-        out = ex.perturbation_study(tr, te, "tree", {"max_depth": 3},
+        out = ex.perturbation_study(tr, te,
+                                    ex.Pipeline("tree", {"max_depth": 3}),
                                     sigmas=[0.5, 1.0], seed=0)
         assert out["sigmas"] == [0.0, 0.5, 1.0]
         table = np.asarray(out["accuracy"])
@@ -176,7 +213,8 @@ class TestPerturbation:
         m = matrix(X, labels=y)
         tr = m.subset_rows(np.arange(90))
         te = m.subset_rows(np.arange(90, 120))
-        out = ex.perturbation_study(tr, te, "tree", {"max_depth": 1},
+        out = ex.perturbation_study(tr, te,
+                                    ex.Pipeline("tree", {"max_depth": 1}),
                                     sigmas=[1.0], seed=0)
         assert out["accuracy"][1][1] == out["baseline"]
         assert out["accuracy"][0][1] < out["baseline"]
@@ -184,8 +222,9 @@ class TestPerturbation:
     def test_deterministic(self):
         m, y = toy_problem(60, seed=10, d=2)
         tr, te = m.subset_rows(np.arange(40)), m.subset_rows(np.arange(40, 60))
-        a = ex.perturbation_study(tr, te, "tree", {}, sigmas=[0.2], seed=4)
-        b = ex.perturbation_study(tr, te, "tree", {}, sigmas=[0.2], seed=4)
+        pipe = ex.Pipeline("tree")
+        a = ex.perturbation_study(tr, te, pipe, sigmas=[0.2], seed=4)
+        b = ex.perturbation_study(tr, te, pipe, sigmas=[0.2], seed=4)
         assert a == b
 
 
@@ -199,7 +238,8 @@ class TestAblation:
 
     def test_seven_rows(self):
         m, y = self._mixed_matrix()
-        rows = ex.ablation_study(m, y, "tree", {"max_depth": 3}, k=3, seed=0)
+        rows = ex.ablation_study(m, y, ex.Pipeline("tree", {"max_depth": 3}),
+                                 k=3, seed=0)
         assert [r["config"] for r in rows] == [
             "full", "without_graph", "without_temporal", "without_system",
             "graph_only", "temporal_only", "system_only"]
@@ -210,7 +250,7 @@ class TestAblation:
     def test_missing_group_raises(self):
         m, y = toy_problem(30, seed=11)
         with pytest.raises(EmptyGroup):
-            ex.ablation_study(m, y, "tree", {}, k=2, seed=0)
+            ex.ablation_study(m, y, ex.Pipeline("tree"), k=2, seed=0)
 
 
 class TestBalance:
@@ -252,3 +292,42 @@ class TestReport:
         a = ex.ExperimentReport("demo", {}, 0, "x", {}, wall_clock_s=1.0)
         b = ex.ExperimentReport("demo", {}, 0, "x", {}, wall_clock_s=9.0)
         assert a.canonical_json() == b.canonical_json()
+
+
+class TestExperiments:
+    CFG1 = {"learner": "tree", "k": 10, "grid": {"max_depth": [2, 4]}}
+
+    def test_exp1_test_rows_reach_no_fitted_stage(self, tmp_path):
+        clean = tmp_path / "clean"
+        wg.generate_corpus(wg.default_pair(), 12, seed=3, out_dir=clean,
+                           n_root_calls=8)
+        before = ex.run_experiment_1(clean, self.CFG1, seed=7)
+        # rows follow the sorted trace paths, as in trace_parser.load_corpus
+        paths = sorted(clean.rglob("*.trace"))
+        metas = [json.loads(tp.sidecar_path(p).read_text()) for p in paths]
+        _, _, te = ex.stratified_split_indices(
+            np.array([meta["label"] for meta in metas]), ex.SplitSpec(seed=7))
+        corpus = tmp_path / "corpus"
+        for i, (path, meta) in enumerate(zip(paths, metas)):
+            dst = corpus / path.relative_to(clean)
+            dst.parent.mkdir(parents=True, exist_ok=True)
+            dst.write_text(path.read_text())
+            if i in te:
+                meta["read_bytes"] = meta["write_bytes"] = 10 ** 12
+            tp.sidecar_path(dst).write_text(json.dumps(meta))
+        after = ex.run_experiment_1(corpus, self.CFG1, seed=7)
+        for key in ("selected_features", "chi2_top", "best_params", "search"):
+            assert after.payload[key] == before.payload[key], key
+
+    def test_exp2_random_search(self, tmp_path):
+        wg.generate_corpus(wg.task_profiles(), 8, seed=3, out_dir=tmp_path,
+                           n_root_calls=8)
+        base = {"n_trees": 5, "max_depth": 6}
+        rep = ex.run_experiment_2(tmp_path, {
+            "k": 10, "base_params": base, "importance_params": base,
+            "search_grid": {"max_depth": [2, 6], "min_samples_split": [2]},
+            "search_draws": 2}, seed=7)
+        rows = rep.payload["search"]["evaluations"]
+        assert len(rows) == 2
+        best = max(rows, key=lambda r: r["cv"]["means"]["f1_micro"])
+        assert rep.payload["base_params"] == {**base, **best["params"]}

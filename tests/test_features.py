@@ -127,6 +127,18 @@ class TestExtract:
             for h in ("1", "2", "3")}
         assert len(digests) == 1
 
+    def test_parser_warnings_reach_the_matrix(self, tmp_path):
+        (tmp_path / "good.trace").write_text(TWO_FN_TEXT + "\n")
+        (tmp_path / "bad.trace").write_text(
+            TWO_FN_TEXT + "\nthis is not function_graph output\n")
+        m = ft.load_matrix(tmp_path, strict=False)
+        assert m.warnings == ["parser warnings: 1",
+                              "abstime absent for some samples; "
+                              "mean_intercall_interval is 0 there"]
+        (tmp_path / "bad.trace").unlink()
+        clean = ft.load_matrix(tmp_path, strict=False)
+        assert not any(w.startswith("parser") for w in clean.warnings)
+
     def test_labels_dropped_if_any_missing(self):
         s1 = sample_from_text(TWO_FN_TEXT, label=1)
         s2 = sample_from_text(TWO_FN_TEXT)
@@ -142,31 +154,35 @@ class TestScaling:
         vocab = ft.FeatureVocabulary(function_names=[], columns=cols)
         return ft.FeatureMatrix(vocab=vocab, X=X)
 
+    def _fit_apply(self, kind, X):
+        m = self._matrix(X)
+        return ft.ScalingState.fit(kind, m).apply(m)
+
     def test_minmax_basic(self):
-        m = ft.minmax_fit_transform(self._matrix([[0.0], [5.0], [10.0]]))
+        m = self._fit_apply("minmax", [[0.0], [5.0], [10.0]])
         assert m.X[:, 0].tolist() == [0.0, 0.5, 1.0]
 
     def test_minmax_constant_column_is_zero(self):
-        m = ft.minmax_fit_transform(self._matrix([[3.0], [3.0]]))
+        m = self._fit_apply("minmax", [[3.0], [3.0]])
         assert m.X[:, 0].tolist() == [0.0, 0.0]
 
     def test_minmax_apply_clips(self):
-        fitted = ft.minmax_fit_transform(self._matrix([[0.0], [10.0]]))
-        out = ft.minmax_apply(self._matrix([[-5.0], [20.0]]), fitted.scaling)
+        state = ft.ScalingState.fit("minmax", self._matrix([[0.0], [10.0]]))
+        out = state.apply(self._matrix([[-5.0], [20.0]]))
         assert out.X[:, 0].tolist() == [0.0, 1.0]
 
     def test_zscore_basic(self):
-        m = ft.zscore_fit_transform(self._matrix([[1.0], [2.0], [3.0]]))
+        m = self._fit_apply("zscore", [[1.0], [2.0], [3.0]])
         want = (np.array([1, 2, 3]) - 2.0) / np.std([1, 2, 3])
         assert m.X[:, 0] == pytest.approx(want)
 
     def test_zscore_constant_column_is_zero(self):
-        m = ft.zscore_fit_transform(self._matrix([[4.0], [4.0]]))
+        m = self._fit_apply("zscore", [[4.0], [4.0]])
         assert m.X[:, 0].tolist() == [0.0, 0.0]
 
     def test_apply_reuses_training_statistics(self):
-        fitted = ft.zscore_fit_transform(self._matrix([[1.0], [3.0]]))
-        out = ft.zscore_apply(self._matrix([[2.0]]), fitted.scaling)
+        state = ft.ScalingState.fit("zscore", self._matrix([[1.0], [3.0]]))
+        out = state.apply(self._matrix([[2.0]]))
         assert out.X[0, 0] == pytest.approx(0.0)
 
 

@@ -190,6 +190,11 @@ class TestJsonCodec:
         assert json.dumps(ln._json_loads(text)) == text
         assert json.dumps(ln._json_loads(json.dumps(value, indent=2))) == text
 
+    @given(json_values, st.sampled_from([0, 2, 4]))
+    def test_indent_matches_stdlib(self, value, indent):
+        want = json.dumps(value, indent=indent)
+        assert ln._json_dumps(value, indent) == want
+
     @pytest.mark.parametrize("text", [
         "", "{", "[1,]", '{"a" 1}', '{"a": 1,}', "[1 2]", "1 2", "{1: 2}",
         '"abc', "tru", "[}", '{"a": ]}', ",", "]"])

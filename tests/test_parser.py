@@ -154,6 +154,15 @@ class TestParseTrace:
         row = ft.extract(sample, vocab)
         assert row[vocab.column_names.index("total_calls")] == depth
 
+    def test_deep_nesting_is_formatted_without_recursion(self):
+        depth = 3000
+        text = "".join(f" 0)               |  {'  ' * i}f{i % 3}() {{\n"
+                       for i in range(depth))
+        sample = tp.parse_trace(text, tp.ParserOptions())  # left unclosed
+        out = tp.format_trace(sample)
+        assert len(out.splitlines()) == 2 * depth - 1  # innermost is a leaf
+        assert tp.format_trace(tp.parse_trace(out, STRICT)) == out
+
 
 class TestGeneratedTraces:
     @pytest.mark.parametrize("profile", wg.default_pair() + wg.task_profiles())
