@@ -12,6 +12,8 @@ import math
 import warnings
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
+from operator import sub
 
 from .errors import NonConvergenceWarning
 from .trace_parser import TraceSample
@@ -22,73 +24,92 @@ class CallGraph:
     nodes: set[str] = field(default_factory=set)
     edges: dict[tuple[str, str], int] = field(default_factory=dict)
 
-    def undirected_adjacency(self) -> dict[str, set[str]]:
-        """Neighbour sets keyed in sorted node order, so that float sums
-        over the keys do not depend on the string hash seed."""
-        adj: dict[str, set[str]] = {v: set() for v in sorted(self.nodes)}
+    @cached_property
+    def _adjacency(self) -> tuple[list[str], list[list[int]]]:
+        """The undirected simple view, built once and shared by the four
+        metrics: node names sorted, and for each node the sorted indices of
+        its neighbours.  Sorted order keeps every float sum over nodes or
+        neighbours independent of the string hash seed.  Computed on first
+        use, so a graph is complete before a metric reads it."""
+        names = sorted(self.nodes)
+        index = {v: i for i, v in enumerate(names)}
+        nbrs: list[set[int]] = [set() for _ in names]
         for (a, b) in self.edges:
             if a != b:
-                adj[a].add(b)
-                adj[b].add(a)
-        return adj
+                i, j = index[a], index[b]
+                nbrs[i].add(j)
+                nbrs[j].add(i)
+        return names, [sorted(s) for s in nbrs]
+
+    def undirected_adjacency(self) -> dict[str, set[str]]:
+        """Neighbour sets keyed in sorted node order."""
+        names, nbrs = self._adjacency
+        return {v: {names[j] for j in nb} for v, nb in zip(names, nbrs)}
 
 
 def build_graph(sample: TraceSample) -> CallGraph:
     """One node per function name, one edge per (parent, child) pair with
     call-count multiplicity."""
     g = CallGraph()
-    for rec in sample.iter_records():
+    edges = g.edges
+    for rec in sample.preorder:
         g.nodes.add(rec.name)
         for child in rec.children:
             key = (rec.name, child.name)
-            g.edges[key] = g.edges.get(key, 0) + 1
+            edges[key] = edges.get(key, 0) + 1
     return g
 
 
 def betweenness(graph: CallGraph) -> dict[str, float]:
     """Normalized shortest-path betweenness (Brandes) on the undirected
     simple view; divides by (n-1)(n-2)/2, zero for n < 3."""
-    adj = graph.undirected_adjacency()
-    nodes = sorted(adj)
-    n = len(nodes)
-    bc = {v: 0.0 for v in nodes}
+    names, nbrs = graph._adjacency
+    n = len(names)
     if n < 3:
-        return bc
+        return dict.fromkeys(names, 0.0)
 
-    for s in nodes:
-        stack: list[str] = []
-        pred: dict[str, list[str]] = {v: [] for v in nodes}
-        sigma = {v: 0 for v in nodes}
-        dist = {v: -1 for v in nodes}
+    bc = [0.0] * n
+    for s in range(n):
+        # BFS from s; `order` is the visit order, popped in reverse below
+        sigma = [0] * n
+        dist = [-1] * n
+        pred: list = [None] * n
         sigma[s] = 1
         dist[s] = 0
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            stack.append(v)
-            for w in sorted(adj[v]):
-                if dist[w] < 0:
-                    dist[w] = dist[v] + 1
-                    queue.append(w)
-                if dist[w] == dist[v] + 1:
-                    sigma[w] += sigma[v]
+        pred[s] = ()
+        order = [s]
+        for v in order:
+            next_dist = dist[v] + 1
+            sv = sigma[v]
+            for w in nbrs[v]:
+                d = dist[w]
+                if d < 0:
+                    dist[w] = next_dist
+                    order.append(w)
+                    sigma[w] = sv
+                    pred[w] = [v]
+                elif d == next_dist:
+                    sigma[w] += sv
                     pred[w].append(v)
-        delta = {v: 0.0 for v in nodes}
-        while stack:
-            w = stack.pop()
+        delta = [0.0] * n
+        for w in reversed(order):
+            sw = sigma[w]
+            coeff = 1.0 + delta[w]
             for v in pred[w]:
-                delta[v] += sigma[v] / sigma[w] * (1.0 + delta[w])
+                delta[v] += sigma[v] / sw * coeff
             if w != s:
                 bc[w] += delta[w]
 
     # each unordered pair accumulated twice; pair normalization (n-1)(n-2)/2
     scale = 1.0 / ((n - 1) * (n - 2))
-    return {v: bc[v] * scale for v in nodes}
+    return {v: bc[i] * scale for i, v in enumerate(names)}
 
 
-def connected_components(adj: dict[str, set[str]]) -> list[list[str]]:
-    seen: set[str] = set()
-    comps: list[list[str]] = []
+def connected_components(adj) -> list[list]:
+    """Components of an adjacency mapping (node -> neighbours), each
+    sorted, in the order of their smallest nodes."""
+    seen: set = set()
+    comps: list[list] = []
     for start in sorted(adj):
         if start in seen:
             continue
@@ -115,31 +136,32 @@ def eigenvector(graph: CallGraph, tol: float = 1e-10,
     returned vector has unit L2 norm.  Hitting the iteration cap emits
     NonConvergenceWarning but still returns values.
     """
-    adj = graph.undirected_adjacency()
-    scores = {v: 0.0 for v in adj}
-    comps = connected_components(adj)
+    names, all_nbrs = graph._adjacency
+    scores = dict.fromkeys(names, 0.0)
+    comps = connected_components(dict(enumerate(all_nbrs)))
     if not comps:
         return scores
     comp = max(comps, key=lambda c: (len(c), c))
-    if all(not adj[v] for v in comp):
+    if all(not all_nbrs[v] for v in comp):
         return scores  # no edges: centrality is ill-defined, use 0
 
-    idx = {v: i for i, v in enumerate(comp)}
-    # sorted, so the float sums below do not follow set (hash) order
-    nbrs = [sorted(idx[w] for w in adj[v]) for v in comp]
+    if len(comp) == len(names):
+        nbrs = all_nbrs
+    else:
+        local = {v: i for i, v in enumerate(comp)}
+        nbrs = [[local[w] for w in all_nbrs[v]] for v in comp]
     k = len(comp)
     x = [1.0 / math.sqrt(k)] * k
     converged = False
     for _ in range(max_iter):
-        y = [0.0] * k
-        for i in range(k):
-            acc = x[i]  # identity shift
-            for j in nbrs[i]:
+        y = []
+        for acc, nb in zip(x, nbrs):  # acc starts at x_i: the identity shift
+            for j in nb:
                 acc += x[j]
-            y[i] = acc
+            y.append(acc)
         norm = math.sqrt(sum(t * t for t in y))
         y = [t / norm for t in y]
-        change = max(abs(a - b) for a, b in zip(x, y))
+        change = max(map(abs, map(sub, x, y)))
         x = y
         if change < tol:
             converged = True
@@ -147,34 +169,30 @@ def eigenvector(graph: CallGraph, tol: float = 1e-10,
     if not converged:
         warnings.warn("power iteration did not converge within "
                       f"{max_iter} iterations", NonConvergenceWarning)
-    for v in comp:
-        scores[v] = max(x[idx[v]], 0.0)
+    for i, v in enumerate(comp):
+        scores[names[v]] = max(x[i], 0.0)
     return scores
 
 
 def clustering(graph: CallGraph) -> dict[str, float]:
     """Local clustering coefficient; degree < 2 nodes get 0."""
-    adj = graph.undirected_adjacency()
+    names, nbrs = graph._adjacency
+    sets = [set(nb) for nb in nbrs]
     out: dict[str, float] = {}
-    for v, nbrs in adj.items():
-        deg = len(nbrs)
+    for v, nb, own in zip(names, nbrs, sets):
+        deg = len(nb)
         if deg < 2:
             out[v] = 0.0
             continue
-        nbr_list = sorted(nbrs)
-        links = sum(1 for i, a in enumerate(nbr_list)
-                    for b in nbr_list[i + 1:] if b in adj[a])
+        # each link between two neighbours is counted from both its ends
+        links = sum(len(sets[a] & own) for a in nb) // 2
         out[v] = 2.0 * links / (deg * (deg - 1))
     return out
 
 
 def avg_neighbor_degree(graph: CallGraph) -> dict[str, float]:
     """Mean undirected degree over each node's neighbors; isolated -> 0."""
-    adj = graph.undirected_adjacency()
-    out: dict[str, float] = {}
-    for v, nbrs in adj.items():
-        if not nbrs:
-            out[v] = 0.0
-        else:
-            out[v] = sum(len(adj[w]) for w in nbrs) / len(nbrs)
-    return out
+    names, nbrs = graph._adjacency
+    degree = [len(nb) for nb in nbrs]
+    return {v: sum(degree[w] for w in nb) / len(nb) if nb else 0.0
+            for v, nb in zip(names, nbrs)}

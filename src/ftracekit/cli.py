@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 validation error, 2 runtime error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -105,11 +106,13 @@ def _common_study_flags(sp):
 
 def _records_to_dict(root: trace_parser.CallRecord) -> dict:
     """A record tree as nested dicts, built with an explicit stack."""
+    names = [f.name for f in dataclasses.fields(root)]
     out: dict = {}
     stack = [(root, out)]
     while stack:
         rec, d = stack.pop()
-        d.update(vars(rec), children=[{} for _ in rec.children])
+        d.update({k: getattr(rec, k) for k in names},
+                 children=[{} for _ in rec.children])
         stack += zip(rec.children, d["children"])
     return out
 

@@ -150,7 +150,7 @@ def build_vocabulary(corpus: list[TraceSample]) -> FeatureVocabulary:
         raise EmptyCorpus("cannot build a vocabulary from an empty corpus")
     names: set[str] = set()
     for sample in corpus:
-        names.update(rec.name for rec in sample.iter_records())
+        names.update(rec.name for rec in sample.preorder)
     functions = sorted(names)
     columns: list[FeatureColumn] = []
     for f in functions:
@@ -163,21 +163,20 @@ def build_vocabulary(corpus: list[TraceSample]) -> FeatureVocabulary:
 
 
 def unseen_functions(sample: TraceSample, vocab: FeatureVocabulary) -> set[str]:
-    known = set(vocab.function_names)
-    return {rec.name for rec in sample.iter_records() if rec.name not in known}
+    return {rec.name for rec in sample.preorder}.difference(vocab.function_names)
 
 
 def extract(sample: TraceSample, vocab: FeatureVocabulary) -> np.ndarray:
     """One feature row for a sample; unseen functions are ignored."""
     fpos = {f: i for i, f in enumerate(vocab.function_names)}
     nf = len(vocab.function_names)
-    counts = np.zeros(nf)
-    durs = np.zeros(nf)
+    counts = [0.0] * nf
+    durs = [0.0] * nf
     all_durs: list[float] = []
     starts: list[float] = []
-    total_calls = 0
-    for rec in sample.iter_records():
-        total_calls += 1
+    records = sample.preorder
+    total_calls = len(records)
+    for rec in records:
         d = rec.duration_us or 0.0  # unknown durations count as 0
         all_durs.append(d)
         if rec.start_time is not None:

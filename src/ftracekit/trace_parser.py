@@ -11,6 +11,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
@@ -77,7 +78,7 @@ class IoMeta:
         }
 
 
-@dataclass
+@dataclass(slots=True)
 class CallRecord:
     name: str
     cpu: int
@@ -108,17 +109,24 @@ class TraceSample:
     has_abstime: bool = False
     source: Optional[str] = None
 
+    @cached_property
+    def preorder(self) -> list[CallRecord]:
+        """Every record, CPUs in ascending order, each forest in pre-order.
+
+        Walked once, on first use, and shared by every later reader; the
+        parser hands over a sample whose forests are complete."""
+        return [rec for cpu in sorted(self.records)
+                for root in self.records[cpu] for rec in root.walk()]
+
     def iter_records(self) -> Iterator[CallRecord]:
-        for cpu in sorted(self.records):
-            for root in self.records[cpu]:
-                yield from root.walk()
+        yield from self.preorder
 
     def record_count(self) -> int:
-        return sum(1 for _ in self.iter_records())
+        return len(self.preorder)
 
     def call_counts(self) -> dict[str, int]:
         counts: dict[str, int] = {}
-        for rec in self.iter_records():
+        for rec in self.preorder:
             counts[rec.name] = counts.get(rec.name, 0) + 1
         return counts
 
@@ -132,6 +140,29 @@ _DUR_BODY_RE = re.compile(
 )
 _EXIT_RE = re.compile(r"^\}\s*(?:;)?\s*(?:/\*\s*(.*?)\s*\*/)?$")
 _NAME_RE = re.compile(r"^(\S+)\(\)$")
+
+# Every well-formed entry, leaf and exit line in one anchored match, whose
+# groups are abstime, cpu, duration, indentation, exit tail, leaf name and
+# entry name.  Each field has exactly one way to match, so the fields come
+# out as the step-by-step checks of _parse_line_strict take them.  A
+# duration selects the leaf and exit forms, its absence the entry form.
+# The lookahead refuses lines holding "=>" (boundaries) or a newline.  Any
+# line refused here takes the slow path.
+_LINE_PATTERN = (
+    r"(?=[^=\n]*(?:=(?!>)[^=\n]*)*\Z)"
+    r"\s*(?:(\d+\.\d+)\s+\|\s*)?(\d+)\)"               # [abstime |] cpu)
+    r"(?:\s*\S+-\d+\s+\|)?"                             # [comm-pid |]
+    r"\s*(?:[%s]\s*)?(?:(\d+(?:\.\d+)?)\s+us\s*)?\|"    # [marker] [duration us] |
+    r"  ((?: {%d})*)"                                     # gap, indentation
+    r"(?(3)(?:\}\s*;?\s*(?:/\*\s*(.*?)\s*\*/)?"           # exit
+    r"|(?!\}|/\*)(\S+)\(\)\s*;)"                          # leaf
+    r"|(?!\}|/\*)(\S+)\(\)\s*\{)"                         # entry
+    r"\s*\Z"
+)
+
+
+def _line_regex(indent: int) -> re.Pattern:
+    return re.compile(_LINE_PATTERN % (re.escape(OVERHEAD_MARKERS), indent))
 
 
 def _parse_line_strict(line: str, options: ParserOptions) -> RawLine:
@@ -230,71 +261,94 @@ def parse_trace(stream, options: ParserOptions = ParserOptions()) -> TraceSample
     stacks: dict[int, list[CallRecord]] = {}
     warnings: list[str] = []
     has_abstime = False
+    match = _line_regex(options.indent).match
+    step = options.indent
+    ENTRY, LEAF, EXIT = BodyKind.ENTRY, BodyKind.LEAF, BodyKind.EXIT
+    cur_cpu = None
+    stack: list[CallRecord] = []
+    cpu_roots: list[CallRecord] = []
 
     for lineno, line in enumerate(lines, start=1):
         line = line.rstrip("\n")
-        try:
-            rl = _parse_line_strict(line, options)
-        except MalformedLine as exc:
-            if options.strict:
-                exc.lineno = lineno
-                raise
-            warnings.append(f"line {lineno}: malformed, skipped ({exc})")
-            continue
-        if rl.kind in (BodyKind.COMMENT, BodyKind.BOUNDARY):
-            continue
-        if rl.abstime is not None:
+        m = match(line)
+        if m is not None:
+            abstime, cpu, duration, indent, tail, leaf, entry = m.groups()
+            cpu = int(cpu)
+            if abstime is not None:
+                abstime = float(abstime)
+            if duration is not None:
+                duration = float(duration)
+            depth = len(indent) // step
+            if entry is not None:
+                kind, name = ENTRY, entry
+            elif leaf is not None:
+                kind, name = LEAF, leaf
+            else:
+                kind = EXIT
+        else:
+            try:
+                rl = _parse_line_strict(line, options)
+            except MalformedLine as exc:
+                if options.strict:
+                    exc.lineno = lineno
+                    raise
+                warnings.append(f"line {lineno}: malformed, skipped ({exc})")
+                continue
+            kind = rl.kind
+            if kind is BodyKind.COMMENT or kind is BodyKind.BOUNDARY:
+                continue
+            cpu, abstime, duration = rl.cpu, rl.abstime, rl.duration_us
+            depth, name, tail = rl.depth, rl.name, rl.tail_name
+        if abstime is not None:
             has_abstime = True
 
-        stack = stacks.setdefault(rl.cpu, [])
-        cpu_roots = roots.setdefault(rl.cpu, [])
+        if cpu != cur_cpu:
+            cur_cpu = cpu
+            stack = stacks.setdefault(cpu, [])
+            cpu_roots = roots.setdefault(cpu, [])
 
-        if rl.kind in (BodyKind.LEAF, BodyKind.ENTRY):
-            if rl.depth != len(stack):
-                msg = (f"line {lineno}: depth {rl.depth} does not match "
-                       f"nesting level {len(stack)} on cpu {rl.cpu}")
+        if kind is not EXIT:
+            if depth != len(stack):
+                msg = (f"line {lineno}: depth {depth} does not match "
+                       f"nesting level {len(stack)} on cpu {cpu}")
                 if options.strict:
                     raise NestingError(msg)
                 warnings.append(msg)
             parent = stack[-1] if stack else None
+            # name, cpu, depth, duration_us, start_time, end_time, parent_name
             rec = CallRecord(
-                name=rl.name,
-                cpu=rl.cpu,
-                depth=len(stack),
-                duration_us=rl.duration_us,
-                start_time=rl.abstime,
-                parent_name=parent.name if parent else None,
-            )
-            if rl.kind is BodyKind.LEAF and rl.abstime is not None:
-                rec.end_time = rl.abstime + rl.duration_us * 1e-6
+                name, cpu, len(stack), duration, abstime,
+                (abstime + duration * 1e-6
+                 if kind is LEAF and abstime is not None else None),
+                parent.name if parent else None)
             (parent.children if parent else cpu_roots).append(rec)
-            if rl.kind is BodyKind.ENTRY:
+            if kind is ENTRY:
                 stack.append(rec)
-        else:  # EXIT
+        else:
             if not stack:
-                msg = f"line {lineno}: unmatched exit on cpu {rl.cpu}, dropped"
+                msg = f"line {lineno}: unmatched exit on cpu {cpu}, dropped"
                 if options.strict:
                     raise NestingError(msg)
                 warnings.append(msg)
                 continue
             rec = stack.pop()
-            if rl.depth != len(stack):
-                msg = (f"line {lineno}: exit depth {rl.depth} does not match "
-                       f"entry depth {len(stack)} on cpu {rl.cpu}")
+            if depth != len(stack):
+                msg = (f"line {lineno}: exit depth {depth} does not match "
+                       f"entry depth {len(stack)} on cpu {cpu}")
                 if options.strict:
                     raise NestingError(msg)
                 warnings.append(msg)
-            if rl.tail_name and rl.tail_name != rec.name:
-                msg = (f"line {lineno}: exit tail {rl.tail_name!r} does not "
+            if tail and tail != rec.name:
+                msg = (f"line {lineno}: exit tail {tail!r} does not "
                        f"match open entry {rec.name!r}")
                 if options.strict:
                     raise NestingError(msg)
                 warnings.append(msg)
-            rec.duration_us = rl.duration_us
-            if rl.abstime is not None:
-                rec.end_time = rl.abstime
-                if rec.start_time is None and rl.duration_us is not None:
-                    rec.start_time = rl.abstime - rl.duration_us * 1e-6
+            rec.duration_us = duration
+            if abstime is not None:
+                rec.end_time = abstime
+                if rec.start_time is None and duration is not None:
+                    rec.start_time = abstime - duration * 1e-6
 
     for cpu in sorted(stacks):
         for rec in stacks[cpu]:
