@@ -138,7 +138,7 @@ class Pipeline:
         scaled = scaling.apply(m) if scaling else m
         scores = []
         if self.ranking == "chi2":
-            scores = selection.chi2_scores(scaled, y)
+            scores = selection.chi2_statistics(scaled, y)
         elif self.ranking == "importance":
             scores = selection.forest_importance(
                 scaled, y, self.importance_params, seed=_fold_seed(seed, 5))
@@ -151,13 +151,12 @@ class Pipeline:
             kind, params, y = "one_vs_rest", {"base": kind, **params}, list(y)
         model = learners.train(kind, scaled.subset_columns(columns).X, y,
                                params, seed, columns)
-        return FittedPipeline(scaling, scores, columns, model)
+        return FittedPipeline(scaling, columns, model)
 
 
 @dataclass
 class FittedPipeline:
     scaling: Optional[feat.ScalingState]
-    scores: list          # the ranking's ScoredFeature per column, if any
     columns: list[str]
     model: learners.Model
 
@@ -446,7 +445,10 @@ def run_experiment_1(corpus_dir, config: Optional[dict] = None,
         k=cfg["folds"], seed=seed)
 
     k = len(final.columns)
-    top_table = sorted(final.scores, key=lambda s: (-s.score, s.name))[:k]
+    # p-values for the report only, from the rows and scaling the final fit
+    # ranked; the fits before it ranked by the statistic alone
+    chi2 = selection.chi2_scores(final.scaling.apply(pool), pool.labels)
+    top_table = sorted(chi2, key=lambda s: (-s.score, s.name))[:k]
     payload = {
         "n_samples": int(matrix.n_rows),
         "n_features_before": len(matrix.vocab.columns),

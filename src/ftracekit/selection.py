@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -18,7 +19,7 @@ _SMALLEST_POSITIVE = math.ulp(0.0)  # 5e-324
 class ScoredFeature:
     name: str
     score: float
-    p_value: float
+    p_value: Optional[float]
 
 
 def _lower_gamma_series(a: float, x: float) -> float:
@@ -75,12 +76,13 @@ def chi2_survival(x: float, df: int) -> float:
     return min(max(_upper_gamma_cf(a, half), 0.0), 1.0)
 
 
-def chi2_scores(m: FeatureMatrix, labels: np.ndarray) -> list[ScoredFeature]:
-    """Score every column by the sum-based chi-squared statistic.
+def chi2_statistics(m: FeatureMatrix, labels: np.ndarray) -> list[ScoredFeature]:
+    """Score every column by the sum-based chi-squared statistic, without
+    p-values (None): ranking needs only the statistic.
 
     observed_c = sum of the feature over rows of class c, expected_c =
     class frequency times the feature's total mass.  Zero-mass columns
-    score 0 with p = 1.
+    score 0.
     """
     X = m.X
     labels = np.asarray(labels)
@@ -90,7 +92,6 @@ def chi2_scores(m: FeatureMatrix, labels: np.ndarray) -> list[ScoredFeature]:
     classes = np.unique(labels)
     if classes.size < 2:
         raise SingleClass("need at least two classes")
-    df = classes.size - 1
 
     n = X.shape[0]
     masks = np.vstack([(labels == c).astype(float) for c in classes])
@@ -102,19 +103,26 @@ def chi2_scores(m: FeatureMatrix, labels: np.ndarray) -> list[ScoredFeature]:
         terms = (observed - expected) ** 2 / expected
     terms[:, totals == 0] = 0.0
     stats = terms.sum(axis=0)
+    return [ScoredFeature(name=name, score=float(score), p_value=None)
+            for name, score in zip(m.vocab.column_names, stats)]
 
+
+def chi2_scores(m: FeatureMatrix, labels: np.ndarray) -> list[ScoredFeature]:
+    """Every column's chi-squared statistic (see chi2_statistics) with its
+    p-value; zero-mass columns get p = 1."""
+    scores = chi2_statistics(m, labels)
+    df = np.unique(np.asarray(labels)).size - 1
     out: list[ScoredFeature] = []
     clamped = 0
-    for name, score in zip(m.vocab.column_names, stats):
-        score = float(score)
-        if score == 0.0:
+    for s in scores:
+        if s.score == 0.0:
             p = 1.0
         else:
-            p = chi2_survival(score, df)
+            p = chi2_survival(s.score, df)
             if p == 0.0:
                 p = _SMALLEST_POSITIVE
                 clamped += 1
-        out.append(ScoredFeature(name=name, score=score, p_value=p))
+        out.append(ScoredFeature(name=s.name, score=s.score, p_value=p))
     if clamped:
         warnings.warn(f"{clamped} p-values underflowed and were clamped to "
                       f"{_SMALLEST_POSITIVE!r}", PValueClampWarning)
