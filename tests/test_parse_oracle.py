@@ -233,8 +233,6 @@ def parse_trace(stream, options: ParserOptions = ParserOptions()) -> TraceSample
 STRICT = ParserOptions(strict=True)
 TOLERANT = ParserOptions()
 FAST = tp._line_regex(TOLERANT.indent)
-KIND_OF_MATCH = {"entry": BodyKind.ENTRY, "leaf": BodyKind.LEAF,
-                 "exit": BodyKind.EXIT}
 
 
 def fast_fields(m):
