@@ -920,7 +920,9 @@ def evaluate_multilabel(model: Model, X, tasks: list[str]) -> Metrics:
 
     accuracy/confusion come from argmax decisions (so accuracy equals
     trace(confusion)/sum); macro/micro F1 come from the 0.5-thresholded
-    label matrix.
+    label matrix; roc_auc is the macro mean of each label's AUC over its
+    one-vs-rest probability, left out for labels whose rows here are all
+    positive or all negative (0.5 when every label is).
     """
     labels = model.impl.labels_
     proba = model.scores(X)
@@ -944,7 +946,9 @@ def evaluate_multilabel(model: Model, X, tasks: list[str]) -> Metrics:
         pr, rc, _ = _prf(tp, fp, fn)
         macro_p.append(pr)
         macro_r.append(rc)
+    aucs = [roc_auc_score(Y_true[:, j], proba[:, j]) for j in range(k)
+            if 0 < Y_true[:, j].sum() < len(tasks)]
     return Metrics(accuracy=accuracy, precision=float(np.mean(macro_p)),
                    recall=float(np.mean(macro_r)),
-                   f1=macro, roc_auc=0.5, confusion=confusion,
-                   f1_macro=macro, f1_micro=micro)
+                   f1=macro, roc_auc=float(np.mean(aucs)) if aucs else 0.5,
+                   confusion=confusion, f1_macro=macro, f1_micro=micro)

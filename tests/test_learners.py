@@ -391,3 +391,25 @@ class TestMetrics:
         assert m.f1_micro >= 0.9
         assert m.f1_macro is not None
         assert m.accuracy >= 0.9
+
+    def test_multilabel_auc_is_the_macro_mean_of_label_aucs(self):
+        rng = np.random.default_rng(3)
+        X = rng.random((90, 3))
+        tasks = [("a", "b", "c")[int(3 * v)] for v in X[:, 0]]
+        model = ln.train("one_vs_rest", X[:45], tasks[:45],
+                         {"n_trees": 5, "max_depth": 2}, seed=0)
+        noisy = X[45:] + rng.normal(0, 0.2, (45, 3))
+        m = ln.evaluate_multilabel(model, noisy, tasks[45:])
+        proba = model.scores(noisy)
+        Y = ln.one_hot(tasks[45:], model.impl.labels_)
+        want = np.mean([ln.roc_auc_score(Y[:, j], proba[:, j]) for j in range(3)])
+        assert m.roc_auc == pytest.approx(want, abs=1e-12)
+        assert 0.5 < m.roc_auc < 1.0
+
+    def test_multilabel_auc_skips_labels_absent_from_the_rows(self):
+        X = np.array([[0.1], [0.2], [0.8], [0.9]])
+        tasks = ["lo", "lo", "hi", "hi"]
+        model = ln.train("one_vs_rest", X, tasks,
+                         {"n_trees": 5, "max_depth": 2}, seed=0)
+        assert ln.evaluate_multilabel(model, X[:2], tasks[:2]).roc_auc == 0.5
+        assert ln.evaluate_multilabel(model, X, tasks).roc_auc == 1.0
