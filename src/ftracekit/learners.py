@@ -86,7 +86,8 @@ def _best_split(xs, stats, loss):
     ascending order.  `stats` holds each row's statistic in the same order,
     (features, rows) or (features, rows, classes).  `loss(left, nl, nr)`
     scores every cut from the prefix sums of `stats` left of it and the row
-    counts on each side.  Cuts between equal values are not allowed.  One
+    counts on each side; it may overwrite the prefix sums, a fresh array,
+    and return them.  Cuts between equal values are not allowed.  One
     flat argmin over (feature, cut) picks the lowest loss; ties go to the
     lowest candidate, then the lowest threshold.  Returns (candidate
     position, midpoint threshold, loss), or None when no cut exists.
@@ -95,8 +96,8 @@ def _best_split(xs, stats, loss):
     if m < 2 or xs.shape[0] == 0:
         return None
     nl = np.arange(1, m, dtype=float)
-    cost = loss(np.cumsum(stats, axis=1)[:, :-1], nl, m - nl)
-    cost[~(xs[:, :-1] < xs[:, 1:])] = np.inf
+    cost = loss(np.cumsum(stats[:, :-1], axis=1), nl, m - nl)
+    np.copyto(cost, np.inf, where=~(xs[:, :-1] < xs[:, 1:]))
     f, cut = divmod(int(np.argmin(cost)), m - 1)
     if not np.isfinite(cost[f, cut]):
         return None
@@ -110,9 +111,32 @@ class _FlatTree:
     first, so a child's id always exceeds its parent's.  Leaves have
     `left == right == -1`; a row goes left when x[feature] <= threshold.
     `value` holds each leaf's payload (zeros at internal nodes).
+
+    `stacked` lays several trees end to end in the same arrays, with
+    `roots` holding each tree's root id, so `_leaves` walks a whole
+    ensemble at once.
     """
 
     feature = threshold = left = right = value = None
+    roots = np.zeros(1, dtype=np.intp)
+
+    @classmethod
+    def stacked(cls, trees) -> Optional["_FlatTree"]:
+        """The trees' nodes in one set of arrays, child ids shifted by each
+        tree's offset; None for no trees."""
+        if not trees:
+            return None
+        out = cls()
+        sizes = [len(t.feature) for t in trees]
+        out.roots = np.cumsum([0] + sizes[:-1]).astype(np.intp)
+        out.feature = np.concatenate([t.feature for t in trees])
+        out.threshold = np.concatenate([t.threshold for t in trees])
+        out.left = np.concatenate([np.where(t.left < 0, -1, t.left + r)
+                                   for t, r in zip(trees, out.roots)])
+        out.right = np.concatenate([np.where(t.right < 0, -1, t.right + r)
+                                    for t, r in zip(trees, out.roots)])
+        out.value = np.concatenate([t.value for t in trees])
+        return out
 
     @property
     def root(self) -> Optional[TreeNode]:
@@ -154,16 +178,19 @@ class _FlatTree:
                               dtype=float)
 
     def _leaves(self, X) -> np.ndarray:
-        """Leaf id of every row of X, one vectorised step per tree level."""
+        """(trees, rows): the leaf id each row of X reaches in each tree,
+        every tree and row moved down one level per vectorised step."""
         X = np.asarray(X, dtype=float)
-        node = np.zeros(X.shape[0], dtype=np.intp)
-        rows = np.flatnonzero(self.left[node] >= 0)
-        while rows.size:
-            at = node[rows]
-            goes_left = X[rows, self.feature[at]] <= self.threshold[at]
-            node[rows] = np.where(goes_left, self.left[at], self.right[at])
-            rows = rows[self.left[node[rows]] >= 0]
-        return node
+        n = X.shape[0]
+        node = np.repeat(self.roots, n)
+        row = np.tile(np.arange(n), len(self.roots))
+        live = np.flatnonzero(self.left[node] >= 0)
+        while live.size:
+            at = node[live]
+            goes_left = X[row[live], self.feature[at]] <= self.threshold[at]
+            node[live] = np.where(goes_left, self.left[at], self.right[at])
+            live = live[self.left[node[live]] >= 0]
+        return node.reshape(len(self.roots), n)
 
     def _root_dict(self) -> dict:
         """Model format 1: nested {"feature", "threshold", "left", "right"}
@@ -262,7 +289,7 @@ class DecisionTree(_FlatTree):
         return np.sort(picked)
 
     def predict_proba(self, X) -> np.ndarray:
-        return self.value[self._leaves(X)]
+        return self.value[self._leaves(X)[0]]
 
     def predict(self, X) -> np.ndarray:
         return self.classes_[np.argmax(self.predict_proba(X), axis=1)]
@@ -318,8 +345,15 @@ class RegressionTree(_FlatTree):
                 total_sq = np.sum(gn * gn)
 
                 def sse(cum, nl, nr):
-                    return (total_sq - cum ** 2 / nl
-                            - (total_sum - cum) ** 2 / nr)
+                    # (total_sq - cum**2 / nl) - (total_sum - cum)**2 / nr
+                    cost = np.multiply(cum, cum)
+                    cost /= nl
+                    np.subtract(total_sq, cost, out=cost)
+                    np.subtract(total_sum, cum, out=cum)
+                    cum *= cum
+                    cum /= nr
+                    cost -= cum
+                    return cost
 
                 split = _best_split(XT[cols, order], g[order], sse)
                 base = total_sq - total_sum ** 2 / n
@@ -338,7 +372,7 @@ class RegressionTree(_FlatTree):
         return self
 
     def predict(self, X) -> np.ndarray:
-        return self.value[self._leaves(X), 0]
+        return self.value[self._leaves(X)[0], 0]
 
     def to_dict(self) -> dict:
         return {"root": self._root_dict()}
@@ -364,6 +398,7 @@ class RandomForest:
         self.seed = seed
         self.trees: list[DecisionTree] = []
         self.classes_: Optional[np.ndarray] = None
+        self._stack: Optional[_FlatTree] = None
 
     def _resolve_max_features(self, d: int) -> Optional[int]:
         if self.max_features in (None, "all"):
@@ -389,10 +424,12 @@ class RandomForest:
                                 max_features=mf, rng=rng)
             tree.fit(X[idx], y[idx], classes=self.classes_)
             self.trees.append(tree)
+        self._stack = _FlatTree.stacked(self.trees)
         return self
 
     def predict_proba(self, X) -> np.ndarray:
-        return np.mean([t.predict_proba(X) for t in self.trees], axis=0)
+        """Mean over the (trees, rows, classes) leaf probabilities."""
+        return np.mean(self._stack.value[self._stack._leaves(X)], axis=0)
 
     def predict(self, X) -> np.ndarray:
         """The class of highest mean probability, the one `predict_proba`
@@ -413,6 +450,7 @@ class RandomForest:
         f = cls(n_trees=d["n_trees"])
         f.classes_ = np.asarray(d["classes"])
         f.trees = [DecisionTree.from_dict(t) for t in d["trees"]]
+        f._stack = _FlatTree.stacked(f.trees)
         return f
 
 
@@ -430,7 +468,8 @@ class GradientBoosting:
 
     Each round fits a regression tree to the residuals y - p with Newton
     leaf values; the contribution is halved until training log-loss does
-    not increase, so the recorded loss sequence is non-increasing.
+    not increase, so the recorded loss sequence is non-increasing.  Trees
+    whose step was halved to 0 take no part in prediction.
     """
 
     def __init__(self, n_rounds=100, learning_rate=0.1, max_depth=3,
@@ -444,12 +483,15 @@ class GradientBoosting:
         self.scales: list[float] = []
         self.train_losses: list[float] = []
         self.constant = False
+        self._stack_trees()
 
     def fit(self, X, y):
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=float)
         if X.shape[0] == 0:
             raise EmptyData("cannot fit boosting on zero samples")
+        self.trees, self.scales = [], []
+        self._stack_trees()
         pbar = float(np.mean(y))
         if pbar in (0.0, 1.0):
             warnings.warn("single-class training data; emitting a constant "
@@ -460,10 +502,11 @@ class GradientBoosting:
             return self
         self.prior = math.log(pbar / (1.0 - pbar))
         F = np.full(X.shape[0], self.prior)
-        self.train_losses = [_log_loss(y, _sigmoid(F))]
+        p = _sigmoid(F)
+        loss = _log_loss(y, p)
+        self.train_losses = [loss]
         order = _presort(X)
         for _ in range(self.n_rounds):
-            p = _sigmoid(F)
             g = y - p
             h = p * (1.0 - p)
             tree = RegressionTree(max_depth=self.max_depth,
@@ -471,28 +514,39 @@ class GradientBoosting:
             tree.fit(X, g, h, order)
             scale = self.learning_rate
             upd = scale * tree.value[tree.fit_leaves_, 0]
-            prev = self.train_losses[-1]
-            # halve the step if it would increase training loss
+            # halve the step while it would increase training loss; the
+            # accepted step's sigmoid and loss carry into the next round
             for _ in range(40):
-                if _log_loss(y, _sigmoid(F + upd)) <= prev + 1e-12:
+                F_step = F + upd
+                p_step = _sigmoid(F_step)
+                loss_step = _log_loss(y, p_step)
+                if loss_step <= loss + 1e-12:
+                    F, p, loss = F_step, p_step, loss_step
                     break
                 scale *= 0.5
                 upd *= 0.5
             else:
                 scale = 0.0
-                upd = np.zeros_like(upd)
-            F = F + upd
             self.trees.append(tree)
             self.scales.append(scale)
-            self.train_losses.append(_log_loss(y, _sigmoid(F)))
+            self.train_losses.append(loss)
+        self._stack_trees()
         return self
 
+    def _stack_trees(self) -> None:
+        """Lay out the trees of nonzero scale for `decision_scores`."""
+        kept = [(t, s) for t, s in zip(self.trees, self.scales) if s]
+        self._stack = _FlatTree.stacked([t for t, _ in kept])
+        self._stack_scales = np.array([s for _, s in kept], dtype=float)
+
     def decision_scores(self, X) -> np.ndarray:
+        """prior + scale * leaf value of each tree, added in round order."""
         X = np.asarray(X, dtype=float)
         F = np.full(X.shape[0], self.prior)
-        for tree, scale in zip(self.trees, self.scales):
-            if scale:
-                F += scale * tree.predict(X)
+        if self._stack is not None:
+            leaf = self._stack.value[self._stack._leaves(X), 0]
+            for term in self._stack_scales[:, None] * leaf:
+                F += term
         return F
 
     def predict_proba1(self, X) -> np.ndarray:
@@ -513,6 +567,7 @@ class GradientBoosting:
         m.constant = d["constant"]
         m.scales = list(d["scales"])
         m.trees = [RegressionTree.from_dict(t) for t in d["trees"]]
+        m._stack_trees()
         return m
 
 
@@ -590,7 +645,8 @@ class OneVsRest:
         return self
 
     def predict_proba(self, X) -> np.ndarray:
-        cols = [_scores_impl(self.base_kind, impl, X) for impl in self.models_]
+        cols = [_binary_outputs(self.base_kind, impl, X)[1]
+                for impl in self.models_]
         return np.column_stack(cols)
 
     def predict_matrix(self, X) -> np.ndarray:
@@ -653,15 +709,18 @@ def _fit_impl(kind, X, y, params, seed):
     raise ValueError(f"unknown learner kind {kind!r}")
 
 
-def _scores_impl(kind, impl, X) -> np.ndarray:
-    """Probability of the positive class (binary learners only)."""
+def _binary_outputs(kind, impl, X) -> tuple[np.ndarray, np.ndarray]:
+    """(predictions, probability of the positive class 1) of a binary
+    learner, both from one model pass."""
     if kind == "tree" or kind == "forest":
         proba = impl.predict_proba(X)
+        preds = impl.classes_[np.argmax(proba, axis=1)]
         classes = impl.classes_.tolist()
         if 1 in classes:
-            return proba[:, classes.index(1)]
-        return np.zeros(np.asarray(X).shape[0])
-    return impl.predict_proba1(X)
+            return preds, proba[:, classes.index(1)]
+        return preds, np.zeros(np.asarray(X).shape[0])
+    p = impl.predict_proba1(X)
+    return (p >= 0.5).astype(int), p
 
 
 @dataclass
@@ -684,13 +743,13 @@ class Model:
         X = self._check_width(X)
         if self.kind == "one_vs_rest":
             return self.impl.predict_matrix(X)
-        return np.asarray(self.impl.predict(X))
+        return _binary_outputs(self.kind, self.impl, X)[0]
 
     def scores(self, X) -> np.ndarray:
         X = self._check_width(X)
         if self.kind == "one_vs_rest":
             return self.impl.predict_proba(X)
-        return _scores_impl(self.kind, self.impl, X)
+        return _binary_outputs(self.kind, self.impl, X)[1]
 
 
 def train(kind: str, X, y, params: Optional[dict] = None, seed: int = 0,
@@ -909,9 +968,10 @@ def one_hot(tasks: list[str], label_vocab: list[str]) -> np.ndarray:
 
 
 def evaluate(model: Model, X, y_true) -> Metrics:
-    """Binary evaluation; positive class is 1."""
-    preds = model.predict(X)
-    scores = model.scores(X)
+    """Binary evaluation; positive class is 1.  Predictions and scores
+    come from one model pass."""
+    preds, scores = _binary_outputs(model.kind, model.impl,
+                                    model._check_width(X))
     return binary_metrics(y_true, preds, scores)
 
 

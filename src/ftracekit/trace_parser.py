@@ -179,12 +179,17 @@ def _parse_line_strict(line: str, options: ParserOptions) -> RawLine:
     m = _ABSTIME_CPU_RE.match(line)
     if m:
         abstime = float(m.group(1))
-        cpu, rest = int(m.group(2)), m.group(3)
+        cpu_text, rest = m.group(2), m.group(3)
     else:
         m = _CPU_RE.match(line)
         if not m:
             raise MalformedLine(f"no CPU column: {line!r}", column=0)
-        cpu, rest = int(m.group(1)), m.group(2)
+        cpu_text, rest = m.group(1), m.group(2)
+    try:
+        cpu = int(cpu_text)
+    except ValueError:  # more digits than int() converts
+        raise MalformedLine(f"CPU column of {len(cpu_text)} digits: {line!r}",
+                            column=0) from None
 
     comm_pid = None
     m = _COMM_PID_RE.match(rest)
@@ -273,7 +278,11 @@ def parse_trace(stream, options: ParserOptions = ParserOptions()) -> TraceSample
         m = match(line)
         if m is not None:
             abstime, cpu, duration, indent, tail, leaf, entry = m.groups()
-            cpu = int(cpu)
+            try:
+                cpu = int(cpu)
+            except ValueError:  # too many digits: the slow path rejects it
+                m = None
+        if m is not None:
             if abstime is not None:
                 abstime = float(abstime)
             if duration is not None:
