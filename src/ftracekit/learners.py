@@ -412,6 +412,9 @@ class RandomForest:
         y = np.asarray(y)
         if X.shape[0] == 0:
             raise EmptyData("cannot fit a forest on zero samples")
+        if self.n_trees < 1:
+            raise ValueError(f"a forest needs at least one tree, got "
+                             f"n_trees={self.n_trees}")
         self.classes_ = np.unique(y)
         mf = self._resolve_max_features(X.shape[1])
         n = X.shape[0]
@@ -718,7 +721,7 @@ def _binary_outputs(kind, impl, X) -> tuple[np.ndarray, np.ndarray]:
         classes = impl.classes_.tolist()
         if 1 in classes:
             return preds, proba[:, classes.index(1)]
-        return preds, np.zeros(np.asarray(X).shape[0])
+        return preds, np.zeros(len(proba))
     p = impl.predict_proba1(X)
     return (p >= 0.5).astype(int), p
 

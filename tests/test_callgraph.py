@@ -62,11 +62,11 @@ def _bfs_counts(adj, s):
 
 
 def oracle_eigenvector(adj, nodes):
-    """Dense eigen-decomposition of the largest component's adjacency."""
+    """Dense eigen-decomposition of the largest component's adjacency;
+    of equally large ones, the one whose sorted names compare greatest."""
     comps = cg.connected_components(adj)
-    comps.sort(key=lambda c: (-len(c), sorted(c)))
+    comp = max((sorted(c) for c in comps), key=lambda c: (len(c), c))
     out = {v: 0.0 for v in nodes}
-    comp = sorted(comps[0])
     if not any(adj[v] for v in comp):
         return out
     index = {v: i for i, v in enumerate(comp)}
@@ -223,6 +223,14 @@ class TestAgainstOracles:
             assert cg.clustering(g) == pytest.approx(oracle_clustering(adj, g.nodes))
             assert cg.avg_neighbor_degree(g) == pytest.approx(
                 oracle_avg_nbr_deg(adj, g.nodes))
+
+    def test_tie_between_largest_components(self):
+        g = graph_from_edges([("a", "b"), ("b", "c"), ("d", "e"), ("e", "f"),
+                              ("g", "h")])
+        ev = cg.eigenvector(g)
+        want = oracle_eigenvector(g.undirected_adjacency(), g.nodes)
+        assert ev == pytest.approx(want, abs=1e-8)
+        assert ev["a"] == 0.0 and ev["e"] > 0.0
 
     def test_relabel_equivariance(self):
         rng = np.random.default_rng(7)

@@ -98,6 +98,11 @@ class TestRandomForest:
         want = forest.classes_[np.argmax(forest.predict_proba(probe), axis=1)]
         assert np.array_equal(forest.predict(probe), want)
 
+    def test_zero_trees_rejected(self):
+        X, y = self._data()
+        with pytest.raises(ValueError, match="at least one tree"):
+            ln.RandomForest(n_trees=0).fit(X, y)
+
     def test_importances_normalized(self):
         X, y = self._data()
         forest = ln.RandomForest(n_trees=15, max_depth=5, seed=1).fit(X, y)
@@ -153,6 +158,45 @@ class TestGradientBoosting:
         model = ln.GradientBoosting(n_rounds=10).fit(X, y)
         again = ln.GradientBoosting.from_dict(model.to_dict())
         assert model.decision_scores(X) == pytest.approx(again.decision_scores(X))
+
+
+class TestRefitAndReload:
+    """Fitted ensembles are stacked for prediction when fit or loaded; a
+    refit instance and a reloaded model must predict like a fresh fit."""
+
+    PARAMS = {"forest": {"n_trees": 6, "max_depth": 3},
+              "boosting": {"n_rounds": 12}}
+
+    def _data(self):
+        rng = np.random.default_rng(9)
+        X1, X2 = rng.random((40, 3)), rng.random((30, 3))
+        return X1, (X1[:, 0] > 0.5).astype(int), X2, (X2[:, 2] > 0.4).astype(int)
+
+    @pytest.mark.parametrize("kind", ["forest", "boosting"])
+    def test_refit_predicts_like_a_fresh_fit(self, kind):
+        X1, y1, X2, y2 = self._data()
+        refit = ln.train(kind, X1, y1, self.PARAMS[kind], seed=1)
+        refit.impl.fit(X2, y2)
+        fresh = ln.train(kind, X2, y2, self.PARAMS[kind], seed=1)
+        assert np.array_equal(refit.predict(X2), fresh.predict(X2))
+        assert np.array_equal(refit.scores(X2), fresh.scores(X2))
+
+    def test_single_class_refit_forgets_the_old_trees(self):
+        X1, y1, X2, _ = self._data()
+        refit = ln.GradientBoosting(n_rounds=12).fit(X1, y1)
+        with pytest.warns(UserWarning):
+            refit.fit(X2, np.ones(len(X2)))
+        assert refit.trees == [] and refit.scales == []
+        assert np.array_equal(refit.decision_scores(X2), np.full(len(X2), 500.0))
+
+    @pytest.mark.parametrize("kind", ["forest", "boosting"])
+    def test_reload_predicts_like_a_fresh_fit(self, kind, tmp_path):
+        _, _, X2, y2 = self._data()
+        fresh = ln.train(kind, X2, y2, self.PARAMS[kind], seed=1)
+        ln.save_model(fresh, tmp_path / "model.json")
+        again = ln.load_model(tmp_path / "model.json")
+        assert np.array_equal(again.predict(X2), fresh.predict(X2))
+        assert np.array_equal(again.scores(X2), fresh.scores(X2))
 
 
 class TestDeepTrees:
@@ -381,6 +425,37 @@ class TestMetrics:
         assert m.accuracy >= 0.9
         assert 0.0 <= m.roc_auc <= 1.0
         assert sum(sum(row) for row in m.confusion) == 60
+
+    @pytest.mark.parametrize("kind, params, classes", [
+        ("tree", {"max_depth": 2}, (0, 1)),
+        ("forest", {"n_trees": 7, "max_depth": 3}, (0, 1)),
+        ("forest", {"n_trees": 5, "max_depth": 2}, (0, 2)),  # no class 1
+        ("boosting", {"n_rounds": 15}, (0, 1)),
+        ("logistic", {"epochs": 50}, (0, 1)),
+    ])
+    def test_evaluate_equals_predict_and_scores(self, kind, params, classes):
+        rng = np.random.default_rng(11)
+        X = rng.random((50, 3))
+        y = (X[:, 0] + 0.4 * rng.random(50) > 0.7).astype(int)
+        model = ln.train(kind, X, np.where(y == 1, classes[1], classes[0]),
+                         params, seed=4)
+        probe = np.vstack([X, rng.random((20, 3))])
+        truth = np.concatenate([y, rng.integers(0, 2, 20)])
+        want = ln.binary_metrics(truth, model.predict(probe),
+                                 model.scores(probe))
+        assert ln.evaluate(model, probe, truth) == want
+
+    def test_evaluate_forest_tie_goes_to_the_lower_class(self):
+        rng = np.random.default_rng(3)
+        X = rng.random((40, 2))
+        y = rng.integers(0, 2, 40)
+        model = ln.train("forest", X, y, {"n_trees": 2}, seed=5)
+        scores = model.scores(X)
+        tie = scores == 0.5
+        assert tie.any()
+        assert np.all(model.predict(X)[tie] == 0)
+        assert ln.evaluate(model, X, y) == ln.binary_metrics(
+            y, model.predict(X), scores)
 
     def test_evaluate_multilabel(self):
         X = np.random.default_rng(7).random((60, 2))

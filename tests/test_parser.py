@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ftracekit import features as ft
 from ftracekit import trace_parser as tp
@@ -141,6 +143,17 @@ class TestParseTrace:
         sample = tp.parse_trace(junk)  # must not raise
         assert isinstance(sample.warnings, list)
 
+    @pytest.mark.parametrize("prefix", ["", "  12.500000 |  "])
+    def test_overlong_cpu_column_is_one_malformed_line(self, prefix):
+        # int() refuses strings of more than 4,300 digits
+        bad = prefix + "1" * 5000 + ")   1.000 us    |  f();"
+        sample = tp.parse_trace(bad + "\n 0)   2.000 us    |  g();\n")
+        assert len(sample.warnings) == 1
+        assert sample.warnings[0].startswith("line 1: malformed, skipped")
+        assert [r.name for r in sample.records[0]] == ["g"]
+        with pytest.raises(MalformedLine):
+            tp.parse_trace(bad, STRICT)
+
     def test_deep_nesting_is_walked_without_recursion(self):
         depth = 3000
         lines = [f" 0)               |  {'  ' * i}f{i % 3}() {{"
@@ -202,6 +215,48 @@ class TestGeneratedTraces:
         for rec in sample.iter_records():
             for child in rec.children:
                 assert child.depth == rec.depth + 1
+
+
+NAMES = st.from_regex(r"[A-Za-z_][A-Za-z0-9_.]{0,10}", fullmatch=True)
+# whole nanoseconds and microseconds: exact at the printed 3 and 6 decimals;
+# durations reach every overhead marker
+DURATIONS = st.integers(0, 2 * 10**9).map(lambda ns: ns / 1000)
+TIMES = st.integers(0, 10**11).map(lambda us: us / 1e6)
+
+
+@st.composite
+def call_trees(draw, cpu, depth=0):
+    rec = tp.CallRecord(draw(NAMES), cpu, depth, draw(DURATIONS),
+                        draw(TIMES), draw(TIMES))
+    if depth < 3:
+        rec.children = draw(st.lists(call_trees(cpu, depth + 1), max_size=3))
+    return rec
+
+
+@st.composite
+def forests(draw):
+    """Roots in canonical order (by CPU), each tree on its root's CPU."""
+    cpus = sorted(draw(st.lists(st.integers(0, 3), min_size=1, max_size=4)))
+    return [draw(call_trees(cpu)) for cpu in cpus]
+
+
+def shape(roots):
+    return [(r.cpu, r.depth, r.name, r.duration_us, len(r.children))
+            for root in roots for r in root.walk()]
+
+
+class TestFormatRoundTrip:
+    @settings(max_examples=60, deadline=None)
+    @given(forests(), st.booleans())
+    def test_parse_inverts_format(self, roots, abstime):
+        text = tp.format_forest(roots, abstime=abstime)
+        sample = tp.parse_trace(text, STRICT)
+        assert sample.warnings == []
+        assert sample.has_abstime == abstime
+        parsed = [r for cpu in sorted(sample.records)
+                  for r in sample.records[cpu]]
+        assert shape(parsed) == shape(roots)
+        assert tp.format_forest(parsed, abstime=abstime) == text
 
 
 class TestSidecar:

@@ -431,6 +431,17 @@ def test_gradient_boosting_matches_reference(data):
                 {"prior": prior, "constant": False, "scales": scales,
                  "trees": [t.to_dict() for t in trees]})
     assert new.train_losses == losses
+    # the stacked walk scores like the reference trees added one by one,
+    # also with one round's step halved to 0 (it then adds 0 * value)
+    probe = np.vstack([X, X + 0.5, X - 0.5])
+    zeroed = list(scales)
+    zeroed[data.draw(st.integers(0, len(scales) - 1))] = 0.0
+    with_zero = ln.GradientBoosting.from_dict({**new.to_dict(), "scales": zeroed})
+    for model, model_scales in ((new, scales), (with_zero, zeroed)):
+        F = np.full(len(probe), prior)
+        for tree, scale in zip(trees, model_scales):
+            F += scale * tree.predict(probe)
+        assert np.array_equal(model.decision_scores(probe), F)
 
 
 @settings(PROPS, max_examples=60)
