@@ -41,11 +41,6 @@ class CallGraph:
                 nbrs[j].add(i)
         return names, [sorted(s) for s in nbrs]
 
-    def undirected_adjacency(self) -> dict[str, set[str]]:
-        """Neighbour sets keyed in sorted node order."""
-        names, nbrs = self._adjacency
-        return {v: {names[j] for j in nb} for v, nb in zip(names, nbrs)}
-
 
 def build_graph(sample: TraceSample) -> CallGraph:
     """One node per function name, one edge per (parent, child) pair with

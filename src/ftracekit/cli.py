@@ -117,6 +117,41 @@ def _records_to_dict(root: trace_parser.CallRecord) -> dict:
     return out
 
 
+# The stdlib json encoder recurses once per nesting level, and a parsed
+# trace can be thousands of levels deep.  This one does the same work with
+# an explicit stack; `_json_dumps(obj, indent) == json.dumps(obj,
+# indent=indent)` for any JSON value.
+
+class _Text(str):
+    """Literal JSON text queued by `_json_dumps`."""
+
+
+def _json_dumps(obj, indent: int | None = None) -> str:
+    out, todo = [], [(obj, 0)]
+    while todo:
+        item, level = todo.pop()
+        if isinstance(item, _Text):
+            out.append(item)
+        elif isinstance(item, (dict, list, tuple)) and item:
+            is_dict = isinstance(item, dict)
+            pad = "" if indent is None else "\n" + " " * (indent * (level + 1))
+            sep = ", " if indent is None else ","
+            parts = [(_Text("{" if is_dict else "["), 0)]
+            for i, v in enumerate(item.items() if is_dict else item):
+                text = (sep if i else "") + pad
+                if is_dict:
+                    k, v = v
+                    key = k if isinstance(k, str) else json.dumps(k)
+                    text += json.dumps(key) + ": "
+                parts += [(_Text(text), 0), (v, level + 1)]
+            parts.append((_Text(pad[:len(pad) - (indent or 0)]
+                                + ("}" if is_dict else "]")), 0))
+            todo += reversed(parts)
+        else:
+            out.append(json.dumps(item))
+    return "".join(out)
+
+
 def _read_labeled_csv(path) -> features.FeatureMatrix:
     m = features.read_csv(path)
     if m.labels is None:
@@ -160,7 +195,7 @@ def cmd_parse(args) -> int:
         "records": {str(cpu): [_records_to_dict(r) for r in roots]
                     for cpu, roots in sorted(sample.records.items())},
     }
-    Path(args.out).write_text(learners._json_dumps(out, indent=2))
+    Path(args.out).write_text(_json_dumps(out, indent=2))
     print(f"parse: {sample.record_count()} records, "
           f"{len(sample.warnings)} warnings -> {args.out}")
     return 0

@@ -10,7 +10,6 @@ Column layout (deterministic given the corpus):
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
@@ -53,9 +52,6 @@ class FeatureVocabulary:
     @property
     def column_names(self) -> list[str]:
         return [c.name for c in self.columns]
-
-    def group_indices(self, group: str) -> list[int]:
-        return [i for i, c in enumerate(self.columns) if c.group == group]
 
     def to_json(self) -> str:
         return json.dumps({

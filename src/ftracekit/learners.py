@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import json
 import math
-import re
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -19,7 +18,7 @@ import numpy as np
 
 from .errors import EmptyData, SingleClass, WidthMismatch
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
 
 def _sub_seed(seed: int, *tags: int) -> int:
@@ -41,14 +40,6 @@ class TreeNode:
     @property
     def is_leaf(self) -> bool:
         return bool(self._tree.left[self._i] < 0)
-
-    @property
-    def feature(self) -> int:
-        return int(self._tree.feature[self._i])
-
-    @property
-    def threshold(self) -> float:
-        return float(self._tree.threshold[self._i])
 
     @property
     def value(self) -> Optional[np.ndarray]:
@@ -192,26 +183,34 @@ class _FlatTree:
             live = live[self.left[node[live]] >= 0]
         return node.reshape(len(self.roots), n)
 
-    def _root_dict(self) -> dict:
-        """Model format 1: nested {"feature", "threshold", "left", "right"}
-        dicts down to {"value"} leaves, built bottom-up without recursion."""
-        feature, threshold = self.feature.tolist(), self.threshold.tolist()
-        left, right = self.left.tolist(), self.right.tolist()
-        out = [None] * len(feature)
-        for i in range(len(out) - 1, -1, -1):
-            if left[i] < 0:
-                out[i] = {"value": self.value[i].tolist()}
-            else:
-                out[i] = {"feature": feature[i], "threshold": threshold[i],
-                          "left": out[left[i]], "right": out[right[i]]}
-        return out[0]
+    _ARRAYS = ("feature", "threshold", "left", "right", "value")
 
-    def _load_root(self, root: dict) -> None:
-        def expand(d, node):
-            if "value" in d:
-                return np.asarray(d["value"], dtype=float)
-            return d["feature"], d["threshold"], d["left"], d["right"]
-        self._build(root, expand)
+    def to_dict(self) -> dict:
+        """Model format 2: the five node arrays as lists."""
+        return {k: getattr(self, k).tolist() for k in self._ARRAYS}
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "_FlatTree":
+        """Read `to_dict` output.  Raises ValueError unless the lists
+        have one nonzero length, `value` is 2-D, leaves have both child ids
+        -1 and internal nodes have a feature id >= 0 and child ids above
+        their own and below the node count, so every walk ends at a leaf."""
+        t = cls()
+        t.feature, t.left, t.right = (
+            np.asarray(d[k], dtype=np.intp) for k in ("feature", "left", "right"))
+        t.threshold, t.value = (
+            np.asarray(d[k], dtype=float) for k in ("threshold", "value"))
+        n = len(t.feature)
+        inner = t.left != -1
+        ids = np.flatnonzero(inner)
+        if (n == 0 or t.value.ndim != 2 or len(t.value) != n
+                or any(getattr(t, k).shape != (n,) for k in cls._ARRAYS[:4])
+                or np.any(t.right[~inner] != -1)
+                or np.any(t.feature[inner] < 0)
+                or any(np.any((c[inner] <= ids) | (c[inner] >= n))
+                       for c in (t.left, t.right))):
+            raise ValueError("malformed tree in model file")
+        return t
 
 
 class DecisionTree(_FlatTree):
@@ -295,13 +294,12 @@ class DecisionTree(_FlatTree):
         return self.classes_[np.argmax(self.predict_proba(X), axis=1)]
 
     def to_dict(self) -> dict:
-        return {"classes": self.classes_.tolist(), "root": self._root_dict()}
+        return {"classes": self.classes_.tolist(), **super().to_dict()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "DecisionTree":
-        t = cls()
+        t = super().from_dict(d)
         t.classes_ = np.asarray(d["classes"])
-        t._load_root(d["root"])
         return t
 
 
@@ -373,15 +371,6 @@ class RegressionTree(_FlatTree):
 
     def predict(self, X) -> np.ndarray:
         return self.value[self._leaves(X)[0], 0]
-
-    def to_dict(self) -> dict:
-        return {"root": self._root_dict()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RegressionTree":
-        t = cls()
-        t._load_root(d["root"])
-        return t
 
 
 # ---------------------------------------------------------------------------
@@ -771,88 +760,6 @@ def train(kind: str, X, y, params: Optional[dict] = None, seed: int = 0,
                  feature_names=list(feature_names), impl=impl)
 
 
-# The stdlib json encoder and decoder recurse once per nesting level, and a
-# tree can be thousands of levels deep.  These two do the same work with an
-# explicit stack; `_json_dumps(obj, indent) == json.dumps(obj, indent=indent)`
-# for any JSON value.
-
-class _Text(str):
-    """Literal JSON text queued by `_json_dumps`."""
-
-
-def _json_dumps(obj, indent: Optional[int] = None) -> str:
-    out, todo = [], [(obj, 0)]
-    while todo:
-        item, level = todo.pop()
-        if isinstance(item, _Text):
-            out.append(item)
-        elif isinstance(item, (dict, list, tuple)) and item:
-            is_dict = isinstance(item, dict)
-            pad = "" if indent is None else "\n" + " " * (indent * (level + 1))
-            sep = ", " if indent is None else ","
-            parts = [(_Text("{" if is_dict else "["), 0)]
-            for i, v in enumerate(item.items() if is_dict else item):
-                text = (sep if i else "") + pad
-                if is_dict:
-                    k, v = v
-                    key = k if isinstance(k, str) else json.dumps(k)
-                    text += json.dumps(key) + ": "
-                parts += [(_Text(text), 0), (v, level + 1)]
-            parts.append((_Text(pad[:len(pad) - (indent or 0)]
-                                + ("}" if is_dict else "]")), 0))
-            todo += reversed(parts)
-        else:
-            out.append(json.dumps(item))
-    return "".join(out)
-
-
-_JSON_TOKEN = re.compile(
-    r'[ \t\n\r]*([{}\[\]:,]|"(?:[^"\\]|\\.)*"|[^ \t\n\r{}\[\]:,"]+)')
-
-
-def _json_loads(text: str):
-    stack = []  # [container, pending key] of every open container
-    want, pos, result = "value", 0, None
-    while True:
-        m = _JSON_TOKEN.match(text, pos)
-        if m is None:
-            if want == "end" and not text[pos:].strip(" \t\n\r"):
-                return result
-            raise ValueError(f"malformed JSON at offset {pos}")
-        tok, pos = m.group(1), m.end()
-        top = stack[-1] if stack else None
-        if (top is not None and want in ("value_or_close", "key_or_close", "more")
-                and tok == ("}" if isinstance(top[0], dict) else "]")):
-            stack.pop()
-            value = top[0]
-        elif want in ("value", "value_or_close") and tok in "{[":
-            stack.append([{} if tok == "{" else [], None])
-            want = "key_or_close" if tok == "{" else "value_or_close"
-            continue
-        elif want in ("value", "value_or_close") and tok not in "]}:,":
-            value = json.loads(tok)
-        elif want in ("key", "key_or_close") and tok.startswith('"'):
-            top[1] = json.loads(tok)
-            want = "colon"
-            continue
-        elif want == "colon" and tok == ":":
-            want = "value"
-            continue
-        elif want == "more" and tok == ",":
-            want = "key" if isinstance(top[0], dict) else "value"
-            continue
-        else:
-            raise ValueError(f"malformed JSON at offset {m.start(1)}")
-        if not stack:
-            result, want = value, "end"
-        elif isinstance(stack[-1][0], dict):
-            stack[-1][0][stack[-1][1]] = value
-            want = "more"
-        else:
-            stack[-1][0].append(value)
-            want = "more"
-
-
 def save_model(model: Model, path) -> None:
     payload = {
         "version": MODEL_FORMAT_VERSION,
@@ -862,17 +769,37 @@ def save_model(model: Model, path) -> None:
         "feature_names": model.feature_names,
         "state": model.impl.to_dict(),
     }
-    Path(path).write_text(_json_dumps(payload))
+    Path(path).write_text(json.dumps(payload))
+
+
+def _flat_trees(impl) -> list[_FlatTree]:
+    """Every fitted tree of a model, one-vs-rest bases included."""
+    if isinstance(impl, OneVsRest):
+        return [t for m in impl.models_ for t in _flat_trees(m)]
+    return [impl] if isinstance(impl, _FlatTree) else getattr(impl, "trees", [])
 
 
 def load_model(path) -> Model:
-    payload = _json_loads(Path(path).read_text())
-    if payload.get("version") != MODEL_FORMAT_VERSION:
-        raise ValueError(f"unsupported model version {payload.get('version')}")
-    impl = _IMPL_CLASSES[payload["kind"]].from_dict(payload["state"])
-    return Model(kind=payload["kind"], params=payload["params"],
-                 seed=payload["seed"], feature_names=payload["feature_names"],
-                 impl=impl)
+    """Read a `save_model` file; any other content raises ValueError."""
+    try:
+        payload = json.loads(Path(path).read_text())
+        if not isinstance(payload, dict):
+            raise ValueError(f"model file {path} does not hold a JSON object")
+        if payload.get("version") != MODEL_FORMAT_VERSION:
+            raise ValueError(
+                f"unsupported model version {payload.get('version')} in "
+                f"{path}; retrain it to write format {MODEL_FORMAT_VERSION}")
+        kind, names = payload["kind"], payload["feature_names"]
+        impl = _IMPL_CLASSES[kind].from_dict(payload["state"])
+        model = Model(kind=kind, params=payload["params"],
+                      seed=payload["seed"], feature_names=names, impl=impl)
+    except (KeyError, TypeError, OverflowError, RecursionError) as exc:
+        raise ValueError(f"malformed model file {path}: "
+                         f"{type(exc).__name__} {exc}") from exc
+    if any(t.feature.max() >= len(names) for t in _flat_trees(impl)):
+        raise ValueError(f"malformed model file {path}: a feature id beyond "
+                         f"its {len(names)} feature names")
+    return model
 
 
 # ---------------------------------------------------------------------------

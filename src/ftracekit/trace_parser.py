@@ -118,9 +118,6 @@ class TraceSample:
         return [rec for cpu in sorted(self.records)
                 for root in self.records[cpu] for rec in root.walk()]
 
-    def iter_records(self) -> Iterator[CallRecord]:
-        yield from self.preorder
-
     def record_count(self) -> int:
         return len(self.preorder)
 
@@ -394,14 +391,6 @@ def format_forest(ordered_roots: list[CallRecord], abstime: bool = False) -> str
             todo.append((rec, depth, True))
             todo += [(c, depth + 1, False) for c in reversed(rec.children)]
     return "\n".join(out) + ("\n" if out else "")
-
-
-def format_trace(sample: TraceSample, abstime: Optional[bool] = None) -> str:
-    """Pretty-print a parsed sample; parse(format(parse(x))) is stable."""
-    if abstime is None:
-        abstime = sample.has_abstime
-    ordered = [r for cpu in sorted(sample.records) for r in sample.records[cpu]]
-    return format_forest(ordered, abstime=abstime)
 
 
 def sidecar_path(trace_path) -> Path:

@@ -20,9 +20,9 @@ from ftracekit import selection as sel
 from ftracekit import trace_parser as tp
 from ftracekit import workloadgen as wg
 
-from test_callgraph import (oracle_betweenness, oracle_clustering,
-                            oracle_avg_nbr_deg, oracle_eigenvector,
-                            random_connected_graph)
+from test_callgraph import (adjacency_sets, oracle_betweenness,
+                            oracle_clustering, oracle_avg_nbr_deg,
+                            oracle_eigenvector, random_connected_graph)
 from test_learners import oracle_auc, xor_data
 
 STRICT = tp.ParserOptions(strict=True)
@@ -93,7 +93,7 @@ def test_criterion_2_graph_metric_oracles():
     for i in range(100):
         n = int(rng.integers(2, 13))
         g = random_connected_graph(rng, n)
-        adj = g.undirected_adjacency()
+        adj = adjacency_sets(g)
         bc = cg.betweenness(g)
         for v, want in oracle_betweenness(adj, g.nodes).items():
             if abs(bc[v] - want) > 1e-9:

@@ -49,7 +49,7 @@ class TestVocabulary:
         assert by_name["read_bytes"] == "system"
         got = set()
         for g in ("graph", "temporal", "system"):
-            idx = vocab.group_indices(g)
+            idx = [i for i, c in enumerate(vocab.columns) if c.group == g]
             assert idx, g
             got.update(idx)
         assert got == set(range(20))

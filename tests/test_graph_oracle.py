@@ -48,7 +48,7 @@ def build_graph(sample: TraceSample) -> CallGraph:
     """One node per function name, one edge per (parent, child) pair with
     call-count multiplicity."""
     g = CallGraph()
-    for rec in sample.iter_records():
+    for rec in sample.preorder:
         g.nodes.add(rec.name)
         for child in rec.children:
             key = (rec.name, child.name)

@@ -1,11 +1,13 @@
 import itertools
 import json
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ftracekit import cli
 from ftracekit import learners as ln
 from ftracekit.errors import EmptyData, WidthMismatch
 
@@ -21,7 +23,7 @@ class TestDecisionTree:
         X = np.array([[1.0], [2.0], [10.0], [11.0]])
         y = np.array([0, 0, 1, 1])
         tree = ln.DecisionTree(max_depth=1).fit(X, y)
-        assert tree.root.threshold == pytest.approx(6.0)
+        assert tree.threshold[0] == pytest.approx(6.0)
         assert tree.predict(X).tolist() == [0, 0, 1, 1]
 
     def test_pure_node_is_leaf(self):
@@ -42,7 +44,7 @@ class TestDecisionTree:
         X = np.array([[0.0, 0.0], [1.0, 1.0]])
         y = np.array([0, 1])
         tree = ln.DecisionTree(max_depth=1).fit(X, y)
-        assert tree.root.feature == 0
+        assert tree.feature[0] == 0
 
     def test_proba_rows_sum_to_one(self):
         rng = np.random.default_rng(0)
@@ -157,7 +159,7 @@ class TestGradientBoosting:
         X, y = self._data()
         model = ln.GradientBoosting(n_rounds=10).fit(X, y)
         again = ln.GradientBoosting.from_dict(model.to_dict())
-        assert model.decision_scores(X) == pytest.approx(again.decision_scores(X))
+        assert np.array_equal(model.decision_scores(X), again.decision_scores(X))
 
     HYPERPARAMETERS = {"n_rounds": 5, "learning_rate": 0.5, "max_depth": 2,
                        "min_samples_split": 4}
@@ -236,9 +238,12 @@ class TestDeepTrees:
         assert len(model.impl.feature) == 2 * self.N - 1
         assert np.array_equal(model.predict(X), y)
         ln.save_model(model, tmp_path / "model.json")
+        assert sys.getrecursionlimit() == 1000
+        state = json.loads((tmp_path / "model.json").read_text())["state"]
+        assert len(state["feature"]) == 2 * self.N - 1
         again = ln.load_model(tmp_path / "model.json")
         assert np.array_equal(again.predict(X), y)
-        assert again.impl.to_dict()["root"]["threshold"] == 0.5
+        assert again.impl.to_dict()["threshold"][0] == 0.5
         for name in ("feature", "threshold", "left", "right"):
             assert np.array_equal(getattr(again.impl, name),
                                   getattr(model.impl, name))
@@ -251,33 +256,34 @@ json_values = st.recursive(
 
 
 class TestJsonCodec:
+    """`cli._json_dumps`, the non-recursive encoder behind `ftracekit
+    parse`, and the model reader's handling of text stdlib json rejects."""
+
     @given(json_values)
     def test_matches_stdlib(self, value):
-        text = ln._json_dumps(value)
-        assert text == json.dumps(value)
-        assert json.dumps(ln._json_loads(text)) == text
-        assert json.dumps(ln._json_loads(json.dumps(value, indent=2))) == text
+        assert cli._json_dumps(value) == json.dumps(value)
 
     @given(json_values, st.sampled_from([0, 2, 4]))
     def test_indent_matches_stdlib(self, value, indent):
         want = json.dumps(value, indent=indent)
-        assert ln._json_dumps(value, indent) == want
+        assert cli._json_dumps(value, indent) == want
 
     @pytest.mark.parametrize("text", [
         "", "{", "[1,]", '{"a" 1}', '{"a": 1,}', "[1 2]", "1 2", "{1: 2}",
         '"abc', "tru", "[}", '{"a": ]}', ",", "]"])
-    def test_rejects_what_stdlib_rejects(self, text):
+    def test_rejects_what_stdlib_rejects(self, text, tmp_path):
         with pytest.raises(ValueError):
             json.loads(text)
+        (tmp_path / "m.json").write_text(text)
         with pytest.raises(ValueError):
-            ln._json_loads(text)
+            ln.load_model(tmp_path / "m.json")
 
     def test_any_depth(self):
         value = [{"k": 1.5}]
         for _ in range(5000):
             value = {"left": value, "right": [None]}
-        text = ln._json_dumps(value)
-        assert ln._json_dumps(ln._json_loads(text)) == text
+        assert cli._json_dumps(value) == ('{"left": ' * 5000 + '[{"k": 1.5}]'
+                                          + ', "right": [null]}' * 5000)
 
 
 class TestLogistic:
@@ -352,17 +358,26 @@ class TestModelWrapper:
         with pytest.raises(WidthMismatch):
             model.scores(X[:, :2])
 
-    @pytest.mark.parametrize("kind", ["tree", "forest", "boosting", "logistic"])
-    def test_save_load_round_trip(self, kind, tmp_path):
+    @pytest.mark.parametrize("kind, params", [
+        ("tree", {}), ("forest", {}), ("boosting", {}), ("logistic", {}),
+        ("one_vs_rest", {"base": "forest", "n_trees": 5}),
+        ("one_vs_rest", {"base": "boosting", "n_rounds": 8})],
+        ids=["tree", "forest", "boosting", "logistic", "one_vs_rest-forest",
+             "one_vs_rest-boosting"])
+    def test_save_load_round_trip(self, kind, params, tmp_path):
         X = np.random.default_rng(1).random((40, 3))
         y = (X[:, 1] > 0.5).astype(int)
-        model = ln.train(kind, X, y, {}, seed=2)
+        if kind == "one_vs_rest":
+            y = np.array(["lo", "mid", "hi"])[(3 * X[:, 1]).astype(int)].tolist()
+        model = ln.train(kind, X, y, params, seed=2)
         path = tmp_path / "model.json"
         ln.save_model(model, path)
         again = ln.load_model(path)
         assert again.kind == kind
         assert np.array_equal(model.predict(X), again.predict(X))
-        assert model.scores(X) == pytest.approx(again.scores(X))
+        assert np.array_equal(model.scores(X), again.scores(X))
+        ln.save_model(again, tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
     def test_one_vs_rest_save_load(self, tmp_path):
         X = np.random.default_rng(2).random((30, 2))
@@ -382,7 +397,73 @@ class TestModelWrapper:
         payload = json.loads(path.read_text())
         payload["version"] = 99
         path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="retrain"):
+            ln.load_model(path)
+
+
+def xor_model_file(path):
+    """A depth-2 tree on the XOR rows saved to `path`; its pre-order nodes
+    are 0 (root), 1 (internal), 2, 3 (leaves), 4 (internal), 5, 6."""
+    X, y = xor_data()
+    ln.save_model(ln.train("tree", X, y, {"max_depth": 2}), path)
+    payload = json.loads(path.read_text())
+    assert payload["state"]["left"] == [1, 2, -1, -1, 5, -1, -1]
+    return payload
+
+
+def self_loop(state):
+    state["left"][1] = 1
+
+
+def back_edge(state):
+    state["right"][4] = 0
+
+
+def unequal_lengths(state):
+    state["threshold"].pop()
+
+
+def feature_out_of_range(state):
+    state["feature"][4] = 2  # the file names two features
+
+
+def negative_feature(state):
+    state["feature"][0] = -1
+
+
+def flat_value(state):
+    state["value"] = [v[0] for v in state["value"]]
+
+
+def no_nodes(state):
+    for k in ("feature", "threshold", "left", "right", "value"):
+        state[k] = []
+
+
+class TestMalformedModelFiles:
+    """Flat node lists can encode a cycle, which a prediction walk would
+    follow forever; every such file is refused on load."""
+
+    @pytest.mark.parametrize("corrupt", [
+        self_loop, back_edge, unequal_lengths, feature_out_of_range,
+        negative_feature, flat_value, no_nodes])
+    def test_rejected(self, corrupt, tmp_path):
+        path = tmp_path / "m.json"
+        payload = xor_model_file(path)
+        corrupt(payload["state"])
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="malformed"):
+            ln.load_model(path)
+
+    @pytest.mark.parametrize("kind", ["forest", "boosting"])
+    def test_rejected_inside_an_ensemble(self, kind, tmp_path):
+        X, y = xor_data()
+        path = tmp_path / "m.json"
+        ln.save_model(ln.train(kind, X, y, {"n_trees": 3, "n_rounds": 3}), path)
+        payload = json.loads(path.read_text())
+        payload["state"]["trees"][-1]["left"][0] = 0  # a self-loop at a root
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="malformed"):
             ln.load_model(path)
 
 

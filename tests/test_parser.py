@@ -12,6 +12,12 @@ from ftracekit.trace_parser import BodyKind, ParserOptions
 STRICT = ParserOptions(strict=True)
 
 
+def format_sample(sample):
+    """The sample's forests, CPUs in ascending order, as function_graph text."""
+    roots = [r for cpu in sorted(sample.records) for r in sample.records[cpu]]
+    return tp.format_forest(roots, abstime=sample.has_abstime)
+
+
 def parse_line(line):
     return tp._parse_line_strict(line, ParserOptions())
 
@@ -71,7 +77,7 @@ class TestParseLine:
 
     def test_tolerant_garbage_becomes_comment(self):
         sample = tp.parse_trace("complete nonsense\n 0)   0.462 us    |  f();")
-        assert [r.name for r in sample.iter_records()] == ["f"]
+        assert [r.name for r in sample.preorder] == ["f"]
         assert len(sample.warnings) == 1 and "malformed" in sample.warnings[0]
 
 
@@ -162,7 +168,7 @@ class TestParseTrace:
                   for i in reversed(range(depth))]
         sample = tp.parse_trace("\n".join(lines), STRICT)
         assert sample.record_count() == depth
-        assert [r.depth for r in sample.iter_records()] == list(range(depth))
+        assert [r.depth for r in sample.preorder] == list(range(depth))
         vocab = ft.build_vocabulary([sample])
         row = ft.extract(sample, vocab)
         assert row[vocab.column_names.index("total_calls")] == depth
@@ -172,9 +178,9 @@ class TestParseTrace:
         text = "".join(f" 0)               |  {'  ' * i}f{i % 3}() {{\n"
                        for i in range(depth))
         sample = tp.parse_trace(text, tp.ParserOptions())  # left unclosed
-        out = tp.format_trace(sample)
+        out = format_sample(sample)
         assert len(out.splitlines()) == 2 * depth - 1  # innermost is a leaf
-        assert tp.format_trace(tp.parse_trace(out, STRICT)) == out
+        assert format_sample(tp.parse_trace(out, STRICT)) == out
 
 
 class TestGeneratedTraces:
@@ -185,7 +191,7 @@ class TestGeneratedTraces:
         assert sample.warnings == []
         assert sample.record_count() == book.total_calls
         assert sample.call_counts() == book.call_counts
-        again = tp.parse_trace(tp.format_trace(sample), STRICT)
+        again = tp.parse_trace(format_sample(sample), STRICT)
         assert again.records == sample.records
 
     def test_roundtrip_with_abstime_and_multi_cpu(self):
@@ -197,14 +203,14 @@ class TestGeneratedTraces:
         assert sample.has_abstime
         assert set(sample.records) == {0, 1}
         assert sample.record_count() == book.total_calls
-        again = tp.parse_trace(tp.format_trace(sample), STRICT)
+        again = tp.parse_trace(format_sample(sample), STRICT)
         assert again.records == sample.records
 
     def test_duration_containment(self):
         profile = wg.default_pair()[1]
         text, _, _ = wg.generate_trace(profile, seed=2, n_root_calls=25)
         sample = tp.parse_trace(text, STRICT)
-        for rec in sample.iter_records():
+        for rec in sample.preorder:
             # a parent's duration covers the sum of its children's
             assert rec.duration_us >= sum(c.duration_us for c in rec.children) - 1e-3
 
@@ -212,7 +218,7 @@ class TestGeneratedTraces:
         profile = wg.default_pair()[1]
         text, _, _ = wg.generate_trace(profile, seed=4, n_root_calls=25)
         sample = tp.parse_trace(text, STRICT)
-        for rec in sample.iter_records():
+        for rec in sample.preorder:
             for child in rec.children:
                 assert child.depth == rec.depth + 1
 

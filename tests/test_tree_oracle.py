@@ -6,7 +6,9 @@ node re-argsorts every candidate column and scans one feature at a time.
 The flat-array trees in `ftracekit.learners` must fit exactly the same
 trees (same features, thresholds, leaf values, importances and rng draws)
 on data with heavy ties, constant columns, duplicate and bootstrap rows and
-nodes of one or two rows.
+nodes of one or two rows.  The reference trees are nested; `flat_layout`
+lays them out as model format 2 writes a tree, so their dicts compare
+exactly.
 """
 
 from __future__ import annotations
@@ -37,18 +39,30 @@ class TreeNode:
     def is_leaf(self) -> bool:
         return self.value is not None
 
-    def to_dict(self) -> dict:
-        if self.is_leaf:
-            return {"value": np.asarray(self.value).tolist()}
-        return {"feature": self.feature, "threshold": self.threshold,
-                "left": self.left.to_dict(), "right": self.right.to_dict()}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "TreeNode":
-        if "value" in d:
-            return cls(value=np.asarray(d["value"], dtype=float))
-        return cls(feature=d["feature"], threshold=d["threshold"],
-                   left=cls.from_dict(d["left"]), right=cls.from_dict(d["right"]))
+def flat_layout(root: TreeNode) -> dict:
+    """The tree under `root` as model format 2's five flat lists: node ids
+    in pre-order, left subtree first; leaves with feature and child ids -1
+    and threshold 0.0, internal nodes with an all-zero value row."""
+    out = {k: [] for k in ("feature", "threshold", "left", "right", "value")}
+
+    def visit(node) -> int:
+        i = len(out["feature"])
+        out["feature"].append(-1 if node.is_leaf else node.feature)
+        out["threshold"].append(0.0 if node.is_leaf else node.threshold)
+        out["left"].append(-1)
+        out["right"].append(-1)
+        out["value"].append(np.asarray(node.value).tolist() if node.is_leaf
+                            else None)
+        if not node.is_leaf:
+            out["left"][i] = visit(node.left)
+            out["right"][i] = visit(node.right)
+        return i
+
+    visit(root)
+    width = len(next(v for v in out["value"] if v is not None))
+    out["value"] = [[0.0] * width if v is None else v for v in out["value"]]
+    return out
 
 
 def _gini(counts: np.ndarray) -> float:
@@ -165,14 +179,7 @@ class DecisionTree:
         return self.classes_[np.argmax(self.predict_proba(X), axis=1)]
 
     def to_dict(self) -> dict:
-        return {"classes": self.classes_.tolist(), "root": self.root.to_dict()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DecisionTree":
-        t = cls()
-        t.classes_ = np.asarray(d["classes"])
-        t.root = TreeNode.from_dict(d["root"])
-        return t
+        return {"classes": self.classes_.tolist(), **flat_layout(self.root)}
 
 
 class RegressionTree:
@@ -248,13 +255,7 @@ class RegressionTree:
         return out
 
     def to_dict(self) -> dict:
-        return {"root": self.root.to_dict()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RegressionTree":
-        t = cls()
-        t.root = TreeNode.from_dict(d["root"])
-        return t
+        return flat_layout(self.root)
 
 
 # ---------------------------------------------------------------------------
