@@ -15,6 +15,9 @@ from . import experiments, features, learners, selection, trace_parser, workload
 from .errors import FtraceKitError
 
 
+_LEARNERS = ["tree", "forest", "boosting", "logistic"]
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -57,8 +60,7 @@ def _build_parser() -> _Parser:
 
     tr = sub.add_parser("train", help="fit a model on a feature CSV")
     tr.add_argument("--features", required=True)
-    tr.add_argument("--learner", default="forest",
-                    choices=["tree", "forest", "boosting", "logistic"])
+    tr.add_argument("--learner", default="forest", choices=_LEARNERS)
     tr.add_argument("--params", default="{}", help="JSON hyperparameters")
     tr.add_argument("--seed", type=int, required=True)
     tr.add_argument("--out", required=True, help="model JSON")
@@ -83,8 +85,7 @@ def _build_parser() -> _Parser:
     e1.add_argument("--corpus", required=True)
     e1.add_argument("--seed", type=int, required=True)
     e1.add_argument("--k", type=int, default=60)
-    e1.add_argument("--learner", default="boosting",
-                    choices=["tree", "forest", "boosting", "logistic"])
+    e1.add_argument("--learner", default="boosting", choices=_LEARNERS)
     e1.add_argument("--out", required=True, help="output directory")
 
     e2 = sub.add_parser("exp2", help="multi-label task-identification experiment")
@@ -97,8 +98,7 @@ def _build_parser() -> _Parser:
 
 def _common_study_flags(sp):
     sp.add_argument("--features", required=True, help="feature CSV")
-    sp.add_argument("--learner", default="forest",
-                    choices=["tree", "forest", "boosting", "logistic"])
+    sp.add_argument("--learner", default="forest", choices=_LEARNERS)
     sp.add_argument("--params", default="{}", help="JSON hyperparameters")
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--out", required=True, help="output CSV")
@@ -186,8 +186,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_parse(args) -> int:
-    options = trace_parser.ParserOptions(strict=args.strict)
-    sample = trace_parser.load_sample(args.input, options)
+    sample = trace_parser.load_sample(args.input, args.strict)
     out = {
         "source": sample.source,
         "has_abstime": sample.has_abstime,
@@ -217,8 +216,8 @@ def cmd_select(args) -> int:
     m = _read_labeled_csv(args.features)
     scaled = features.ScalingState.fit("minmax", m).apply(m)
     scores = selection.chi2_scores(scaled, m.labels)
-    top = selection.select_top_k(scores, min(args.k, len(scores)))
-    keep = [s for s in scores if s.name in set(top)]
+    top = set(selection.select_top_k(scores, min(args.k, len(scores))))
+    keep = [s for s in scores if s.name in top]
     selection.write_scores_csv(keep, args.out)
     print(f"select: top {len(top)} of {len(scores)} features -> {args.out}")
     return 0

@@ -22,19 +22,7 @@ from . import features as feat
 from . import learners, selection
 from .errors import ClassTooSmall, EmptyGrid, EmptyGroup
 from .features import FeatureMatrix
-
-
-@dataclass(frozen=True)
-class SplitSpec:
-    train_frac: float = 0.8
-    val_frac: float = 0.1
-    test_frac: float = 0.1
-    seed: int = 0
-
-    def __post_init__(self):
-        total = self.train_frac + self.val_frac + self.test_frac
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError("split fractions must sum to 1")
+from .learners import _is_multilabel, _sub_seed
 
 
 @dataclass
@@ -58,14 +46,11 @@ class ExperimentReport:
         return json.dumps(body, sort_keys=True, indent=2)
 
 
-def _fold_seed(seed: int, *tags: int) -> int:
-    return int(np.random.SeedSequence([seed, *tags]).generate_state(1)[0])
-
-
-def stratified_split_indices(labels, spec: SplitSpec):
-    """Per-class shuffled allocation; rounding remainder goes to train."""
+def stratified_split_indices(labels, seed: int):
+    """Per-class shuffled allocation: 10% of each class (at least one row)
+    to validation, as many to test, the rest to train."""
     labels = np.asarray(labels)
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(seed)
     train, val, test = [], [], []
     classes = sorted(set(labels.tolist()))
     for c in classes:
@@ -74,11 +59,10 @@ def stratified_split_indices(labels, spec: SplitSpec):
             raise ClassTooSmall(
                 f"class {c!r} has {len(idx)} samples; need at least 3")
         idx = rng.permutation(idx)
-        n_val = max(1, int(len(idx) * spec.val_frac))
-        n_test = max(1, int(len(idx) * spec.test_frac))
-        val.extend(idx[:n_val].tolist())
-        test.extend(idx[n_val:n_val + n_test].tolist())
-        train.extend(idx[n_val + n_test:].tolist())
+        n = max(1, int(len(idx) * 0.1))
+        val.extend(idx[:n].tolist())
+        test.extend(idx[n:2 * n].tolist())
+        train.extend(idx[2 * n:].tolist())
     return (np.sort(np.asarray(train, dtype=int)),
             np.sort(np.asarray(val, dtype=int)),
             np.sort(np.asarray(test, dtype=int)))
@@ -87,7 +71,7 @@ def stratified_split_indices(labels, spec: SplitSpec):
 def holdout_split(m: FeatureMatrix, labels, seed: int):
     """Train rows, train+validation pool and test rows of the default
     stratified split of `labels`."""
-    tr, va, te = stratified_split_indices(labels, SplitSpec(seed=seed))
+    tr, va, te = stratified_split_indices(labels, seed)
     pool = np.sort(np.concatenate([tr, va]))
     return m.subset_rows(tr), m.subset_rows(pool), m.subset_rows(te)
 
@@ -107,10 +91,6 @@ def stratified_folds(labels, k: int, seed: int) -> list[np.ndarray]:
         for i, j in enumerate(idx.tolist()):
             folds[i % k].append(j)
     return [np.sort(np.asarray(f, dtype=int)) for f in folds]
-
-
-def _is_multilabel(labels) -> bool:
-    return np.asarray(labels).dtype.kind in "UOS"
 
 
 @dataclass(frozen=True)
@@ -141,7 +121,7 @@ class Pipeline:
             scores = selection.chi2_statistics(scaled, y)
         elif self.ranking == "importance":
             scores = selection.forest_importance(
-                scaled, y, self.importance_params, seed=_fold_seed(seed, 5))
+                scaled, y, self.importance_params, seed=_sub_seed(seed, 5))
         elif self.ranking is not None:
             raise ValueError(f"unknown ranking {self.ranking!r}")
         columns = (selection.select_top_k(scores, min(self.k, len(scores)))
@@ -197,7 +177,7 @@ def kfold_cv(m: FeatureMatrix, labels, pipeline: Pipeline,
     for i, va in enumerate(folds):
         tr = np.setdiff1d(all_idx, va)
         fitted = pipeline.fit(m.subset_rows(tr), labels[tr],
-                              _fold_seed(seed, i))
+                              _sub_seed(seed, i))
         fold_metrics.append(
             fitted.evaluate(m.subset_rows(va), labels[va]).as_dict())
     keys = [key for key in fold_metrics[0] if key != "confusion"]
@@ -268,7 +248,7 @@ def learning_curve(m: FeatureMatrix, labels, pipeline: Pipeline,
     # fixed per-fold per-class orders; taking a prefix subsamples stratified
     orders: list[list[np.ndarray]] = []
     for i, fold in enumerate(folds):
-        rng = np.random.default_rng(_fold_seed(seed, 1000 + i))
+        rng = np.random.default_rng(_sub_seed(seed, 1000 + i))
         per_class = []
         for c in sorted(set(labels[fold].tolist())):
             idx = fold[labels[fold] == c]
@@ -288,7 +268,7 @@ def learning_curve(m: FeatureMatrix, labels, pipeline: Pipeline,
                                  for j in range(k) if j != i])
             tr = np.sort(tr)
             m_tr = m.subset_rows(tr)
-            fitted = pipeline.fit(m_tr, labels[tr], _fold_seed(seed, i))
+            fitted = pipeline.fit(m_tr, labels[tr], _sub_seed(seed, i))
             train_accs.append(fitted.evaluate(m_tr, labels[tr]).accuracy)
             val_accs.append(
                 fitted.evaluate(m.subset_rows(va), labels[va]).accuracy)
@@ -321,7 +301,7 @@ def perturbation_study(train_m: FeatureMatrix, test_m: FeatureMatrix,
     for j in range(len(fitted.columns)):
         row = [baseline]
         for s_idx, sigma in enumerate(sigmas):
-            rng = np.random.default_rng(_fold_seed(seed, j, s_idx))
+            rng = np.random.default_rng(_sub_seed(seed, j, s_idx))
             X = X_test.copy()
             X[:, j] += rng.normal(0.0, sigma, size=X.shape[0])
             row.append(fitted.metrics(X, test_m.labels).accuracy)
@@ -428,7 +408,7 @@ def run_experiment_1(corpus_dir, config: Optional[dict] = None,
     best_params, search_report = grid_search(
         train, train.labels, pipe, cfg["grid"], k=cfg["folds"], seed=seed)
     pipe = pipe.with_params(best_params)
-    final = pipe.fit(pool, pool.labels, _fold_seed(seed, 99))
+    final = pipe.fit(pool, pool.labels, _sub_seed(seed, 99))
     test_metrics = final.evaluate(test, test.labels)
 
     curve = learning_curve(pool, pool.labels, pipe,
@@ -448,7 +428,7 @@ def run_experiment_1(corpus_dir, config: Optional[dict] = None,
     # p-values for the report only, from the rows and scaling the final fit
     # ranked; the fits before it ranked by the statistic alone
     chi2 = selection.chi2_scores(final.scaling.apply(pool), pool.labels)
-    top_table = sorted(chi2, key=lambda s: (-s.score, s.name))[:k]
+    top_table = selection._ranked(chi2)[:k]
     payload = {
         "n_samples": int(matrix.n_rows),
         "n_features_before": len(matrix.vocab.columns),
@@ -510,13 +490,13 @@ def run_experiment_2(corpus_dir, config: Optional[dict] = None,
             n_draws=cfg["search_draws"], k=cfg["folds"], seed=seed)
         pipe = pipe.with_params(best)
 
-    final = pipe.fit(pool, pool.tasks, _fold_seed(seed, 99))
+    final = pipe.fit(pool, pool.tasks, _sub_seed(seed, 99))
     X_test = final.transform(test).X
     test_metrics = final.metrics(X_test, test.tasks)
 
     noise_rows = []
     for s_idx, sigma in enumerate(cfg["sigmas"]):
-        rng = np.random.default_rng(_fold_seed(seed, 7, s_idx))
+        rng = np.random.default_rng(_sub_seed(seed, 7, s_idx))
         X = X_test + rng.normal(0.0, sigma, size=X_test.shape)
         met = final.metrics(X, test.tasks)
         noise_rows.append({"sigma": sigma, "f1_macro": met.f1_macro,

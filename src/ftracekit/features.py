@@ -17,8 +17,8 @@ from typing import Optional
 import numpy as np
 
 from . import call_graph
-from .errors import EmptyCorpus, WidthMismatch
-from .trace_parser import ParserOptions, TraceSample, load_corpus
+from .errors import EmptyCorpus
+from .trace_parser import TraceSample, load_corpus
 
 GROUP_GRAPH = "graph"
 GROUP_TEMPORAL = "temporal"
@@ -58,13 +58,6 @@ class FeatureVocabulary:
             "functions": self.function_names,
             "columns": [{"name": c.name, "group": c.group} for c in self.columns],
         }, indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "FeatureVocabulary":
-        data = json.loads(text)
-        return cls(function_names=list(data["functions"]),
-                   columns=[FeatureColumn(c["name"], c["group"])
-                            for c in data["columns"]])
 
 
 def infer_group(name: str) -> str:
@@ -247,7 +240,7 @@ def extract_matrix(samples: list[TraceSample],
 def load_matrix(corpus_dir, strict: bool) -> FeatureMatrix:
     """Parse every trace under a corpus directory, build its vocabulary and
     extract one row per trace."""
-    samples = load_corpus(corpus_dir, ParserOptions(strict=strict))
+    samples = load_corpus(corpus_dir, strict)
     return extract_matrix(samples, build_vocabulary(samples))
 
 
@@ -269,20 +262,18 @@ def write_csv(m: FeatureMatrix, path) -> None:
                       for x, lab, task in zip(m.X, labels, tasks)))
 
 
-def read_csv(path, vocab: Optional[FeatureVocabulary] = None) -> FeatureMatrix:
+def read_csv(path) -> FeatureMatrix:
+    """Read a `write_csv` file; column groups come from the names."""
     lines = Path(path).read_text().splitlines()
     header = lines[0].split(",")
     if header[-2:] != ["label", "task"]:
         raise ValueError("feature CSV must end with label,task columns")
     names = header[:-2]
-    if vocab is None:
-        functions = sorted({n[len("count_"):] for n in names
-                            if n.startswith("count_")})
-        vocab = FeatureVocabulary(
-            function_names=functions,
-            columns=[FeatureColumn(n, infer_group(n)) for n in names])
-    elif vocab.column_names != names:
-        raise WidthMismatch("CSV columns do not match the given vocabulary")
+    functions = sorted({n[len("count_"):] for n in names
+                        if n.startswith("count_")})
+    vocab = FeatureVocabulary(
+        function_names=functions,
+        columns=[FeatureColumn(n, infer_group(n)) for n in names])
     rows, labels, tasks = [], [], []
     for line in lines[1:]:
         cells = line.split(",")

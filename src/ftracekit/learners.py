@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -23,6 +23,11 @@ MODEL_FORMAT_VERSION = 2
 
 def _sub_seed(seed: int, *tags: int) -> int:
     return int(np.random.SeedSequence([seed, *tags]).generate_state(1)[0])
+
+
+def _is_multilabel(labels) -> bool:
+    """Task-name targets (strings), as opposed to binary 0/1 labels."""
+    return np.asarray(labels).dtype.kind in "UOS"
 
 
 # ---------------------------------------------------------------------------
@@ -190,11 +195,12 @@ class _FlatTree:
         return {k: getattr(self, k).tolist() for k in self._ARRAYS}
 
     @classmethod
-    def from_dict(cls, d: dict) -> "_FlatTree":
+    def from_dict(cls, d: dict, width: int = 1) -> "_FlatTree":
         """Read `to_dict` output.  Raises ValueError unless the lists
-        have one nonzero length, `value` is 2-D, leaves have both child ids
-        -1 and internal nodes have a feature id >= 0 and child ids above
-        their own and below the node count, so every walk ends at a leaf."""
+        have one nonzero length, `value` rows are `width` wide, leaves have
+        both child ids -1 and internal nodes have a feature id >= 0 and
+        child ids above their own and below the node count, so every walk
+        ends at a leaf."""
         t = cls()
         t.feature, t.left, t.right = (
             np.asarray(d[k], dtype=np.intp) for k in ("feature", "left", "right"))
@@ -203,13 +209,13 @@ class _FlatTree:
         n = len(t.feature)
         inner = t.left != -1
         ids = np.flatnonzero(inner)
-        if (n == 0 or t.value.ndim != 2 or len(t.value) != n
+        if (n == 0 or t.value.ndim != 2 or t.value.shape != (n, width)
                 or any(getattr(t, k).shape != (n,) for k in cls._ARRAYS[:4])
                 or np.any(t.right[~inner] != -1)
                 or np.any(t.feature[inner] < 0)
                 or any(np.any((c[inner] <= ids) | (c[inner] >= n))
                        for c in (t.left, t.right))):
-            raise ValueError("malformed tree in model file")
+            raise ValueError(f"not a tree with value rows {width} wide")
         return t
 
 
@@ -298,7 +304,7 @@ class DecisionTree(_FlatTree):
 
     @classmethod
     def from_dict(cls, d: dict) -> "DecisionTree":
-        t = super().from_dict(d)
+        t = super().from_dict(d, len(d["classes"]))
         t.classes_ = np.asarray(d["classes"])
         return t
 
@@ -442,6 +448,9 @@ class RandomForest:
         f = cls(n_trees=d["n_trees"])
         f.classes_ = np.asarray(d["classes"])
         f.trees = [DecisionTree.from_dict(t) for t in d["trees"]]
+        if not f.trees or any(len(t.classes_) != len(f.classes_)
+                              for t in f.trees):
+            raise ValueError(f"a forest needs trees {len(f.classes_)} classes wide")
         f._stack = _FlatTree.stacked(f.trees)
         return f
 
@@ -558,12 +567,13 @@ class GradientBoosting:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GradientBoosting":
-        # files written before the hyperparameters were saved get the defaults
-        m = cls(**{k: d[k] for k in cls._HYPERPARAMETERS if k in d})
+        m = cls(**{k: d[k] for k in cls._HYPERPARAMETERS})
         m.prior = d["prior"]
         m.constant = d["constant"]
         m.scales = list(d["scales"])
         m.trees = [RegressionTree.from_dict(t) for t in d["trees"]]
+        if len(m.scales) != len(m.trees):
+            raise ValueError(f"{len(m.scales)} scales for {len(m.trees)} trees")
         m._stack_trees()
         return m
 
@@ -659,6 +669,8 @@ class OneVsRest:
         m.labels_ = list(d["labels"])
         m.models_ = [_IMPL_CLASSES[d["base_kind"]].from_dict(t)
                      for t in d["models"]]
+        if len(m.labels_) != len(m.models_):
+            raise ValueError(f"{len(m.labels_)} labels for {len(m.models_)} models")
         return m
 
 
@@ -783,23 +795,25 @@ def load_model(path) -> Model:
     """Read a `save_model` file; any other content raises ValueError."""
     try:
         payload = json.loads(Path(path).read_text())
-        if not isinstance(payload, dict):
-            raise ValueError(f"model file {path} does not hold a JSON object")
-        if payload.get("version") != MODEL_FORMAT_VERSION:
-            raise ValueError(
-                f"unsupported model version {payload.get('version')} in "
-                f"{path}; retrain it to write format {MODEL_FORMAT_VERSION}")
+    except RecursionError as exc:
+        raise ValueError(f"malformed model file {path}: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ValueError(f"malformed model file {path}: not a JSON object")
+    if payload.get("version") != MODEL_FORMAT_VERSION:
+        raise ValueError(
+            f"unsupported model version {payload.get('version')} in "
+            f"{path}; retrain it to write format {MODEL_FORMAT_VERSION}")
+    try:
         kind, names = payload["kind"], payload["feature_names"]
         impl = _IMPL_CLASSES[kind].from_dict(payload["state"])
-        model = Model(kind=kind, params=payload["params"],
-                      seed=payload["seed"], feature_names=names, impl=impl)
-    except (KeyError, TypeError, OverflowError, RecursionError) as exc:
+        if any(t.feature.max() >= len(names) for t in _flat_trees(impl)):
+            raise ValueError(f"a feature id beyond its {len(names)} names")
+        return Model(kind=kind, params=payload["params"],
+                     seed=payload["seed"], feature_names=names, impl=impl)
+    except (KeyError, TypeError, ValueError, OverflowError,
+            RecursionError) as exc:
         raise ValueError(f"malformed model file {path}: "
                          f"{type(exc).__name__} {exc}") from exc
-    if any(t.feature.max() >= len(names) for t in _flat_trees(impl)):
-        raise ValueError(f"malformed model file {path}: a feature id beyond "
-                         f"its {len(names)} feature names")
-    return model
 
 
 # ---------------------------------------------------------------------------
@@ -817,14 +831,8 @@ class Metrics:
     f1_micro: Optional[float] = None
 
     def as_dict(self) -> dict:
-        d = {"accuracy": self.accuracy, "precision": self.precision,
-             "recall": self.recall, "f1": self.f1, "roc_auc": self.roc_auc,
-             "confusion": self.confusion}
-        if self.f1_macro is not None:
-            d["f1_macro"] = self.f1_macro
-        if self.f1_micro is not None:
-            d["f1_micro"] = self.f1_micro
-        return d
+        """The fields in order, the multi-label F1s only when set."""
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
 
 def roc_auc_score(y_true, scores) -> float:
@@ -836,18 +844,14 @@ def roc_auc_score(y_true, scores) -> float:
     neg = s[y == 0]
     if len(pos) == 0 or len(neg) == 0:
         return 0.5
+    # a run of equal scores shares its mean rank; NaNs sort last in input
+    # order and, unequal to everything, each get their own rank
     order = np.argsort(s, kind="stable")
-    ranks = np.empty(len(s), dtype=float)
     sorted_s = s[order]
-    i = 0
-    r = 1
-    while i < len(s):
-        j = i
-        while j + 1 < len(s) and sorted_s[j + 1] == sorted_s[i]:
-            j += 1
-        ranks[order[i:j + 1]] = (r + (r + j - i)) / 2.0  # average tied ranks
-        r += j - i + 1
-        i = j + 1
+    starts = np.flatnonzero(np.r_[True, sorted_s[1:] != sorted_s[:-1]])
+    counts = np.diff(np.r_[starts, len(s)])
+    ranks = np.empty(len(s))
+    ranks[order] = np.repeat(starts + (counts + 1) / 2.0, counts)
     npos = len(pos)
     rank_sum = ranks[y == 1].sum()
     return float((rank_sum - npos * (npos + 1) / 2.0) / (npos * len(neg)))
@@ -861,13 +865,19 @@ def _prf(tp, fp, fn):
     return precision, recall, f1
 
 
+def _counts(y_true, y_pred) -> list:
+    """(tn, fp, fn, tp) per column of 0/1 truth and predictions, scalars
+    for 1-D input.  Only the values 0 and 1 count: a prediction of 2 is
+    neither a positive nor a negative."""
+    t0, t1 = y_true == 0, y_true == 1
+    p0, p1 = y_pred == 0, y_pred == 1
+    return [np.sum(t & p, axis=0) for t, p in ((t0, p0), (t0, p1),
+                                                (t1, p0), (t1, p1))]
+
+
 def binary_metrics(y_true, y_pred, scores=None) -> Metrics:
     y = np.asarray(y_true, dtype=int)
-    p = np.asarray(y_pred, dtype=int)
-    tp = int(np.sum((y == 1) & (p == 1)))
-    tn = int(np.sum((y == 0) & (p == 0)))
-    fp = int(np.sum((y == 0) & (p == 1)))
-    fn = int(np.sum((y == 1) & (p == 0)))
+    tn, fp, fn, tp = (int(c) for c in _counts(y, np.asarray(y_pred, dtype=int)))
     precision, recall, f1 = _prf(tp, fp, fn)
     auc = roc_auc_score(y, scores) if scores is not None else 0.5
     return Metrics(accuracy=(tp + tn) / len(y), precision=precision,
@@ -875,23 +885,19 @@ def binary_metrics(y_true, y_pred, scores=None) -> Metrics:
                    confusion=[[tn, fp], [fn, tp]])
 
 
+def _per_label(Y_true, Y_pred) -> tuple[list, float]:
+    """Each column's (precision, recall, f1) over binary indicator
+    matrices, and the micro F1 of all columns pooled."""
+    _, fp, fn, tp = _counts(np.asarray(Y_true, dtype=int),
+                            np.asarray(Y_pred, dtype=int))
+    micro = _prf(int(tp.sum()), int(fp.sum()), int(fn.sum()))[2]
+    return [_prf(*c) for c in zip(tp.tolist(), fp.tolist(), fn.tolist())], micro
+
+
 def multilabel_f1(Y_true, Y_pred) -> tuple[float, float]:
     """(macro, micro) F1 over binary indicator matrices."""
-    Yt = np.asarray(Y_true, dtype=int)
-    Yp = np.asarray(Y_pred, dtype=int)
-    per_label = []
-    tp_all = fp_all = fn_all = 0
-    for j in range(Yt.shape[1]):
-        tp = int(np.sum((Yt[:, j] == 1) & (Yp[:, j] == 1)))
-        fp = int(np.sum((Yt[:, j] == 0) & (Yp[:, j] == 1)))
-        fn = int(np.sum((Yt[:, j] == 1) & (Yp[:, j] == 0)))
-        per_label.append(_prf(tp, fp, fn)[2])
-        tp_all += tp
-        fp_all += fp
-        fn_all += fn
-    macro = float(np.mean(per_label))
-    micro = _prf(tp_all, fp_all, fn_all)[2]
-    return macro, micro
+    per_label, micro = _per_label(Y_true, Y_pred)
+    return float(np.mean([f1 for _, _, f1 in per_label])), micro
 
 
 def one_hot(tasks: list[str], label_vocab: list[str]) -> np.ndarray:
@@ -922,28 +928,16 @@ def evaluate_multilabel(model: Model, X, tasks: list[str]) -> Metrics:
     labels = model.impl.labels_
     proba = model.scores(X)
     Y_true = one_hot(tasks, labels)
-    Y_pred = (proba >= 0.5).astype(int)
-    macro, micro = multilabel_f1(Y_true, Y_pred)
+    per_label, micro = _per_label(Y_true, (proba >= 0.5).astype(int))
+    precision, recall, macro = (float(np.mean(v)) for v in zip(*per_label))
 
     k = len(labels)
-    pos = {lab: i for i, lab in enumerate(labels)}
-    best = np.argmax(proba, axis=1)
-    confusion = [[0] * k for _ in range(k)]
-    for t, b in zip(tasks, best.tolist()):
-        confusion[pos[t]][b] += 1
-    correct = sum(confusion[i][i] for i in range(k))
-    accuracy = correct / len(tasks)
-    macro_p, macro_r = [], []
-    for j in range(k):
-        tp = int(np.sum((Y_true[:, j] == 1) & (Y_pred[:, j] == 1)))
-        fp = int(np.sum((Y_true[:, j] == 0) & (Y_pred[:, j] == 1)))
-        fn = int(np.sum((Y_true[:, j] == 1) & (Y_pred[:, j] == 0)))
-        pr, rc, _ = _prf(tp, fp, fn)
-        macro_p.append(pr)
-        macro_r.append(rc)
+    confusion = np.zeros((k, k), dtype=int)
+    np.add.at(confusion, (Y_true.argmax(axis=1), proba.argmax(axis=1)), 1)
     aucs = [roc_auc_score(Y_true[:, j], proba[:, j]) for j in range(k)
             if 0 < Y_true[:, j].sum() < len(tasks)]
-    return Metrics(accuracy=accuracy, precision=float(np.mean(macro_p)),
-                   recall=float(np.mean(macro_r)),
-                   f1=macro, roc_auc=float(np.mean(aucs)) if aucs else 0.5,
-                   confusion=confusion, f1_macro=macro, f1_micro=micro)
+    return Metrics(accuracy=int(np.trace(confusion)) / len(tasks),
+                   precision=precision, recall=recall, f1=macro,
+                   roc_auc=float(np.mean(aucs)) if aucs else 0.5,
+                   confusion=confusion.tolist(), f1_macro=macro,
+                   f1_micro=micro)

@@ -9,6 +9,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import learners
 from .errors import KTooLarge, NegativeFeature, PValueClampWarning, SingleClass
 from .features import FeatureMatrix, _write_table_csv
 
@@ -129,22 +130,24 @@ def chi2_scores(m: FeatureMatrix, labels: np.ndarray) -> list[ScoredFeature]:
     return out
 
 
+def _ranked(scores: list[ScoredFeature]) -> list[ScoredFeature]:
+    """By descending score; ties broken lexicographically."""
+    return sorted(scores, key=lambda s: (-s.score, s.name))
+
+
 def select_top_k(scores: list[ScoredFeature], k: int) -> list[str]:
-    """Top-k names by descending score; ties broken lexicographically."""
+    """Top-k names in `_ranked` order."""
     if k > len(scores):
         raise KTooLarge(f"k={k} exceeds {len(scores)} scored features")
-    ordered = sorted(scores, key=lambda s: (-s.score, s.name))
-    return [s.name for s in ordered[:k]]
+    return [s.name for s in _ranked(scores)[:k]]
 
 
 def forest_importance(m: FeatureMatrix, labels, forest_params: dict,
                       seed: int = 0) -> list[ScoredFeature]:
     """Mean impurity decrease per feature over a fitted random forest,
     normalized to sum to 1.  p_value is 1 (not applicable)."""
-    from . import learners  # local import to avoid a cycle
-
     labels = np.asarray(labels)
-    if labels.dtype.kind in "UOS":
+    if learners._is_multilabel(labels):
         # task names: rank with a multiclass forest over label indices
         classes = sorted(set(labels.tolist()))
         labels = np.array([classes.index(t) for t in labels])
@@ -156,6 +159,5 @@ def forest_importance(m: FeatureMatrix, labels, forest_params: dict,
 
 
 def write_scores_csv(scores: list[ScoredFeature], path) -> None:
-    ordered = sorted(scores, key=lambda s: (-s.score, s.name))
     _write_table_csv(path, ["name", "score", "p_value"],
-                     ([s.name, s.score, s.p_value] for s in ordered))
+                     ([s.name, s.score, s.p_value] for s in _ranked(scores)))

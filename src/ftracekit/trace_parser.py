@@ -39,12 +39,6 @@ class BodyKind(Enum):
 
 
 @dataclass(frozen=True)
-class ParserOptions:
-    strict: bool = False
-    indent: int = 2  # spaces per nesting level, kernel default
-
-
-@dataclass(frozen=True)
 class RawLine:
     kind: BodyKind
     cpu: int = -1
@@ -121,12 +115,6 @@ class TraceSample:
     def record_count(self) -> int:
         return len(self.preorder)
 
-    def call_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for rec in self.preorder:
-            counts[rec.name] = counts.get(rec.name, 0) + 1
-        return counts
-
 
 # line layout:  [abstime |]  cpu)  [comm-pid |]  [marker] [duration us]  |  body
 _ABSTIME_CPU_RE = re.compile(r"^\s*(\d+\.\d+)\s+\|\s*(\d+)\)(.*)$")
@@ -144,25 +132,21 @@ _NAME_RE = re.compile(r"^(\S+)\(\)$")
 # out as the step-by-step checks of _parse_line_strict take them.  A
 # duration selects the leaf and exit forms, its absence the entry form.
 # The lookahead refuses lines holding "=>" (boundaries) or a newline.  Any
-# line refused here takes the slow path.
-_LINE_PATTERN = (
+# line refused here takes the slow path.  Each nesting level indents by the
+# kernel's 2 spaces.
+_LINE_RE = re.compile(
     r"(?=[^=\n]*(?:=(?!>)[^=\n]*)*\Z)"
     r"\s*(?:(\d+\.\d+)\s+\|\s*)?(\d+)\)"               # [abstime |] cpu)
     r"(?:\s*\S+-\d+\s+\|)?"                             # [comm-pid |]
     r"\s*(?:[%s]\s*)?(?:(\d+(?:\.\d+)?)\s+us\s*)?\|"    # [marker] [duration us] |
-    r"  ((?: {%d})*)"                                     # gap, indentation
+    r"  ((?:  )*)"                                        # gap, indentation
     r"(?(3)(?:\}\s*;?\s*(?:/\*\s*(.*?)\s*\*/)?"           # exit
     r"|(?!\}|/\*)(\S+)\(\)\s*;)"                          # leaf
     r"|(?!\}|/\*)(\S+)\(\)\s*\{)"                         # entry
-    r"\s*\Z"
-)
+    r"\s*\Z" % re.escape(OVERHEAD_MARKERS))
 
 
-def _line_regex(indent: int) -> re.Pattern:
-    return re.compile(_LINE_PATTERN % (re.escape(OVERHEAD_MARKERS), indent))
-
-
-def _parse_line_strict(line: str, options: ParserOptions) -> RawLine:
+def _parse_line_strict(line: str) -> RawLine:
     """Classify one physical line of function_graph output; a malformed
     line raises MalformedLine."""
     stripped = line.strip()
@@ -206,9 +190,9 @@ def _parse_line_strict(line: str, options: ParserOptions) -> RawLine:
         raise MalformedLine(f"body column gap missing: {line!r}")
     body = body[2:]
     leading = len(body) - len(body.lstrip(" "))
-    if leading % options.indent != 0:
+    if leading % 2 != 0:
         raise MalformedLine(f"odd indentation ({leading} spaces): {line!r}")
-    depth = leading // options.indent
+    depth = leading // 2
     content = body.strip()
 
     if content.startswith("/*"):
@@ -247,7 +231,7 @@ def _parse_line_strict(line: str, options: ParserOptions) -> RawLine:
     raise MalformedLine(f"unrecognized body: {line!r}")
 
 
-def parse_trace(stream, options: ParserOptions = ParserOptions()) -> TraceSample:
+def parse_trace(stream, strict: bool = False) -> TraceSample:
     """Parse a complete or truncated function_graph dump.
 
     `stream` may be a string, an iterable of lines, or a file object.
@@ -263,8 +247,7 @@ def parse_trace(stream, options: ParserOptions = ParserOptions()) -> TraceSample
     stacks: dict[int, list[CallRecord]] = {}
     warnings: list[str] = []
     has_abstime = False
-    match = _line_regex(options.indent).match
-    step = options.indent
+    match = _LINE_RE.match
     ENTRY, LEAF, EXIT = BodyKind.ENTRY, BodyKind.LEAF, BodyKind.EXIT
     cur_cpu = None
     stack: list[CallRecord] = []
@@ -284,7 +267,7 @@ def parse_trace(stream, options: ParserOptions = ParserOptions()) -> TraceSample
                 abstime = float(abstime)
             if duration is not None:
                 duration = float(duration)
-            depth = len(indent) // step
+            depth = len(indent) // 2
             if entry is not None:
                 kind, name = ENTRY, entry
             elif leaf is not None:
@@ -293,9 +276,9 @@ def parse_trace(stream, options: ParserOptions = ParserOptions()) -> TraceSample
                 kind = EXIT
         else:
             try:
-                rl = _parse_line_strict(line, options)
+                rl = _parse_line_strict(line)
             except MalformedLine as exc:
-                if options.strict:
+                if strict:
                     exc.lineno = lineno
                     raise
                 warnings.append(f"line {lineno}: malformed, skipped ({exc})")
@@ -317,7 +300,7 @@ def parse_trace(stream, options: ParserOptions = ParserOptions()) -> TraceSample
             if depth != len(stack):
                 msg = (f"line {lineno}: depth {depth} does not match "
                        f"nesting level {len(stack)} on cpu {cpu}")
-                if options.strict:
+                if strict:
                     raise NestingError(msg)
                 warnings.append(msg)
             parent = stack[-1] if stack else None
@@ -333,7 +316,7 @@ def parse_trace(stream, options: ParserOptions = ParserOptions()) -> TraceSample
         else:
             if not stack:
                 msg = f"line {lineno}: unmatched exit on cpu {cpu}, dropped"
-                if options.strict:
+                if strict:
                     raise NestingError(msg)
                 warnings.append(msg)
                 continue
@@ -341,13 +324,13 @@ def parse_trace(stream, options: ParserOptions = ParserOptions()) -> TraceSample
             if depth != len(stack):
                 msg = (f"line {lineno}: exit depth {depth} does not match "
                        f"entry depth {len(stack)} on cpu {cpu}")
-                if options.strict:
+                if strict:
                     raise NestingError(msg)
                 warnings.append(msg)
             if tail and tail != rec.name:
                 msg = (f"line {lineno}: exit tail {tail!r} does not "
                        f"match open entry {rec.name!r}")
-                if options.strict:
+                if strict:
                     raise NestingError(msg)
                 warnings.append(msg)
             rec.duration_us = duration
@@ -399,11 +382,11 @@ def sidecar_path(trace_path) -> Path:
     return p.with_name(base + ".io.json")
 
 
-def load_sample(trace_path, options: ParserOptions = ParserOptions()) -> TraceSample:
+def load_sample(trace_path, strict: bool = False) -> TraceSample:
     """Parse one trace file plus its optional *.io.json sidecar."""
     p = Path(trace_path)
     with open(p, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        sample = parse_trace(fh, options)
+        sample = parse_trace(fh, strict)
     sample.source = str(p)
     sc = sidecar_path(p)
     if sc.exists():
@@ -421,7 +404,7 @@ def load_sample(trace_path, options: ParserOptions = ParserOptions()) -> TraceSa
     return sample
 
 
-def load_corpus(corpus_dir, options: ParserOptions = ParserOptions()) -> list[TraceSample]:
+def load_corpus(corpus_dir, strict: bool = False) -> list[TraceSample]:
     """Load every *.trace file under a directory (sorted, recursive)."""
     paths = sorted(Path(corpus_dir).rglob("*.trace"))
-    return [load_sample(p, options) for p in paths]
+    return [load_sample(p, strict) for p in paths]

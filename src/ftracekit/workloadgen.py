@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .trace_parser import CallRecord, IoMeta, TraceSample, format_forest
+from .trace_parser import CallRecord, IoMeta, format_forest
 
 CRYPTO_FUNCTIONS = [
     "aes_encrypt_block", "aes_key_expand", "sha256_transform",
@@ -169,18 +169,20 @@ _duration = attrgetter("duration_us")
 
 def generate_trace(profile: WorkloadProfile, seed: int,
                    n_root_calls: int = 30, multi_cpu: bool = False,
-                   n_cpus: int = 2, abstime: bool = False):
-    """Emit (trace text, IoMeta, GeneratorBookkeeping) for one workload run."""
+                   abstime: bool = False):
+    """Emit (trace text, IoMeta, GeneratorBookkeeping) for one workload run;
+    `multi_cpu` deals the root calls to CPUs 0 and 1 in turn."""
     rng = _rng_for(profile, seed)
     book = GeneratorBookkeeping(label=profile.label, task=profile.name)
     counts = book.call_counts
     names, cdf = _cdf(profile.vocabulary)
     log_median = math.log(profile.duration_median_us)
-    clocks = [1000.0 + cpu for cpu in range(n_cpus if multi_cpu else 1)]
+    n_cpus = 2 if multi_cpu else 1
+    clocks = [1000.0 + cpu for cpu in range(n_cpus)]
 
     roots: list[CallRecord] = []
     for t in range(n_root_calls):
-        cpu = t % n_cpus if multi_cpu else 0
+        cpu = t % n_cpus
         if profile.edge_scheme is not None:
             post = _ring_tree(profile, t, cpu, counts)
         elif (profile.crypto_intensity > 0
@@ -344,10 +346,3 @@ def profiles_by_name(name: str) -> list[WorkloadProfile]:
     except KeyError:
         raise ValueError(f"unknown profile set {name!r}; "
                          f"choose from {sorted(PROFILE_SETS)}") from None
-
-
-def bookkeeping_matches(book: GeneratorBookkeeping,
-                        sample: TraceSample) -> bool:
-    """Exact oracle check: parsed counts equal generator bookkeeping."""
-    return (sample.record_count() == book.total_calls
-            and sample.call_counts() == book.call_counts)

@@ -24,8 +24,8 @@ from test_callgraph import (adjacency_sets, oracle_betweenness,
                             oracle_clustering, oracle_avg_nbr_deg,
                             oracle_eigenvector, random_connected_graph)
 from test_learners import oracle_auc, xor_data
+from test_workloadgen import bookkeeping_matches
 
-STRICT = tp.ParserOptions(strict=True)
 
 
 def report(name, ok, detail=""):
@@ -68,11 +68,11 @@ def test_criterion_1_parser_round_trip():
             text, _, book = wg.generate_trace(
                 profile, seed=1000 + n, n_root_calls=20,
                 multi_cpu=(n % 2 == 0))
-            sample = tp.parse_trace(text, STRICT)
+            sample = tp.parse_trace(text, strict=True)
             if sample.warnings:
                 ok, detail = False, f"warnings on trace {n}: {sample.warnings}"
                 break
-            if not wg.bookkeeping_matches(book, sample):
+            if not bookkeeping_matches(book, sample):
                 ok, detail = False, f"count mismatch on trace {n}"
                 break
             n += 1

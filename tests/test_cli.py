@@ -89,6 +89,22 @@ class TestExitCodes:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("learner", ["tree", "forest"])
+    def test_value_rows_wider_than_classes(self, learner, feature_csv,
+                                           tmp_path, capsys):
+        model = tmp_path / "m.json"
+        assert run(["train", "--features", str(feature_csv), "--learner",
+                    learner, "--params", '{"n_trees": 3}', "--seed", "0",
+                    "--out", str(model)]) == 0
+        payload = json.loads(model.read_text())
+        state = payload["state"]
+        for tree in state.get("trees", [state]):
+            tree["value"] = [v + [0.0, 0.0] for v in tree["value"]]
+        model.write_text(json.dumps(payload))
+        rc = run(["eval", "--model", str(model), "--features", str(feature_csv)])
+        assert rc == 2
+        assert "malformed model file" in capsys.readouterr().err
+
 
 class TestPipeline:
     def test_gen_layout(self, small_corpus):

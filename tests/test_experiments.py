@@ -26,20 +26,10 @@ def toy_problem(n=100, seed=0, d=4):
     return matrix(X, labels=y), y
 
 
-class TestSplitSpec:
-    def test_fractions_must_sum_to_one(self):
-        with pytest.raises(ValueError):
-            ex.SplitSpec(0.8, 0.1, 0.2)
-
-    def test_default_is_80_10_10(self):
-        spec = ex.SplitSpec()
-        assert (spec.train_frac, spec.val_frac, spec.test_frac) == (0.8, 0.1, 0.1)
-
-
 class TestStratifiedSplit:
     def test_counts_100_balanced(self):
         labels = np.array([0] * 50 + [1] * 50)
-        tr, va, te = ex.stratified_split_indices(labels, ex.SplitSpec(seed=3))
+        tr, va, te = ex.stratified_split_indices(labels, 3)
         assert (len(tr), len(va), len(te)) == (80, 10, 10)
         for part in (va, te):
             assert (labels[part] == 0).sum() == 5
@@ -47,26 +37,25 @@ class TestStratifiedSplit:
 
     def test_same_seed_same_split(self):
         labels = np.array([0, 1] * 20)
-        a = ex.stratified_split_indices(labels, ex.SplitSpec(seed=5))
-        b = ex.stratified_split_indices(labels, ex.SplitSpec(seed=5))
+        a = ex.stratified_split_indices(labels, 5)
+        b = ex.stratified_split_indices(labels, 5)
         for x, y in zip(a, b):
             assert np.array_equal(x, y)
 
     def test_small_class_floor_is_one(self):
         labels = np.array([0] * 30 + [1] * 3)
-        tr, va, te = ex.stratified_split_indices(labels, ex.SplitSpec(seed=0))
+        tr, va, te = ex.stratified_split_indices(labels, 0)
         assert (labels[va] == 1).sum() == 1
         assert (labels[te] == 1).sum() == 1
         assert (labels[tr] == 1).sum() == 1
 
     def test_class_too_small(self):
         with pytest.raises(ClassTooSmall):
-            ex.stratified_split_indices(np.array([0, 0, 0, 1, 1]),
-                                        ex.SplitSpec())
+            ex.stratified_split_indices(np.array([0, 0, 0, 1, 1]), 0)
 
     def test_string_labels(self):
         labels = np.array(["a"] * 10 + ["b"] * 10)
-        tr, va, te = ex.stratified_split_indices(labels, ex.SplitSpec(seed=1))
+        tr, va, te = ex.stratified_split_indices(labels, 1)
         assert len(tr) == 16 and len(va) == 2 and len(te) == 2
 
 
@@ -306,7 +295,7 @@ class TestExperiments:
         paths = sorted(clean.rglob("*.trace"))
         metas = [json.loads(tp.sidecar_path(p).read_text()) for p in paths]
         _, _, te = ex.stratified_split_indices(
-            np.array([meta["label"] for meta in metas]), ex.SplitSpec(seed=7))
+            np.array([meta["label"] for meta in metas]), 7)
         corpus = tmp_path / "corpus"
         for i, (path, meta) in enumerate(zip(paths, metas)):
             dst = corpus / path.relative_to(clean)

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -13,7 +14,7 @@ from ftracekit.errors import EmptyCorpus
 
 
 def sample_from_text(text, io=None, label=None, task=None):
-    s = tp.parse_trace(text, tp.ParserOptions(strict=True))
+    s = tp.parse_trace(text, strict=True)
     s.io_meta = io
     s.label = label
     s.task_name = task
@@ -56,7 +57,9 @@ class TestVocabulary:
 
     def test_vocab_json_round_trip(self):
         vocab = ft.build_vocabulary([sample_from_text(TWO_FN_TEXT)])
-        again = ft.FeatureVocabulary.from_json(vocab.to_json())
+        data = json.loads(vocab.to_json())
+        again = ft.FeatureVocabulary(
+            data["functions"], [ft.FeatureColumn(**c) for c in data["columns"]])
         assert again == vocab
 
     def test_empty_corpus_raises(self):
@@ -194,7 +197,8 @@ class TestCsvRoundTrip:
         m = ft.extract_matrix([s, s], vocab)
         path = tmp_path / "feats.csv"
         ft.write_csv(m, path)
-        back = ft.read_csv(path, vocab)
+        back = ft.read_csv(path)
+        assert back.vocab == vocab
         assert back.X == pytest.approx(m.X, abs=1e-8)
         assert back.labels.tolist() == m.labels.tolist()
         assert back.tasks == m.tasks

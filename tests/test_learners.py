@@ -12,6 +12,9 @@ from ftracekit import learners as ln
 from ftracekit.errors import EmptyData, WidthMismatch
 
 
+NAN = float("nan")
+
+
 def xor_data():
     X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
     y = np.array([0, 1, 1, 0])
@@ -173,17 +176,6 @@ class TestGradientBoosting:
             assert getattr(again, name) == value
         assert np.array_equal(again.decision_scores(X),
                               model.impl.decision_scores(X))
-
-    def test_state_without_hyperparameters_loads_with_defaults(self):
-        X, y = self._data()
-        model = ln.GradientBoosting(**self.HYPERPARAMETERS).fit(X, y)
-        state = {k: v for k, v in model.to_dict().items()
-                 if k not in self.HYPERPARAMETERS}
-        again = ln.GradientBoosting.from_dict(state)
-        default = ln.GradientBoosting()
-        for name in self.HYPERPARAMETERS:
-            assert getattr(again, name) == getattr(default, name)
-        assert np.array_equal(again.decision_scores(X), model.decision_scores(X))
 
 
 class TestRefitAndReload:
@@ -440,13 +432,47 @@ def no_nodes(state):
         state[k] = []
 
 
+def wide_value(state):
+    state["value"] = [v + [0.0, 0.0] for v in state["value"]]
+
+
+def forest_wider_than_classes(state):
+    for tree in state["trees"]:  # each tree agrees with its own classes
+        tree["classes"].append(2)
+        tree["value"] = [v + [0.0] for v in tree["value"]]
+
+
+def forest_tree_wide_value(state):
+    wide_value(state["trees"][0])
+
+
+def forest_without_trees(state):
+    state["trees"] = []
+
+
+def booster_tree_wide_value(state):
+    wide_value(state["trees"][0])
+
+
+def booster_scale_missing(state):
+    state["scales"].pop()
+
+
+def booster_hyperparameter_missing(state):
+    del state["learning_rate"]
+
+
+def one_vs_rest_label_missing(state):
+    state["labels"].pop()
+
+
 class TestMalformedModelFiles:
     """Flat node lists can encode a cycle, which a prediction walk would
     follow forever; every such file is refused on load."""
 
     @pytest.mark.parametrize("corrupt", [
         self_loop, back_edge, unequal_lengths, feature_out_of_range,
-        negative_feature, flat_value, no_nodes])
+        negative_feature, flat_value, no_nodes, wide_value])
     def test_rejected(self, corrupt, tmp_path):
         path = tmp_path / "m.json"
         payload = xor_model_file(path)
@@ -464,6 +490,27 @@ class TestMalformedModelFiles:
         payload["state"]["trees"][-1]["left"][0] = 0  # a self-loop at a root
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match="malformed"):
+            ln.load_model(path)
+
+    @pytest.mark.parametrize("kind, corrupt", [
+        ("forest", forest_wider_than_classes),
+        ("forest", forest_tree_wide_value),
+        ("forest", forest_without_trees),
+        ("boosting", booster_tree_wide_value),
+        ("boosting", booster_scale_missing),
+        ("boosting", booster_hyperparameter_missing),
+        ("one_vs_rest", one_vs_rest_label_missing),
+    ], ids=lambda v: v if isinstance(v, str) else v.__name__)
+    def test_ensemble_parts_checked(self, kind, corrupt, tmp_path):
+        X, y = xor_data()
+        if kind == "one_vs_rest":
+            y = ["ab"[v] for v in y]
+        path = tmp_path / "m.json"
+        ln.save_model(ln.train(kind, X, y, {"n_trees": 3, "n_rounds": 3}), path)
+        payload = json.loads(path.read_text())
+        corrupt(payload["state"])
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="malformed model file"):
             ln.load_model(path)
 
 
@@ -491,6 +538,27 @@ class TestMetrics:
             assert ln.roc_auc_score(y, s) == pytest.approx(
                 oracle_auc(y, s), abs=1e-12)
 
+    @pytest.mark.parametrize("y, s, auc", [
+        ([1, 0, 1, 0, 1, 0], [0.5] * 6, 0.5),
+        ([1, 1, 0, 0, 1, 0, 0], [0.9, 0.4, 0.4, 0.1, 0.4, 0.9, 0.0],
+         0.7083333333333334),
+        ([1, 0, 0, 1, 0], [-0.0, 0.0, 0.3, 0.3, -1.0], 0.6666666666666666),
+        ([1, 0, 1, 0], [NAN, 0.2, 0.7, 0.7], 0.875),
+        ([1, 0, 1, 0], [0.1, NAN, 0.7, 0.2], 0.25),
+        ([1, 0, 1, 0, 0], [NAN, NAN, 0.5, 0.5, NAN], 0.25),
+        ([1, 0], [NAN, NAN], 0.0),
+        # NaNs rank last in input order, past the 16 elements a sort may
+        # handle by insertion alone
+        ([1, 1, 0, 0, 0, 0, 0, 0, 2, 1, 2, 1, 1, 2, 2, 1, 1, 1, 2, 0, 2],
+         [-0.0, 1.0, -0.0, NAN, 1.0, -0.0, 1.0, 1.0, NAN, 0.0, NAN, 1.0, NAN,
+          0.0, 0.0, NAN, NAN, 0.0, NAN, NAN, 1.0], 0.9107142857142857),
+    ], ids=["all_tied", "tied_across_classes", "signed_zeros", "nan_positive",
+            "nan_negative", "nans_both_classes", "only_nans", "nans_long"])
+    def test_auc_ties_and_nans_pinned(self, y, s, auc):
+        """Values of the earlier rank loop: ties share their mean rank, a
+        NaN is unequal to every score, NaNs included."""
+        assert ln.roc_auc_score(y, s) == auc
+
     def test_auc_degenerate_returns_half(self):
         assert ln.roc_auc_score([1, 1], [0.2, 0.8]) == 0.5
 
@@ -503,6 +571,13 @@ class TestMetrics:
         assert m.recall == 1.0
         assert m.f1 == pytest.approx(0.8)
         assert m.confusion == [[1, 1], [0, 2]]
+        # a forest on classes (0, 2) predicts 2: neither a positive nor a
+        # negative, so a true 1 predicted 2 is no false negative and a true 0
+        # predicted 2 no true negative
+        m = ln.binary_metrics([1, 1, 1, 0, 0, 0], [1, 2, 0, 2, 0, 1])
+        assert m.confusion == [[1, 1], [1, 1]]
+        assert m.accuracy == 2 / 6
+        assert (m.precision, m.recall, m.f1) == (0.5, 0.5, 0.5)
 
     def test_one_hot(self):
         Y = ln.one_hot(["b", "a", "b"], ["a", "b"])

@@ -27,9 +27,15 @@ from ftracekit import trace_parser as tp
 from ftracekit import workloadgen as wg
 from ftracekit.errors import MalformedLine, NestingError
 from ftracekit.trace_parser import (OVERHEAD_MARKERS, BodyKind, CallRecord,
-                                    ParserOptions, TraceSample)
+                                    TraceSample)
 
 # reference parser
+
+
+@dataclass(frozen=True)
+class ParserOptions:
+    strict: bool = False
+    indent: int = 2  # spaces per nesting level, kernel default
 
 
 @dataclass(frozen=True)
@@ -232,7 +238,7 @@ def parse_trace(stream, options: ParserOptions = ParserOptions()) -> TraceSample
 
 STRICT = ParserOptions(strict=True)
 TOLERANT = ParserOptions()
-FAST = tp._line_regex(TOLERANT.indent)
+FAST = tp._LINE_RE
 
 
 def fast_fields(m):
@@ -424,10 +430,10 @@ def mutated_trace(draw):
     return "\n".join(lines) if as_text else lines
 
 
-def outcome(parse, stream, options):
+def outcome(parse, stream, mode):
     """Records, warnings and abstime flag, or the exception raised."""
     try:
-        s = parse(stream, options)
+        s = parse(stream, mode)
     except (MalformedLine, NestingError) as exc:
         return type(exc), str(exc), getattr(exc, "lineno", None)
     return s.records, s.warnings, s.has_abstime
@@ -440,7 +446,7 @@ class TestParseTrace:
     def test_same_records_and_warnings_in_both_modes(self, stream):
         for options in (TOLERANT, STRICT):
             want = outcome(parse_trace, stream, options)
-            got = outcome(tp.parse_trace, stream, options)
+            got = outcome(tp.parse_trace, stream, options.strict)
             assert got == want
 
     @settings(max_examples=300, deadline=None)
@@ -453,4 +459,4 @@ class TestParseTrace:
     def test_generated_traces_parse_identically(self):
         for lines in BASE:
             text = "\n".join(lines)
-            assert tp.parse_trace(text, STRICT) == parse_trace(text, STRICT)
+            assert tp.parse_trace(text, strict=True) == parse_trace(text, STRICT)

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,10 +8,9 @@ from ftracekit import features as ft
 from ftracekit import trace_parser as tp
 from ftracekit import workloadgen as wg
 from ftracekit.errors import MalformedLine, NestingError
-from ftracekit.trace_parser import BodyKind, ParserOptions
+from ftracekit.trace_parser import BodyKind
 
 
-STRICT = ParserOptions(strict=True)
 
 
 def format_sample(sample):
@@ -19,7 +20,7 @@ def format_sample(sample):
 
 
 def parse_line(line):
-    return tp._parse_line_strict(line, ParserOptions())
+    return tp._parse_line_strict(line)
 
 
 class TestParseLine:
@@ -88,7 +89,7 @@ class TestParseTrace:
             " 0)   0.300 us    |    rw_verify_area();",
             " 0)   2.150 us    |  } /* vfs_read */",
         ])
-        sample = tp.parse_trace(text, STRICT)
+        sample = tp.parse_trace(text, strict=True)
         (root,) = sample.records[0]
         assert root.name == "vfs_read"
         assert root.duration_us == 2.15
@@ -110,7 +111,7 @@ class TestParseTrace:
             " 0)   0.200 us    |    b();",
             " 0)   1.000 us    |  } /* a */",
         ])
-        sample = tp.parse_trace(text, STRICT)
+        sample = tp.parse_trace(text, strict=True)
         assert [r.name for r in sample.records[0][0].walk()] == ["a", "b"]
         assert sample.records[1][0].name == "c"
 
@@ -127,7 +128,7 @@ class TestParseTrace:
 
     def test_unmatched_exit_strict_raises(self):
         with pytest.raises(NestingError):
-            tp.parse_trace(" 0)   1.000 us    |  } /* a */", STRICT)
+            tp.parse_trace(" 0)   1.000 us    |  } /* a */", strict=True)
 
     def test_tail_name_mismatch(self):
         text = "\n".join([
@@ -138,7 +139,7 @@ class TestParseTrace:
         assert sample.records[0][0].duration_us == 1.0
         assert any("tail" in w for w in sample.warnings)
         with pytest.raises(NestingError):
-            tp.parse_trace(text, STRICT)
+            tp.parse_trace(text, strict=True)
 
     def test_tolerant_mode_never_aborts_on_arbitrary_bytes(self):
         import random
@@ -158,7 +159,7 @@ class TestParseTrace:
         assert sample.warnings[0].startswith("line 1: malformed, skipped")
         assert [r.name for r in sample.records[0]] == ["g"]
         with pytest.raises(MalformedLine):
-            tp.parse_trace(bad, STRICT)
+            tp.parse_trace(bad, strict=True)
 
     def test_deep_nesting_is_walked_without_recursion(self):
         depth = 3000
@@ -166,7 +167,7 @@ class TestParseTrace:
                  for i in range(depth)]
         lines += [f" 0)   1.000 us    |  {'  ' * i}}} /* f{i % 3} */"
                   for i in reversed(range(depth))]
-        sample = tp.parse_trace("\n".join(lines), STRICT)
+        sample = tp.parse_trace("\n".join(lines), strict=True)
         assert sample.record_count() == depth
         assert [r.depth for r in sample.preorder] == list(range(depth))
         vocab = ft.build_vocabulary([sample])
@@ -177,39 +178,39 @@ class TestParseTrace:
         depth = 3000
         text = "".join(f" 0)               |  {'  ' * i}f{i % 3}() {{\n"
                        for i in range(depth))
-        sample = tp.parse_trace(text, tp.ParserOptions())  # left unclosed
+        sample = tp.parse_trace(text)  # left unclosed
         out = format_sample(sample)
         assert len(out.splitlines()) == 2 * depth - 1  # innermost is a leaf
-        assert format_sample(tp.parse_trace(out, STRICT)) == out
+        assert format_sample(tp.parse_trace(out, strict=True)) == out
 
 
 class TestGeneratedTraces:
     @pytest.mark.parametrize("profile", wg.default_pair() + wg.task_profiles())
     def test_roundtrip_and_bookkeeping(self, profile):
         text, _, book = wg.generate_trace(profile, seed=5, n_root_calls=15)
-        sample = tp.parse_trace(text, STRICT)
+        sample = tp.parse_trace(text, strict=True)
         assert sample.warnings == []
         assert sample.record_count() == book.total_calls
-        assert sample.call_counts() == book.call_counts
-        again = tp.parse_trace(format_sample(sample), STRICT)
+        assert Counter(rec.name for rec in sample.preorder) == book.call_counts
+        again = tp.parse_trace(format_sample(sample), strict=True)
         assert again.records == sample.records
 
     def test_roundtrip_with_abstime_and_multi_cpu(self):
         profile = wg.default_pair()[0]
         text, _, book = wg.generate_trace(profile, seed=9, n_root_calls=20,
                                           multi_cpu=True, abstime=True)
-        sample = tp.parse_trace(text, STRICT)
+        sample = tp.parse_trace(text, strict=True)
         assert sample.warnings == []
         assert sample.has_abstime
         assert set(sample.records) == {0, 1}
         assert sample.record_count() == book.total_calls
-        again = tp.parse_trace(format_sample(sample), STRICT)
+        again = tp.parse_trace(format_sample(sample), strict=True)
         assert again.records == sample.records
 
     def test_duration_containment(self):
         profile = wg.default_pair()[1]
         text, _, _ = wg.generate_trace(profile, seed=2, n_root_calls=25)
-        sample = tp.parse_trace(text, STRICT)
+        sample = tp.parse_trace(text, strict=True)
         for rec in sample.preorder:
             # a parent's duration covers the sum of its children's
             assert rec.duration_us >= sum(c.duration_us for c in rec.children) - 1e-3
@@ -217,7 +218,7 @@ class TestGeneratedTraces:
     def test_depth_increments_by_one(self):
         profile = wg.default_pair()[1]
         text, _, _ = wg.generate_trace(profile, seed=4, n_root_calls=25)
-        sample = tp.parse_trace(text, STRICT)
+        sample = tp.parse_trace(text, strict=True)
         for rec in sample.preorder:
             for child in rec.children:
                 assert child.depth == rec.depth + 1
@@ -256,7 +257,7 @@ class TestFormatRoundTrip:
     @given(forests(), st.booleans())
     def test_parse_inverts_format(self, roots, abstime):
         text = tp.format_forest(roots, abstime=abstime)
-        sample = tp.parse_trace(text, STRICT)
+        sample = tp.parse_trace(text, strict=True)
         assert sample.warnings == []
         assert sample.has_abstime == abstime
         parsed = [r for cpu in sorted(sample.records)
@@ -269,7 +270,7 @@ class TestSidecar:
     def test_load_sample_reads_sidecar(self, tmp_path):
         wg.generate_corpus(wg.default_pair(), 1, seed=3, out_dir=tmp_path,
                            n_root_calls=5)
-        samples = tp.load_corpus(tmp_path, STRICT)
+        samples = tp.load_corpus(tmp_path, strict=True)
         assert len(samples) == 2
         assert {s.label for s in samples} == {0, 1}
         assert all(s.io_meta is not None for s in samples)

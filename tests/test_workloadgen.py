@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,7 +9,11 @@ import pytest
 from ftracekit import trace_parser as tp
 from ftracekit import workloadgen as wg
 
-STRICT = tp.ParserOptions(strict=True)
+
+def bookkeeping_matches(book, sample) -> bool:
+    """Exact oracle check: parsed counts equal generator bookkeeping."""
+    return (sample.record_count() == book.total_calls
+            and Counter(rec.name for rec in sample.preorder) == book.call_counts)
 
 
 class TestProfiles:
@@ -47,14 +52,14 @@ class TestGenerateTrace:
     def test_bookkeeping_oracle(self):
         for p in wg.task_profiles():
             text, _, book = wg.generate_trace(p, seed=3, n_root_calls=12)
-            sample = tp.parse_trace(text, STRICT)
-            assert wg.bookkeeping_matches(book, sample)
+            sample = tp.parse_trace(text, strict=True)
+            assert bookkeeping_matches(book, sample)
 
     def test_zero_roots(self):
         p = wg.default_pair()[0]
         text, _, book = wg.generate_trace(p, seed=0, n_root_calls=0)
         assert book.total_calls == 0
-        assert tp.parse_trace(text, STRICT).record_count() == 0
+        assert tp.parse_trace(text, strict=True).record_count() == 0
 
     def test_ring_classes_share_count_distribution(self):
         tight, loose = wg.graph_signal_pair()
@@ -67,8 +72,8 @@ class TestGenerateTrace:
         tight, loose = wg.graph_signal_pair()
         text_t, _, _ = wg.generate_trace(tight, seed=5, n_root_calls=24)
         text_l, _, _ = wg.generate_trace(loose, seed=5, n_root_calls=24)
-        g_t = cg.build_graph(tp.parse_trace(text_t, STRICT))
-        g_l = cg.build_graph(tp.parse_trace(text_l, STRICT))
+        g_t = cg.build_graph(tp.parse_trace(text_t, strict=True))
+        g_l = cg.build_graph(tp.parse_trace(text_l, strict=True))
         cl_t = np.mean(list(cg.clustering(g_t).values()))
         cl_l = np.mean(list(cg.clustering(g_l).values()))
         assert cl_t > cl_l + 0.2
@@ -88,7 +93,7 @@ class TestGenerateCorpus:
             assert trace.exists() and sidecar.exists()
             text = trace.read_text()
             assert hashlib.sha256(text.encode()).hexdigest() == entry["sha256"]
-            sample = tp.parse_trace(text, STRICT)
+            sample = tp.parse_trace(text, strict=True)
             assert sample.record_count() == entry["total_calls"]
             meta = json.loads(sidecar.read_text())
             assert set(meta) == {"label", "task", "read_count", "write_count",
