@@ -122,8 +122,7 @@ def connected_components(adj) -> list[list]:
     return comps
 
 
-def eigenvector(graph: CallGraph, tol: float = 1e-10,
-                max_iter: int = 1000) -> dict[str, float]:
+def eigenvector(graph: CallGraph, max_iter: int = 1000) -> dict[str, float]:
     """Principal-eigenvector scores via power iteration on A + I.
 
     Computed on the largest connected component (nodes elsewhere get 0);
@@ -158,7 +157,7 @@ def eigenvector(graph: CallGraph, tol: float = 1e-10,
         y = [t / norm for t in y]
         change = max(map(abs, map(sub, x, y)))
         x = y
-        if change < tol:
+        if change < 1e-10:
             converged = True
             break
     if not converged:

@@ -195,7 +195,7 @@ class _FlatTree:
         return {k: getattr(self, k).tolist() for k in self._ARRAYS}
 
     @classmethod
-    def from_dict(cls, d: dict, width: int = 1) -> "_FlatTree":
+    def from_dict(cls, d: dict, width: int) -> "_FlatTree":
         """Read `to_dict` output.  Raises ValueError unless the lists
         have one nonzero length, `value` rows are `width` wide, leaves have
         both child ids -1 and internal nodes have a feature id >= 0 and
@@ -571,7 +571,7 @@ class GradientBoosting:
         m.prior = d["prior"]
         m.constant = d["constant"]
         m.scales = list(d["scales"])
-        m.trees = [RegressionTree.from_dict(t) for t in d["trees"]]
+        m.trees = [RegressionTree.from_dict(t, 1) for t in d["trees"]]
         if len(m.scales) != len(m.trees):
             raise ValueError(f"{len(m.scales)} scales for {len(m.trees)} trees")
         m._stack_trees()

@@ -262,8 +262,8 @@ def generate_corpus(profiles: list[WorkloadProfile], per_profile_count: int,
     return manifest
 
 
-def _mix(base: list[str], extra: list[str], base_rate=1.0, extra_rate=3.0):
-    return ([(n, base_rate) for n in base] + [(n, extra_rate) for n in extra])
+def _mix(base: list[str], extra: list[str], extra_rate=3.0):
+    return [(n, 1.0) for n in base] + [(n, extra_rate) for n in extra]
 
 
 def default_pair() -> list[WorkloadProfile]:
