@@ -209,7 +209,7 @@ class _FlatTree:
         n = len(t.feature)
         inner = t.left != -1
         ids = np.flatnonzero(inner)
-        if (n == 0 or t.value.ndim != 2 or t.value.shape != (n, width)
+        if (n == 0 or t.value.shape != (n, width)
                 or any(getattr(t, k).shape != (n,) for k in cls._ARRAYS[:4])
                 or np.any(t.right[~inner] != -1)
                 or np.any(t.feature[inner] < 0)
