@@ -152,10 +152,11 @@ def _json_dumps(obj, indent: int | None = None) -> str:
     return "".join(out)
 
 
-def _read_labeled_csv(path) -> features.FeatureMatrix:
+def _read_labeled_csv(path, column="label") -> features.FeatureMatrix:
+    """A feature CSV whose `column`, "label" or "task", is set on every row."""
     m = features.read_csv(path)
-    if m.labels is None:
-        raise ValueError(f"feature CSV {path} has rows without a label")
+    if (m.tasks if column == "task" else m.labels) is None:
+        raise ValueError(f"feature CSV {path} has rows without a {column}")
     return m
 
 
@@ -237,9 +238,11 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     model = learners.load_model(args.model)
-    m = _read_labeled_csv(args.features)
+    multilabel = isinstance(model.impl, learners.OneVsRest)
+    m = _read_labeled_csv(args.features, "task" if multilabel else "label")
     kept = m.subset_columns(model.feature_names)
-    metrics = learners.evaluate(model, kept.X, m.labels)
+    metrics = learners.evaluate(model, kept.X,
+                                m.tasks if multilabel else m.labels)
     text = json.dumps(metrics.as_dict(), indent=2)
     if args.out:
         Path(args.out).write_text(text)

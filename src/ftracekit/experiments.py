@@ -22,7 +22,12 @@ from . import features as feat
 from . import learners, selection
 from .errors import ClassTooSmall, EmptyGrid, EmptyGroup
 from .features import FeatureMatrix
-from .learners import _is_multilabel, _sub_seed
+from .learners import _sub_seed
+
+
+def _is_multilabel(labels) -> bool:
+    """Task-name targets (strings), as opposed to binary 0/1 labels."""
+    return np.asarray(labels).dtype.kind in "UOS"
 
 
 @dataclass
@@ -145,14 +150,8 @@ class FittedPipeline:
         scaled = self.scaling.apply(m) if self.scaling else m
         return scaled.subset_columns(self.columns)
 
-    def metrics(self, X, y) -> learners.Metrics:
-        """Metrics on already transformed rows: binary or task-name y."""
-        if _is_multilabel(y):
-            return learners.evaluate_multilabel(self.model, X, list(y))
-        return learners.evaluate(self.model, X, y)
-
     def evaluate(self, m: FeatureMatrix, y) -> learners.Metrics:
-        return self.metrics(self.transform(m).X, y)
+        return learners.evaluate(self.model, self.transform(m).X, y)
 
 
 @dataclass
@@ -296,7 +295,7 @@ def perturbation_study(train_m: FeatureMatrix, test_m: FeatureMatrix,
     sigmas = list(sigmas or DEFAULT_SIGMAS)
     fitted = pipeline.fit(train_m, train_m.labels, seed)
     X_test = fitted.transform(test_m).X
-    baseline = fitted.metrics(X_test, test_m.labels).accuracy
+    baseline = learners.evaluate(fitted.model, X_test, test_m.labels).accuracy
     table = []
     for j in range(len(fitted.columns)):
         row = [baseline]
@@ -304,7 +303,7 @@ def perturbation_study(train_m: FeatureMatrix, test_m: FeatureMatrix,
             rng = np.random.default_rng(_sub_seed(seed, j, s_idx))
             X = X_test.copy()
             X[:, j] += rng.normal(0.0, sigma, size=X.shape[0])
-            row.append(fitted.metrics(X, test_m.labels).accuracy)
+            row.append(learners.evaluate(fitted.model, X, test_m.labels).accuracy)
         table.append(row)
     return {"features": fitted.columns, "sigmas": [0.0] + sigmas,
             "baseline": baseline, "accuracy": table}
@@ -492,13 +491,13 @@ def run_experiment_2(corpus_dir, config: Optional[dict] = None,
 
     final = pipe.fit(pool, pool.tasks, _sub_seed(seed, 99))
     X_test = final.transform(test).X
-    test_metrics = final.metrics(X_test, test.tasks)
+    test_metrics = learners.evaluate(final.model, X_test, test.tasks)
 
     noise_rows = []
     for s_idx, sigma in enumerate(cfg["sigmas"]):
         rng = np.random.default_rng(_sub_seed(seed, 7, s_idx))
         X = X_test + rng.normal(0.0, sigma, size=X_test.shape)
-        met = final.metrics(X, test.tasks)
+        met = learners.evaluate(final.model, X, test.tasks)
         noise_rows.append({"sigma": sigma, "f1_macro": met.f1_macro,
                            "f1_micro": met.f1_micro})
 

@@ -125,7 +125,10 @@ class FeatureMatrix:
 
     def subset_columns(self, names: list[str]) -> "FeatureMatrix":
         pos = {c.name: i for i, c in enumerate(self.vocab.columns)}
-        idx = [pos[n] for n in names]
+        try:
+            idx = [pos[n] for n in names]
+        except KeyError as exc:
+            raise ValueError(f"no feature column {exc.args[0]!r}") from None
         vocab = FeatureVocabulary(
             function_names=self.vocab.function_names,
             columns=[self.vocab.columns[i] for i in idx])

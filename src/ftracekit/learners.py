@@ -25,11 +25,6 @@ def _sub_seed(seed: int, *tags: int) -> int:
     return int(np.random.SeedSequence([seed, *tags]).generate_state(1)[0])
 
 
-def _is_multilabel(labels) -> bool:
-    """Task-name targets (strings), as opposed to binary 0/1 labels."""
-    return np.asarray(labels).dtype.kind in "UOS"
-
-
 # ---------------------------------------------------------------------------
 # decision trees
 
@@ -219,7 +214,35 @@ class _FlatTree:
         return t
 
 
-class DecisionTree(_FlatTree):
+class _ClassProbaOutputs:
+    """`outputs` and `predict` over `predict_proba` and `classes_`."""
+
+    def outputs(self, X) -> tuple[np.ndarray, np.ndarray]:
+        """(predictions, P(class 1)) from one model pass: the most probable
+        class, ties to the lowest; zero scores when 1 is not a class."""
+        proba = self.predict_proba(X)
+        classes = self.classes_.tolist()
+        scores = (proba[:, classes.index(1)] if 1 in classes
+                  else np.zeros(len(proba)))
+        return self.classes_[np.argmax(proba, axis=1)], scores
+
+    def predict(self, X) -> np.ndarray:
+        return self.outputs(X)[0]
+
+
+class _Proba1Outputs:
+    """`outputs` and `predict` over `predict_proba1`, P(class 1)."""
+
+    def outputs(self, X) -> tuple[np.ndarray, np.ndarray]:
+        """(p >= 0.5 as 0/1, p) for p = P(class 1) from one model pass."""
+        p = self.predict_proba1(X)
+        return (p >= 0.5).astype(int), p
+
+    def predict(self, X) -> np.ndarray:
+        return self.outputs(X)[0]
+
+
+class DecisionTree(_ClassProbaOutputs, _FlatTree):
     """CART classifier with exact midpoint threshold search.
 
     Each node stable-argsorts only its candidate columns (all of them, or
@@ -230,6 +253,8 @@ class DecisionTree(_FlatTree):
     with an explicit stack, so depth is bounded by the data, not by
     Python's recursion limit.
     """
+
+    _HYPERPARAMETERS = ("max_depth", "min_samples_split")
 
     def __init__(self, max_depth=None, min_samples_split=2,
                  max_features=None, rng=None):
@@ -295,9 +320,6 @@ class DecisionTree(_FlatTree):
 
     def predict_proba(self, X) -> np.ndarray:
         return self.value[self._leaves(X)[0]]
-
-    def predict(self, X) -> np.ndarray:
-        return self.classes_[np.argmax(self.predict_proba(X), axis=1)]
 
     def to_dict(self) -> dict:
         return {"classes": self.classes_.tolist(), **super().to_dict()}
@@ -382,7 +404,10 @@ class RegressionTree(_FlatTree):
 # ---------------------------------------------------------------------------
 # ensembles and linear model
 
-class RandomForest:
+class RandomForest(_ClassProbaOutputs):
+    _HYPERPARAMETERS = ("n_trees", "max_depth", "min_samples_split",
+                        "max_features", "bootstrap")
+
     def __init__(self, n_trees=100, max_depth=None, min_samples_split=2,
                  max_features="sqrt", bootstrap=True, seed=0):
         self.n_trees = n_trees
@@ -429,11 +454,6 @@ class RandomForest:
         """Mean over the (trees, rows, classes) leaf probabilities."""
         return np.mean(self._stack.value[self._stack._leaves(X)], axis=0)
 
-    def predict(self, X) -> np.ndarray:
-        """The class of highest mean probability, the one `predict_proba`
-        scores; ties go to the lowest class."""
-        return self.classes_[np.argmax(self.predict_proba(X), axis=1)]
-
     def feature_importances(self) -> np.ndarray:
         raw = np.mean([t._imp_raw for t in self.trees], axis=0)
         total = raw.sum()
@@ -464,7 +484,7 @@ def _log_loss(y, p):
     return float(-np.mean(y * np.log(p) + (1 - y) * np.log(1 - p)))
 
 
-class GradientBoosting:
+class GradientBoosting(_Proba1Outputs):
     """Gradient boosting with logistic loss.
 
     Each round fits a regression tree to the residuals y - p with Newton
@@ -553,9 +573,6 @@ class GradientBoosting:
     def predict_proba1(self, X) -> np.ndarray:
         return _sigmoid(self.decision_scores(X))
 
-    def predict(self, X) -> np.ndarray:
-        return (self.predict_proba1(X) >= 0.5).astype(int)
-
     _HYPERPARAMETERS = ("n_rounds", "learning_rate", "max_depth",
                         "min_samples_split")
 
@@ -568,7 +585,7 @@ class GradientBoosting:
     @classmethod
     def from_dict(cls, d: dict) -> "GradientBoosting":
         m = cls(**{k: d[k] for k in cls._HYPERPARAMETERS})
-        m.prior = d["prior"]
+        m.prior = float(d["prior"])
         m.constant = d["constant"]
         m.scales = list(d["scales"])
         m.trees = [RegressionTree.from_dict(t, 1) for t in d["trees"]]
@@ -578,9 +595,11 @@ class GradientBoosting:
         return m
 
 
-class LogisticModel:
+class LogisticModel(_Proba1Outputs):
     """L2-regularized logistic regression, full-batch gradient descent,
     deterministic zero initialization (bias unregularized)."""
+
+    _HYPERPARAMETERS = ("epochs", "step", "l2")
 
     def __init__(self, epochs=500, step=0.5, l2=1e-4):
         self.epochs = epochs
@@ -614,9 +633,6 @@ class LogisticModel:
     def predict_proba1(self, X) -> np.ndarray:
         return _sigmoid(np.asarray(X, dtype=float) @ self.w + self.b)
 
-    def predict(self, X) -> np.ndarray:
-        return (self.predict_proba1(X) >= 0.5).astype(int)
-
     def to_dict(self) -> dict:
         return {"w": self.w.tolist(), "b": self.b}
 
@@ -624,7 +640,7 @@ class LogisticModel:
     def from_dict(cls, d: dict) -> "LogisticModel":
         m = cls()
         m.w = np.asarray(d["w"], dtype=float)
-        m.b = d["b"]
+        m.b = float(d["b"])
         return m
 
 
@@ -651,13 +667,11 @@ class OneVsRest:
             self.models_.append(impl)
         return self
 
-    def predict_proba(self, X) -> np.ndarray:
-        cols = [_binary_outputs(self.base_kind, impl, X)[1]
-                for impl in self.models_]
-        return np.column_stack(cols)
-
-    def predict_matrix(self, X) -> np.ndarray:
-        return (self.predict_proba(X) >= 0.5).astype(int)
+    def outputs(self, X) -> tuple[np.ndarray, np.ndarray]:
+        """(0/1 label matrix, probability matrix), one column per label:
+        each base model's P(class 1), thresholded at 0.5."""
+        scores = np.column_stack([m.outputs(X)[1] for m in self.models_])
+        return (scores >= 0.5).astype(int), scores
 
     def to_dict(self) -> dict:
         return {"base_kind": self.base_kind, "labels": self.labels_,
@@ -687,49 +701,19 @@ _IMPL_CLASSES = {
 
 
 def _fit_impl(kind, X, y, params, seed):
+    """Fit a `kind` learner on the keys of `params` it accepts, ignoring
+    the rest; one-vs-rest takes its base kind from the "base" key."""
     params = dict(params)
-    if kind == "tree":
-        impl = DecisionTree(max_depth=params.get("max_depth"),
-                            min_samples_split=params.get("min_samples_split", 2))
-        return impl.fit(X, y)
-    if kind == "forest":
-        impl = RandomForest(n_trees=params.get("n_trees", 100),
-                            max_depth=params.get("max_depth"),
-                            min_samples_split=params.get("min_samples_split", 2),
-                            max_features=params.get("max_features", "sqrt"),
-                            bootstrap=params.get("bootstrap", True),
-                            seed=seed)
-        return impl.fit(X, y)
-    if kind == "boosting":
-        impl = GradientBoosting(n_rounds=params.get("n_rounds", 100),
-                                learning_rate=params.get("learning_rate", 0.1),
-                                max_depth=params.get("max_depth", 3),
-                                min_samples_split=params.get("min_samples_split", 2))
-        return impl.fit(X, y)
-    if kind == "logistic":
-        impl = LogisticModel(epochs=params.get("epochs", 500),
-                             step=params.get("step", 0.5),
-                             l2=params.get("l2", 1e-4))
-        return impl.fit(X, y)
     if kind == "one_vs_rest":
-        base = params.pop("base", "forest")
-        impl = OneVsRest(base_kind=base, base_params=params, seed=seed)
-        return impl.fit(X, y)
-    raise ValueError(f"unknown learner kind {kind!r}")
-
-
-def _binary_outputs(kind, impl, X) -> tuple[np.ndarray, np.ndarray]:
-    """(predictions, probability of the positive class 1) of a binary
-    learner, both from one model pass."""
-    if kind == "tree" or kind == "forest":
-        proba = impl.predict_proba(X)
-        preds = impl.classes_[np.argmax(proba, axis=1)]
-        classes = impl.classes_.tolist()
-        if 1 in classes:
-            return preds, proba[:, classes.index(1)]
-        return preds, np.zeros(len(proba))
-    p = impl.predict_proba1(X)
-    return (p >= 0.5).astype(int), p
+        return OneVsRest(base_kind=params.pop("base", "forest"),
+                         base_params=params, seed=seed).fit(X, y)
+    if kind not in _IMPL_CLASSES:
+        raise ValueError(f"unknown learner kind {kind!r}")
+    cls = _IMPL_CLASSES[kind]
+    kwargs = {k: params[k] for k in cls._HYPERPARAMETERS if k in params}
+    if cls is RandomForest:
+        kwargs["seed"] = seed
+    return cls(**kwargs).fit(X, y)
 
 
 @dataclass
@@ -749,16 +733,10 @@ class Model:
         return X
 
     def predict(self, X) -> np.ndarray:
-        X = self._check_width(X)
-        if self.kind == "one_vs_rest":
-            return self.impl.predict_matrix(X)
-        return _binary_outputs(self.kind, self.impl, X)[0]
+        return self.impl.outputs(self._check_width(X))[0]
 
     def scores(self, X) -> np.ndarray:
-        X = self._check_width(X)
-        if self.kind == "one_vs_rest":
-            return self.impl.predict_proba(X)
-        return _binary_outputs(self.kind, self.impl, X)[1]
+        return self.impl.outputs(self._check_width(X))[1]
 
 
 def train(kind: str, X, y, params: Optional[dict] = None, seed: int = 0,
@@ -784,11 +762,11 @@ def save_model(model: Model, path) -> None:
     Path(path).write_text(json.dumps(payload))
 
 
-def _flat_trees(impl) -> list[_FlatTree]:
-    """Every fitted tree of a model, one-vs-rest bases included."""
+def _parts(impl) -> list:
+    """Every fitted tree and logistic model, one-vs-rest bases included."""
     if isinstance(impl, OneVsRest):
-        return [t for m in impl.models_ for t in _flat_trees(m)]
-    return [impl] if isinstance(impl, _FlatTree) else getattr(impl, "trees", [])
+        return [p for m in impl.models_ for p in _parts(m)]
+    return getattr(impl, "trees", [impl])
 
 
 def load_model(path) -> Model:
@@ -806,8 +784,11 @@ def load_model(path) -> Model:
     try:
         kind, names = payload["kind"], payload["feature_names"]
         impl = _IMPL_CLASSES[kind].from_dict(payload["state"])
-        if any(t.feature.max() >= len(names) for t in _flat_trees(impl)):
-            raise ValueError(f"a feature id beyond its {len(names)} names")
+        n, parts = len(names), _parts(impl)
+        if any(isinstance(p, _FlatTree) and p.feature.max() >= n for p in parts):
+            raise ValueError(f"a feature id beyond its {n} names")
+        if any(isinstance(p, LogisticModel) and p.w.shape != (n,) for p in parts):
+            raise ValueError(f"logistic weights not a flat list of {n}")
         return Model(kind=kind, params=payload["params"],
                      seed=payload["seed"], feature_names=names, impl=impl)
     except (KeyError, TypeError, ValueError, OverflowError,
@@ -904,39 +885,37 @@ def one_hot(tasks: list[str], label_vocab: list[str]) -> np.ndarray:
     pos = {lab: i for i, lab in enumerate(label_vocab)}
     Y = np.zeros((len(tasks), len(label_vocab)), dtype=int)
     for i, t in enumerate(tasks):
+        if t not in pos:
+            raise ValueError(f"task {t!r} is not one of {label_vocab}")
         Y[i, pos[t]] = 1
     return Y
 
 
 def evaluate(model: Model, X, y_true) -> Metrics:
-    """Binary evaluation; positive class is 1.  Predictions and scores
-    come from one model pass."""
-    preds, scores = _binary_outputs(model.kind, model.impl,
-                                    model._check_width(X))
-    return binary_metrics(y_true, preds, scores)
+    """Metrics of one model pass over X.
 
-
-def evaluate_multilabel(model: Model, X, tasks: list[str]) -> Metrics:
-    """One-vs-rest evaluation against task names.
-
-    accuracy/confusion come from argmax decisions (so accuracy equals
-    trace(confusion)/sum); macro/micro F1 come from the 0.5-thresholded
-    label matrix; roc_auc is the macro mean of each label's AUC over its
-    one-vs-rest probability, left out for labels whose rows here are all
-    positive or all negative (0.5 when every label is).
+    Binary models are scored against 0/1 labels, positive class 1.  A
+    one-vs-rest model is scored against task names: accuracy/confusion
+    come from argmax decisions (so accuracy equals trace(confusion)/sum);
+    macro/micro F1 come from the 0.5-thresholded label matrix; roc_auc is
+    the macro mean of each label's AUC over its one-vs-rest probability,
+    left out for labels whose rows here are all positive or all negative
+    (0.5 when every label is).
     """
+    preds, scores = model.impl.outputs(model._check_width(X))
+    if not isinstance(model.impl, OneVsRest):
+        return binary_metrics(y_true, preds, scores)
     labels = model.impl.labels_
-    proba = model.scores(X)
-    Y_true = one_hot(tasks, labels)
-    per_label, micro = _per_label(Y_true, (proba >= 0.5).astype(int))
+    Y_true = one_hot(y_true, labels)
+    per_label, micro = _per_label(Y_true, preds)
     precision, recall, macro = (float(np.mean(v)) for v in zip(*per_label))
 
-    k = len(labels)
+    k, n = len(labels), len(Y_true)
     confusion = np.zeros((k, k), dtype=int)
-    np.add.at(confusion, (Y_true.argmax(axis=1), proba.argmax(axis=1)), 1)
-    aucs = [roc_auc_score(Y_true[:, j], proba[:, j]) for j in range(k)
-            if 0 < Y_true[:, j].sum() < len(tasks)]
-    return Metrics(accuracy=int(np.trace(confusion)) / len(tasks),
+    np.add.at(confusion, (Y_true.argmax(axis=1), scores.argmax(axis=1)), 1)
+    aucs = [roc_auc_score(Y_true[:, j], scores[:, j]) for j in range(k)
+            if 0 < Y_true[:, j].sum() < n]
+    return Metrics(accuracy=int(np.trace(confusion)) / n,
                    precision=precision, recall=recall, f1=macro,
                    roc_auc=float(np.mean(aucs)) if aucs else 0.5,
                    confusion=confusion.tolist(), f1_macro=macro,

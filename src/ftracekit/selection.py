@@ -145,12 +145,8 @@ def select_top_k(scores: list[ScoredFeature], k: int) -> list[str]:
 def forest_importance(m: FeatureMatrix, labels, forest_params: dict,
                       seed: int = 0) -> list[ScoredFeature]:
     """Mean impurity decrease per feature over a fitted random forest,
-    normalized to sum to 1.  p_value is 1 (not applicable)."""
-    labels = np.asarray(labels)
-    if learners._is_multilabel(labels):
-        # task names: rank with a multiclass forest over label indices
-        classes = sorted(set(labels.tolist()))
-        labels = np.array([classes.index(t) for t in labels])
+    normalized to sum to 1.  p_value is 1 (not applicable).  Task names
+    work as labels: the forest fits on their sorted class indices."""
     model = learners.train("forest", m.X, labels, forest_params, seed,
                            feature_names=m.vocab.column_names)
     imp = model.impl.feature_importances()

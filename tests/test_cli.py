@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from ftracekit import cli, experiments
+from ftracekit import cli, experiments, features, learners
 
 
 def run(argv):
@@ -89,6 +89,18 @@ class TestExitCodes:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_model_feature_missing_from_csv(self, feature_csv, tmp_path,
+                                            capsys):
+        model = tmp_path / "m.json"
+        assert run(["train", "--features", str(feature_csv), "--learner",
+                    "tree", "--seed", "0", "--out", str(model)]) == 0
+        payload = json.loads(model.read_text())
+        payload["feature_names"][0] = "count_not_in_the_csv"
+        model.write_text(json.dumps(payload))
+        rc = run(["eval", "--model", str(model), "--features", str(feature_csv)])
+        assert rc == 2
+        assert "'count_not_in_the_csv'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("learner", ["tree", "forest"])
     def test_value_rows_wider_than_classes(self, learner, feature_csv,
                                            tmp_path, capsys):
@@ -160,6 +172,30 @@ class TestPipeline:
         data = json.loads(metrics.read_text())
         assert set(data) >= {"accuracy", "precision", "recall", "f1",
                              "roc_auc", "confusion"}
+
+    def test_eval_one_vs_rest_against_tasks(self, feature_csv, tmp_path,
+                                            capsys):
+        m = features.read_csv(feature_csv)
+        model = tmp_path / "ovr.json"
+        learners.save_model(learners.train(
+            "one_vs_rest", m.X, m.tasks, {"n_trees": 5}, seed=0,
+            feature_names=m.vocab.column_names), model)
+        metrics = tmp_path / "metrics.json"
+        assert run(["eval", "--model", str(model), "--features",
+                    str(feature_csv), "--out", str(metrics)]) == 0
+        assert re.fullmatch(r"eval: accuracy \S+ f1 \S+ auc \S+\n",
+                            capsys.readouterr().out)
+        assert "f1_micro" in json.loads(metrics.read_text())
+
+        header, *rows = feature_csv.read_text().splitlines()
+        for task, message in (("", "rows without a task"),
+                              ("no_such_task", "'no_such_task' is not one")):
+            csv = tmp_path / "tasks.csv"
+            csv.write_text("".join(line + "\n" for line in [header] + [
+                row.rsplit(",", 1)[0] + "," + task for row in rows]))
+            rc = run(["eval", "--model", str(model), "--features", str(csv)])
+            assert rc == 2
+            assert message in capsys.readouterr().err
 
     def test_train_and_eval_deep_tree(self, tmp_path):
         # an unlimited-depth tree on these rows is a 1,500-level chain

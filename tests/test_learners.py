@@ -324,7 +324,7 @@ class TestOneVsRest:
         X, tasks = self._data()
         ovr = ln.OneVsRest(base_params={"n_trees": 10}, seed=0).fit(X, tasks)
         assert ovr.labels_ == ["high", "low", "mid"]
-        Y = ovr.predict_matrix(X)
+        Y = ovr.outputs(X)[0]
         assert Y.shape == (90, 3)
         assert set(np.unique(Y)) <= {0, 1}
 
@@ -332,7 +332,7 @@ class TestOneVsRest:
         X, tasks = self._data()
         ovr = ln.OneVsRest(base_params={"n_trees": 20, "max_depth": 6},
                            seed=1).fit(X, tasks)
-        Y = ovr.predict_matrix(X)
+        Y = ovr.outputs(X)[0]
         truth = ln.one_hot(tasks, ovr.labels_)
         _, micro = ln.multilabel_f1(truth, Y)
         assert micro >= 0.9
@@ -466,6 +466,27 @@ def one_vs_rest_label_missing(state):
     state["labels"].pop()
 
 
+def booster_prior_string(state):
+    state["prior"] = "zero"
+
+
+def logistic_w_short(state):
+    state["w"].pop()
+
+
+def logistic_w_nested(state):
+    state["w"] = [state["w"]]
+
+
+def logistic_b_string(state):
+    state["b"] = "zero"
+
+
+def one_vs_rest_logistic_base_w_short(state):
+    state["base_kind"] = "logistic"
+    state["models"] = [{"w": [0.0], "b": 0.0} for _ in state["models"]]
+
+
 class TestMalformedModelFiles:
     """Flat node lists can encode a cycle, which a prediction walk would
     follow forever; every such file is refused on load."""
@@ -499,7 +520,12 @@ class TestMalformedModelFiles:
         ("boosting", booster_tree_wide_value),
         ("boosting", booster_scale_missing),
         ("boosting", booster_hyperparameter_missing),
+        ("boosting", booster_prior_string),
+        ("logistic", logistic_w_short),
+        ("logistic", logistic_w_nested),
+        ("logistic", logistic_b_string),
         ("one_vs_rest", one_vs_rest_label_missing),
+        ("one_vs_rest", one_vs_rest_logistic_base_w_short),
     ], ids=lambda v: v if isinstance(v, str) else v.__name__)
     def test_ensemble_parts_checked(self, kind, corrupt, tmp_path):
         X, y = xor_data()
@@ -642,7 +668,7 @@ class TestMetrics:
         tasks = ["hi" if v > 0.5 else "lo" for v in X[:, 0]]
         model = ln.train("one_vs_rest", X, tasks,
                          {"n_trees": 15, "max_depth": 4}, seed=0)
-        m = ln.evaluate_multilabel(model, X, tasks)
+        m = ln.evaluate(model, X, tasks)
         assert m.f1_micro >= 0.9
         assert m.f1_macro is not None
         assert m.accuracy >= 0.9
@@ -654,7 +680,7 @@ class TestMetrics:
         model = ln.train("one_vs_rest", X[:45], tasks[:45],
                          {"n_trees": 5, "max_depth": 2}, seed=0)
         noisy = X[45:] + rng.normal(0, 0.2, (45, 3))
-        m = ln.evaluate_multilabel(model, noisy, tasks[45:])
+        m = ln.evaluate(model, noisy, tasks[45:])
         proba = model.scores(noisy)
         Y = ln.one_hot(tasks[45:], model.impl.labels_)
         want = np.mean([ln.roc_auc_score(Y[:, j], proba[:, j]) for j in range(3)])
@@ -666,5 +692,5 @@ class TestMetrics:
         tasks = ["lo", "lo", "hi", "hi"]
         model = ln.train("one_vs_rest", X, tasks,
                          {"n_trees": 5, "max_depth": 2}, seed=0)
-        assert ln.evaluate_multilabel(model, X[:2], tasks[:2]).roc_auc == 0.5
-        assert ln.evaluate_multilabel(model, X, tasks).roc_auc == 1.0
+        assert ln.evaluate(model, X[:2], tasks[:2]).roc_auc == 0.5
+        assert ln.evaluate(model, X, tasks).roc_auc == 1.0

@@ -146,6 +146,10 @@ class TestForestImportance:
         scores = sel.forest_importance(matrix(X), tasks,
                                        {"n_trees": 10, "max_depth": 3}, seed=2)
         assert max(scores, key=lambda s: s.score).name == "c0"
+        codes = np.unique(tasks, return_inverse=True)[1]
+        on_codes = sel.forest_importance(matrix(X), codes,
+                                         {"n_trees": 10, "max_depth": 3}, seed=2)
+        assert scores == on_codes
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(5)
