@@ -293,9 +293,23 @@ class DecisionTree(_ClassProbaOutputs, _FlatTree):
             onehot = (yn[order][..., None] == np.arange(c)).astype(float)
 
             def gini_loss(left, nl, nr):
-                gl = 1.0 - np.sum((left / nl[:, None]) ** 2, axis=2)
-                gr = 1.0 - np.sum(((counts - left) / nr[:, None]) ** 2, axis=2)
-                return (nl * gl + nr * gr) / n
+                # (nl * (1 - sum((left / nl)**2))
+                #  + nr * (1 - sum((right / nr)**2))) / n in place, with
+                # right = counts - left the one 3-D temporary
+                right = np.subtract(counts, left)
+                right /= nr[:, None]
+                right *= right
+                gr = np.sum(right, axis=2)
+                left /= nl[:, None]
+                left *= left
+                gl = np.sum(left, axis=2)
+                np.subtract(1.0, gl, out=gl)
+                gl *= nl
+                np.subtract(1.0, gr, out=gr)
+                gr *= nr
+                gl += gr
+                gl /= n
+                return gl
 
             split = _best_split(np.take_along_axis(sub, order, axis=1),
                                 onehot, gini_loss)
@@ -335,12 +349,15 @@ class RegressionTree(_FlatTree):
     """Variance-reduction tree for boosting residuals; Newton leaf values
     sum(g)/sum(h).
 
-    Split search is presorted: `fit` takes (or computes) the stable argsort
-    of every column of X, and each split stable-partitions that (features,
-    rows) order with one boolean mask, so every node sees its rows in the
-    order a stable argsort of its own subset would give.  That order
-    matters: the SSE of each cut comes from a float prefix sum of g
-    (`_best_split`).  Ties go to the lowest feature, then the lowest
+    A node whose residuals are all equal is a leaf without a search: every
+    cut of it gains 0, and searching it anyway could only split on
+    rounding noise.  Split search is presorted: `fit` takes (or computes)
+    the stable argsort of every column of X, and each child that searches
+    stable-partitions its parent's (features, rows) order with one boolean
+    mask, so every node sees its rows in the order a stable argsort of its
+    own subset would give; a child that ends as a leaf never partitions.
+    That order matters: the SSE of each cut comes from a float prefix sum
+    of g (`_best_split`).  Ties go to the lowest feature, then the lowest
     threshold.  After `fit`, `fit_leaves_` holds the leaf id of each
     training row.
     """
@@ -363,10 +380,15 @@ class RegressionTree(_FlatTree):
         self.fit_leaves_ = np.empty(len(g), dtype=np.intp)
 
         def expand(item, node):
-            rows, order, depth = item
+            # `order` is the parent's presort and `keep` masks this child's
+            # part of it, partitioned only here, once the child searches
+            rows, order, keep, depth = item
             gn = g[rows]
             n = len(gn)
-            if depth < self.max_depth and n >= self.min_samples_split:
+            if (depth < self.max_depth and n >= self.min_samples_split
+                    and gn.min() != gn.max()):
+                if keep is not None:
+                    order = order[keep].reshape(len(order), -1)
                 total_sum = gn.sum()
                 total_sq = np.sum(gn * gn)
 
@@ -387,14 +409,12 @@ class RegressionTree(_FlatTree):
                     feat, thr = int(split[0]), float(split[1])
                     goes_left = XT[feat] <= thr
                     keep, here = goes_left[order], goes_left[rows]
-                    d = len(order)
-                    return (feat, thr,
-                            (rows[here], order[keep].reshape(d, -1), depth + 1),
-                            (rows[~here], order[~keep].reshape(d, -1), depth + 1))
+                    return (feat, thr, (rows[here], order, keep, depth + 1),
+                            (rows[~here], order, ~keep, depth + 1))
             self.fit_leaves_[rows] = node
             return np.array([gn.sum() / (h[rows].sum() + 1e-12)])
 
-        self._build((np.arange(len(g)), order, 0), expand)
+        self._build((np.arange(len(g)), order, None, 0), expand)
         return self
 
     def predict(self, X) -> np.ndarray:

@@ -123,6 +123,19 @@ class TestRandomForest:
         assert np.array_equal(forest.predict(X), again.predict(X))
 
 
+class TestRegressionTree:
+    @pytest.mark.parametrize("n,value", [(10_000, -0.9999), (50_000, 0.3)])
+    def test_equal_residuals_make_one_leaf(self, n, value):
+        # Every cut gains 0 in exact arithmetic, but at this many rows the
+        # float SSE of some cuts falls more than 1e-12 below the node's
+        # own, so a search here would split on rounding noise.
+        X = np.random.default_rng(0).random((n, 3))
+        tree = ln.RegressionTree(max_depth=3).fit(X, np.full(n, value),
+                                                  np.full(n, 0.25))
+        assert len(tree.feature) == 1
+        assert not tree.fit_leaves_.any()
+
+
 class TestGradientBoosting:
     def _data(self, seed=0):
         rng = np.random.default_rng(seed)

@@ -400,6 +400,32 @@ def test_regression_tree_matches_reference(data):
     assert np.array_equal(new.predict(probe), ref.predict(probe))
 
 
+@PROPS
+@given(st.data())
+def test_regression_tree_on_few_residual_values_matches_reference(data):
+    # Residuals from a pool of 2-3 values leave nodes below the root whose
+    # residuals are all equal: the fit makes them leaves without a search,
+    # and partitions a child's presort only when it searches.  With n <= 32
+    # and |g| <= 1 rounding cannot reach the 1e-12 gain floor, so the
+    # reference, which searches every node, must give the same trees.
+    X = data.draw(tied_matrix(min_rows=8, max_rows=16))
+    n = X.shape[0]
+    pool = np.array(data.draw(st.lists(st.floats(-1.0, 1.0, allow_nan=False),
+                                       min_size=2, max_size=3, unique=True)))
+    g = pool[np.array(data.draw(st.lists(st.integers(0, len(pool) - 1),
+                                         min_size=n, max_size=n)))]
+    h = residuals(data.draw, n, 1e-3, 0.25)
+    params = dict(max_depth=data.draw(st.integers(2, 5)),
+                  min_samples_split=data.draw(st.integers(1, 3)))
+    new = ln.RegressionTree(**params).fit(X, g, h)
+    ref = RegressionTree(**params).fit(X, g, h)
+    assert_same(new.to_dict(), ref.to_dict())
+    assert np.array_equal(new.fit_leaves_, new._leaves(X)[0])
+    assert np.array_equal(new.value[new.fit_leaves_, 0], ref.predict(X))
+    probe = np.vstack([X, X + 0.5, X - 0.5])
+    assert np.array_equal(new.predict(probe), ref.predict(probe))
+
+
 def test_equal_values_keep_row_order():
     # Rows 0-2 tie on feature 0 and reach the same cut on feature 1 in the
     # reverse order.  Only the float prefix sum 0.49 + 0.81 + 0.85 taken in
