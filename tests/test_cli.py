@@ -54,6 +54,26 @@ class TestExitCodes:
                   "--out", str(tmp_path / "m.json")])
         assert rc == 2
 
+    @pytest.mark.parametrize("learner, params, name", [
+        ("forest", {"max_features": 0.5}, "max_features"),
+        ("forest", {"max_features": -2}, "max_features"),
+        ("forest", {"n_trees": 2.5}, "n_trees"),
+        ("forest", {"min_samples_split": "a"}, "min_samples_split"),
+        ("forest", {"max_depth": -1}, "max_depth"),
+        ("tree", {"max_depth": 1.5}, "max_depth"),
+        ("tree", {"min_samples_split": 0}, "min_samples_split"),
+    ])
+    def test_bad_tree_hyperparameter_is_runtime_error(
+            self, learner, params, name, feature_csv, tmp_path, capsys):
+        # before, a fractional max_features truncated to 0 features and
+        # fitted single-leaf trees with exit 0; wrong types raised an
+        # uncaught TypeError (exit 1) and a negative one numpy's message
+        rc = run(["train", "--features", str(feature_csv), "--learner",
+                  learner, "--params", json.dumps(params), "--seed", "0",
+                  "--out", str(tmp_path / "m.json")])
+        assert rc == 2
+        assert name in capsys.readouterr().err
+
     def test_unlabeled_csv_is_runtime_error(self, feature_csv, tmp_path,
                                             capsys):
         model = tmp_path / "m.json"

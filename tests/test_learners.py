@@ -57,6 +57,15 @@ class TestDecisionTree:
         P = tree.predict_proba(rng.random((10, 3)))
         assert P.sum(axis=1) == pytest.approx(np.ones(10))
 
+    @pytest.mark.parametrize("params, name", [
+        ({"max_depth": -1}, "max_depth"), ({"max_depth": "3"}, "max_depth"),
+        ({"min_samples_split": 0}, "min_samples_split"),
+        ({"min_samples_split": 2.5}, "min_samples_split")])
+    def test_bad_hyperparameters_rejected(self, params, name):
+        X, y = xor_data()
+        with pytest.raises(ValueError, match=name):
+            ln.DecisionTree(**params).fit(X, y)
+
     def test_serialization_round_trip(self):
         rng = np.random.default_rng(1)
         X = rng.random((30, 4))
@@ -107,6 +116,34 @@ class TestRandomForest:
         X, y = self._data()
         with pytest.raises(ValueError, match="at least one tree"):
             ln.RandomForest(n_trees=0).fit(X, y)
+
+    @pytest.mark.parametrize("params, name", [
+        ({"max_features": 0.5}, "max_features"),
+        ({"max_features": 0}, "max_features"),
+        ({"max_features": -2}, "max_features"),
+        ({"max_features": "log2"}, "max_features"),
+        ({"max_features": True}, "max_features"),
+        ({"n_trees": 2.5}, "n_trees"),
+        ({"n_trees": True}, "n_trees"),
+        ({"min_samples_split": "a"}, "min_samples_split"),
+        ({"min_samples_split": 0}, "min_samples_split"),
+        ({"max_depth": -1}, "max_depth"),
+        ({"max_depth": 2.0}, "max_depth"),
+    ])
+    def test_bad_hyperparameters_rejected(self, params, name):
+        X, y = self._data()
+        with pytest.raises(ValueError, match=name):
+            ln.RandomForest(**params).fit(X, y)
+
+    @pytest.mark.parametrize("params", [
+        {"max_features": 1}, {"max_features": "sqrt"}, {"max_features": "all"},
+        {"max_features": None}, {"max_features": 6},
+        {"max_depth": None}, {"max_depth": 0}, {"min_samples_split": 1},
+        {"n_trees": np.int64(2)}])
+    def test_documented_hyperparameters_accepted(self, params):
+        X, y = self._data()
+        forest = ln.RandomForest(**{"n_trees": 3, **params}).fit(X, y)
+        assert len(forest.trees) == forest.n_trees
 
     def test_importances_normalized(self):
         X, y = self._data()

@@ -495,3 +495,58 @@ def test_random_forest_matches_reference(data):
                  "trees": [t.to_dict() for t in trees]})
     for a, b in zip(new.trees, trees):
         assert np.array_equal(a._imp_raw, b._imp_raw)
+
+
+@settings(PROPS, max_examples=80)
+@given(st.data())
+def test_lockstep_forest_and_tree_match_reference(data):
+    # The trees of a forest grow side by side and the nodes that search
+    # in one step are scored together in padded batches.  Depth limits and
+    # bootstrap draws give the trees different shapes, so batches mix node
+    # sizes; NaN cells must sort before the NaN pad rows and never bound a
+    # cut; up to six classes widen the one-hot counts.  Values are
+    # multiples of 1/4, so no midpoint rounds onto the upper value: such a
+    # cut can leave a child with all its parent's rows, which an unbounded
+    # tree then splits the same way forever.
+    X = np.round(data.draw(tied_matrix(max_rows=32, max_cols=6))) / 4
+    n, d = X.shape
+    for i, j in data.draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                             st.integers(0, d - 1)),
+                                   max_size=n)):
+        X[i, j] = np.nan
+    y = labels(data.draw, n, data.draw(st.integers(2, 6)))
+    params = dict(n_trees=data.draw(st.integers(1, 6)),
+                  max_depth=data.draw(st.none() | st.integers(0, 6)),
+                  min_samples_split=data.draw(st.integers(1, 4)),
+                  max_features=data.draw(st.sampled_from(
+                      [1, 2, "sqrt", None, d + 2])),
+                  bootstrap=data.draw(st.booleans()),
+                  seed=data.draw(st.integers(0, 2**16)))
+    probe = np.vstack([X, X + 0.5, X - 0.5])
+    new = ln.RandomForest(**params).fit(X, y)
+    classes, trees = oracle_forest(X, y, **params)
+    assert_same(new.to_dict(),
+                {"n_trees": params["n_trees"], "classes": classes.tolist(),
+                 "trees": [t.to_dict() for t in trees]})
+    for a, b in zip(new.trees, trees):
+        assert np.array_equal(a._imp_raw, b._imp_raw)
+        assert np.array_equal(a.predict_proba(probe), b.predict_proba(probe),
+                              equal_nan=True)
+    assert np.array_equal(
+        new.predict_proba(probe),
+        np.mean([t.predict_proba(probe) for t in trees], axis=0),
+        equal_nan=True)
+    # a single tree is a forest of one
+    mf = trees[0].max_features
+    tree_params = dict(max_depth=params["max_depth"],
+                       min_samples_split=params["min_samples_split"],
+                       max_features=mf)
+    rng_new = np.random.default_rng(params["seed"])
+    rng_ref = np.random.default_rng(params["seed"])
+    one = ln.DecisionTree(rng=rng_new, **tree_params).fit(X, y)
+    ref = DecisionTree(rng=rng_ref, **tree_params).fit(X, y)
+    assert_same(one.to_dict(), ref.to_dict())
+    assert np.array_equal(one._imp_raw, ref._imp_raw)
+    assert np.array_equal(one.predict_proba(probe), ref.predict_proba(probe),
+                          equal_nan=True)
+    assert rng_new.random() == rng_ref.random()
