@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import EmptyData, SingleClass, WidthMismatch
-from .flat_tree import _FlatTree
+from .grower import _check_int, _grow_classifiers, _is_int
 
 MODEL_FORMAT_VERSION = 2
 
@@ -29,34 +29,163 @@ def _sub_seed(seed: int, *tags: int) -> int:
 # ---------------------------------------------------------------------------
 # decision trees
 
+class TreeNode:
+    """Read-only view of one node of a fitted tree's flat arrays."""
+
+    __slots__ = ("_tree", "_i")
+
+    def __init__(self, tree: "_FlatTree", i: int):
+        self._tree = tree
+        self._i = i
+
+    @property
+    def is_leaf(self) -> bool:
+        return bool(self._tree.left[self._i] < 0)
+
+    @property
+    def value(self) -> Optional[np.ndarray]:
+        return self._tree.value[self._i] if self.is_leaf else None
+
+    @property
+    def left(self) -> Optional["TreeNode"]:
+        return None if self.is_leaf else TreeNode(self._tree,
+                                                  self._tree.left[self._i])
+
+    @property
+    def right(self) -> Optional["TreeNode"]:
+        return None if self.is_leaf else TreeNode(self._tree,
+                                                  self._tree.right[self._i])
+
+
 def _presort(X) -> np.ndarray:
     """(features, rows): each column's row order by value, equal values in
     row order, i.e. the stable argsort of every column."""
-    return np.ascontiguousarray(np.argsort(X, axis=0, kind="stable").T)
+    return np.argsort(X.T, axis=1, kind="stable")
 
 
-def _best_split(xs, stats, loss):
-    """Exact best midpoint split of one node over its candidate features.
+def _best_split(xs, gs, total_sum, total_sq):
+    """Exact least-squares midpoint split of one regression node.
 
     `xs` is (features, rows): each candidate column's node values in
-    ascending order.  `stats` holds each row's statistic in the same
-    order.  `loss(left, nl, nr)` scores every cut from the prefix sums of
-    `stats` left of it and the row counts on each side; it may overwrite
-    the prefix sums, a fresh array, and return them.  Cuts between equal values are not allowed.  One
-    flat argmin over (feature, cut) picks the lowest loss; ties go to the
-    lowest candidate, then the lowest threshold.  Returns (candidate
-    position, midpoint threshold, loss), or None when no cut exists.
+    ascending order, and `gs` the residuals in the same order, summing to
+    `total_sum` with squares summing to `total_sq`.  A cut's cost is the
+    SSE of its two sides from float prefix sums of `gs`; cuts between
+    equal values are not allowed.  One flat argmin over (feature, cut)
+    picks the lowest cost; ties go to the lowest candidate, then the
+    lowest threshold.  Returns (candidate position, midpoint threshold,
+    cost), or None when no cut exists.
     """
     m = xs.shape[1]
     if m < 2 or xs.shape[0] == 0:
         return None
     nl = np.arange(1, m, dtype=float)
-    cost = loss(np.cumsum(stats[:, :-1], axis=1), nl, m - nl)
+    cum = np.cumsum(gs[:, :-1], axis=1)
+    # (total_sq - cum**2 / nl) - (total_sum - cum)**2 / nr in place
+    cost = np.multiply(cum, cum)
+    cost /= nl
+    np.subtract(total_sq, cost, out=cost)
+    np.subtract(total_sum, cum, out=cum)
+    cum *= cum
+    cum /= m - nl
+    cost -= cum
     np.copyto(cost, np.inf, where=~(xs[:, :-1] < xs[:, 1:]))
     f, cut = divmod(int(np.argmin(cost)), m - 1)
     if not np.isfinite(cost[f, cut]):
         return None
     return f, (xs[f, cut] + xs[f, cut + 1]) / 2.0, float(cost[f, cut])
+
+
+class _FlatTree:
+    """A fitted binary tree held as flat arrays indexed by node id.
+
+    Node 0 is the root and ids follow depth-first pre-order, left subtree
+    first, so a child's id always exceeds its parent's.  Leaves have
+    `left == right == -1`; a row goes left when x[feature] <= threshold.
+    `value` holds each leaf's payload (zeros at internal nodes).
+
+    `stacked` lays several trees end to end in the same arrays, with
+    `roots` holding each tree's root id, so `_leaves` walks a whole
+    ensemble at once.
+    """
+
+    feature = threshold = left = right = value = None
+    roots = np.zeros(1, dtype=np.intp)
+
+    @classmethod
+    def stacked(cls, trees) -> Optional["_FlatTree"]:
+        """The trees' nodes in one set of arrays, child ids shifted by each
+        tree's offset; None for no trees."""
+        if not trees:
+            return None
+        out = cls()
+        sizes = [len(t.feature) for t in trees]
+        out.roots = np.cumsum([0] + sizes[:-1]).astype(np.intp)
+        out.feature = np.concatenate([t.feature for t in trees])
+        out.threshold = np.concatenate([t.threshold for t in trees])
+        out.left = np.concatenate([np.where(t.left < 0, -1, t.left + r)
+                                   for t, r in zip(trees, out.roots)])
+        out.right = np.concatenate([np.where(t.right < 0, -1, t.right + r)
+                                    for t, r in zip(trees, out.roots)])
+        out.value = np.concatenate([t.value for t in trees])
+        return out
+
+    @property
+    def root(self) -> Optional[TreeNode]:
+        return None if self.feature is None else TreeNode(self, 0)
+
+    def _set_arrays(self, feature, threshold, left, right, value) -> None:
+        """Take the node sequences of a pre-order layout, `value` with a
+        row of zeros at each internal node."""
+        self.feature = np.array(feature, dtype=np.intp)
+        self.threshold = np.array(threshold, dtype=float)
+        self.left = np.array(left, dtype=np.intp)
+        self.right = np.array(right, dtype=np.intp)
+        self.value = np.asarray(value, dtype=float)
+
+    def _leaves(self, X) -> np.ndarray:
+        """(trees, rows): the leaf id each row of X reaches in each tree,
+        every tree and row moved down one level per vectorised step."""
+        X = np.asarray(X, dtype=float)
+        n = X.shape[0]
+        node = np.repeat(self.roots, n)
+        row = np.tile(np.arange(n), len(self.roots))
+        live = np.flatnonzero(self.left[node] >= 0)
+        while live.size:
+            at = node[live]
+            goes_left = X[row[live], self.feature[at]] <= self.threshold[at]
+            node[live] = np.where(goes_left, self.left[at], self.right[at])
+            live = live[self.left[node[live]] >= 0]
+        return node.reshape(len(self.roots), n)
+
+    _ARRAYS = ("feature", "threshold", "left", "right", "value")
+
+    def to_dict(self) -> dict:
+        """Model format 2: the five node arrays as lists."""
+        return {k: getattr(self, k).tolist() for k in self._ARRAYS}
+
+    @classmethod
+    def from_dict(cls, d: dict, width: int) -> "_FlatTree":
+        """Read `to_dict` output.  Raises ValueError unless the lists
+        have one nonzero length, `value` rows are `width` wide, leaves have
+        both child ids -1 and internal nodes have a feature id >= 0 and
+        child ids above their own and below the node count, so every walk
+        ends at a leaf."""
+        t = cls()
+        t.feature, t.left, t.right = (
+            np.asarray(d[k], dtype=np.intp) for k in ("feature", "left", "right"))
+        t.threshold, t.value = (
+            np.asarray(d[k], dtype=float) for k in ("threshold", "value"))
+        n = len(t.feature)
+        inner = t.left != -1
+        ids = np.flatnonzero(inner)
+        if (n == 0 or t.value.shape != (n, width)
+                or any(getattr(t, k).shape != (n,) for k in cls._ARRAYS[:4])
+                or np.any(t.right[~inner] != -1)
+                or np.any(t.feature[inner] < 0)
+                or any(np.any((c[inner] <= ids) | (c[inner] >= n))
+                       for c in (t.left, t.right))):
+            raise ValueError(f"not a tree with value rows {width} wide")
+        return t
 
 
 class _ClassProbaOutputs:
@@ -91,12 +220,15 @@ class DecisionTree(_ClassProbaOutputs, _FlatTree):
     """CART classifier with exact midpoint threshold search.
 
     A single tree is a forest of one: `fit` grows it with
-    `_grow_classifiers`, as `RandomForest.fit` grows all its trees.  A
-    node's candidate columns are all of them, or `max_features` drawn from
-    `rng`; ties in impurity go to the lowest feature index, then the
-    lowest threshold.  Nodes are laid out depth-first, left child first,
-    from an explicit stack, so depth is bounded by the data, not by
-    Python's recursion limit.
+    `grower._grow_classifiers`, as `RandomForest.fit` grows all its
+    trees.  A node's candidate columns are all of them, or `max_features`
+    drawn from `rng`; every cut of every candidate is scored at once from
+    prefix counts of one-hot classes.  Ties in impurity go to the lowest
+    feature index, then the lowest threshold.  Nodes are laid out
+    depth-first, left child first, from an explicit stack, so depth is
+    bounded by the data, not by Python's recursion limit.  `fit` raises
+    ValueError unless max_depth is None or an int >= 0 and
+    min_samples_split an int >= 1.
     """
 
     _HYPERPARAMETERS = ("max_depth", "min_samples_split")
@@ -139,199 +271,6 @@ class DecisionTree(_ClassProbaOutputs, _FlatTree):
         return t
 
 
-def _is_int(value, low: int) -> bool:
-    return (isinstance(value, (int, np.integer))
-            and not isinstance(value, bool) and value >= low)
-
-
-def _check_int(name: str, value, low: int, *named) -> None:
-    """Raise ValueError naming `name` unless `value` is an integer (not a
-    bool) of at least `low` or one of `named`."""
-    if value not in named and not _is_int(value, low):
-        raise ValueError(f"{name} must be an integer >= {low}"
-                         + "".join(f" or {v!r}" for v in named)
-                         + f", got {value!r}")
-
-
-# cells that one Gini search takes at most, unless a single node needs
-# more: nodes x features x rows x classes (the one-hot), or nodes x
-# features x data rows (the presort gather) where that is larger.  Twice
-# this batched exp1's roots more widely and ran faster, but its larger
-# temporaries left the heap about 0.3 MB bigger over hundreds of fits.
-_SEARCH_CELLS = 4096
-
-
-def _gini_search(XT, order, yp, rows, feats, counts):
-    """The best Gini cut of each of k nodes, scored in one pass.
-
-    `XT` is the data by column and `yp` the class ids, each ending in a
-    pad row of NaN with class -1; `order` is every column's presort
-    (`XT`'s stable argsort by rows), so the pad row is last.  Node j has
-    row ids `rows[j]`, sorted candidate features `feats[j]` and class
-    counts `counts[j]`.  Its rows come sorted from the presort, each
-    repeated as often as the node holds it, and padded to the longest
-    node's with the pad row, which fails `xs[i] < xs[i+1]`; so only cuts
-    between unequal real values are scored, each with its node's n.  A
-    cut's loss is the size-weighted Gini impurity of its sides from
-    integer prefix counts, so the order of rows with equal values does not
-    matter.  One flat argmin per node over (feature, cut) breaks ties to
-    the lowest feature, then threshold.
-
-    Returns per node the winning feature position, midpoint threshold and
-    loss (inf when no cut exists), the number of rows with x <= threshold
-    (more than the cut's when the midpoint rounds onto the upper value),
-    their class counts, and the row ids in that feature's order.
-    """
-    k, c = counts.shape
-    n_ids = XT.shape[1]
-    m = np.array([len(r) for r in rows])
-    width = int(m.max())
-    held = np.bincount(np.concatenate(rows) + np.repeat(np.arange(k) * n_ids, m),
-                       minlength=k * n_ids).reshape(k, n_ids)
-    held[:, -1] = width - m
-    ids = order[feats]
-    ids = np.repeat(ids.reshape(-1), held[np.arange(k)[:, None, None], ids]
-                    .reshape(-1)).reshape(k, -1, width)
-    xs = XT.take(feats[:, :, None] * n_ids + ids)
-    cum = np.cumsum(yp[ids][..., None] == np.arange(c), axis=2)
-    cost = np.full(xs[..., 1:].shape, np.inf)
-    at = np.flatnonzero(xs[..., :-1] < xs[..., 1:])
-    n_at = len(at)
-    # numpy keeps freed buffers under 1 KiB in a cache by byte size, so
-    # arrays sized by the number of cuts would each leave a buffer there:
-    # score a multiple of 128 cuts, repeats whose losses are dropped
-    at = np.resize(at, -(-max(n_at, 1) // 128) * 128)
-    row, cut = np.divmod(at, width - 1)
-    left = cum.reshape(-1, width, c)[row, cut].astype(float)
-    node = row // xs.shape[1]
-    nl = cut + 1.0
-    del row, cut
-    nr = m[node] - nl
-    # (nl * (1 - sum((left / nl)**2))
-    #  + nr * (1 - sum((right / nr)**2))) / n in place
-    right = np.subtract(counts[node], left)
-    right /= nr[:, None]
-    right *= right
-    gr = np.sum(right, axis=1)
-    left /= nl[:, None]
-    left *= left
-    gl = np.sum(left, axis=1)
-    np.subtract(1.0, gl, out=gl)
-    gl *= nl
-    np.subtract(1.0, gr, out=gr)
-    gr *= nr
-    gl += gr
-    gl /= m[node]
-    cost.reshape(-1)[at[:n_at]] = gl[:n_at]
-    f, cut = np.divmod(np.argmin(cost.reshape(k, -1), axis=1), width - 1)
-    j = np.arange(k)
-    with np.errstate(invalid="ignore", over="ignore"):
-        thr = (xs[j, f, cut] + xs[j, f, cut + 1]) / 2.0
-    # the rows with x <= thr are those up to the cut, and the next value's
-    # too where the midpoint rounded onto it
-    n_left = cut + 1
-    for i in np.flatnonzero(thr == xs[j, f, cut + 1]):
-        n_left[i] = np.searchsorted(xs[i, f[i]], thr[i], side="right")
-    return (f, thr, cost[j, f, cut], n_left, cum[j, f, n_left - 1],
-            ids[j, f])
-
-
-def _grow_classifiers(trees, X, y, rows) -> None:
-    """Fit the classification trees `trees` side by side.
-
-    The trees share `classes_`, `max_depth`, `min_samples_split` and
-    `max_features`, and each draws features from its own `rng`.  Tree t
-    grows on rows `rows[t]` of X and y (bootstrap draws repeat ids).  At
-    each step every tree takes nodes off its stack in pre-order, laying
-    out leaves as it meets them, up to the first node that searches, so
-    its rng draws keep their order.  The searching nodes of all trees are
-    scored together, in batches of similar size (`_gini_search`).  A
-    child's class counts come from its parent's cut.  Raises ValueError
-    for a max_depth that is not None or an int >= 0, or a
-    min_samples_split that is not an int >= 1.
-    """
-    first = trees[0]
-    _check_int("max_depth", first.max_depth, 0, None)
-    _check_int("min_samples_split", first.min_samples_split, 1)
-    max_depth = math.inf if first.max_depth is None else first.max_depth
-    class_pos = {v: i for i, v in enumerate(first.classes_.tolist())}
-    yi = np.array([class_pos[v] for v in y.tolist()], dtype=int)
-    c, d = len(class_pos), X.shape[1]
-    XT = np.hstack([X.T, np.full((d, 1), np.nan)])
-    order = np.argsort(XT, axis=1, kind="stable")
-    yp = np.append(yi, -1)
-    grown = []
-    for tree, r in zip(trees, rows):
-        tree._imp_raw = np.zeros(d)
-        # (tree, root size, stack of (rows, depth, class counts, parent, 2
-        #  for a left child or 3 for a right one), node rows [feature,
-        #  threshold, left, right, leaf class counts or None, size])
-        grown.append((tree, len(r), [(r, 0, np.bincount(yi[r], minlength=c)
-                                      .tolist(), None, 0)], []))
-    while True:
-        batch = []
-        for grow in grown:
-            tree, _, stack, nodes = grow
-            while stack:
-                r, depth, counts, parent, side = stack.pop()
-                if parent is not None:
-                    nodes[parent][side] = len(nodes)
-                n = len(r)
-                leaf = (max(counts) == n or depth >= max_depth
-                        or n < first.min_samples_split)
-                nodes.append([-1, 0.0, -1, -1, counts if leaf else None, n])
-                if not leaf:
-                    batch.append((r, counts, tree._feature_indices(d), depth,
-                                  grow))
-                    break
-        if not batch:
-            break
-        batch.sort(key=lambda e: len(e[0]))
-        n_feats = len(batch[0][2])
-        start = 0
-        while start < len(batch):
-            end = start + 1
-            while (end < len(batch) and (end + 1 - start) * n_feats
-                   * max(c * len(batch[end][0]), len(yp)) <= _SEARCH_CELLS):
-                end += 1
-            chunk, start = batch[start:end], end
-            counts = np.array([e[1] for e in chunk], dtype=float)
-            loss = np.full(len(chunk), np.inf)
-            if n_feats:
-                f, thr, loss, n_left, left_counts, ids = _gini_search(
-                    XT, order, yp, [e[0] for e in chunk],
-                    np.array([e[2] for e in chunk]), counts)
-                p = counts / counts.sum(axis=1, keepdims=True)
-                gain = np.maximum(1.0 - np.sum(p * p, axis=1) - loss, 0.0)
-            for j, (r, node_counts, feats, depth, grow) in enumerate(chunk):
-                tree, n_total, stack, nodes = grow
-                # this tree's node searched last is its last node so far
-                node, n = nodes[-1], len(r)
-                if loss[j] == np.inf:
-                    node[4] = node_counts
-                    continue
-                feat = int(feats[f[j]])
-                node[0], node[1] = feat, float(thr[j])
-                # zero-gain splits are kept: XOR-style targets need them
-                tree._imp_raw[feat] += (n / n_total) * gain[j]
-                lc = left_counts[j].tolist()
-                stack.append((ids[j, n_left[j]:n].copy(), depth + 1,
-                              [a - b for a, b in zip(node_counts, lc)],
-                              len(nodes) - 1, 3))
-                stack.append((ids[j, :n_left[j]].copy(), depth + 1, lc,
-                              len(nodes) - 1, 2))
-    for tree, _, _, nodes in grown:
-        feature, threshold, left, right, counts, n = zip(*nodes)
-        leaves = [i for i, v in enumerate(counts) if v is not None]
-        value = np.zeros((len(nodes), c))
-        with np.errstate(invalid="ignore"):
-            # a side that a midpoint rounded onto its upper value emptied
-            # is a leaf of NaNs
-            value[leaves] = (np.array([counts[i] for i in leaves], dtype=float)
-                             / np.array([n[i] for i in leaves])[:, None])
-        tree._set_arrays(feature, threshold, left, right, value)
-
-
 class RegressionTree(_FlatTree):
     """Variance-reduction tree for boosting residuals; Newton leaf values
     sum(g)/sum(h).
@@ -365,11 +304,18 @@ class RegressionTree(_FlatTree):
             order = _presort(X)
         cols = np.arange(X.shape[1])[:, None]
         self.fit_leaves_ = np.empty(len(g), dtype=np.intp)
-
-        def expand(item, node):
-            # `order` is the parent's presort and `keep` masks this child's
-            # part of it, partitioned only here, once the child searches
-            rows, order, keep, depth = item
+        feature, threshold, left, right, value = [], [], [], [], []
+        # (rows, the parent's presort, the mask of this child's part of it,
+        # partitioned only once the child searches, depth, the parent's
+        # child links and id)
+        stack = [(np.arange(len(g)), order, None, 0, left, -1)]
+        while stack:
+            rows, order, keep, depth, links, parent = stack.pop()
+            node = len(feature)
+            if parent >= 0:
+                links[parent] = node
+            left.append(-1)
+            right.append(-1)
             gn = g[rows]
             n = len(gn)
             if (depth < self.max_depth and n >= self.min_samples_split
@@ -378,30 +324,26 @@ class RegressionTree(_FlatTree):
                     order = order[keep].reshape(len(order), -1)
                 total_sum = gn.sum()
                 total_sq = np.sum(gn * gn)
-
-                def sse(cum, nl, nr):
-                    # (total_sq - cum**2 / nl) - (total_sum - cum)**2 / nr
-                    cost = np.multiply(cum, cum)
-                    cost /= nl
-                    np.subtract(total_sq, cost, out=cost)
-                    np.subtract(total_sum, cum, out=cum)
-                    cum *= cum
-                    cum /= nr
-                    cost -= cum
-                    return cost
-
-                split = _best_split(XT[cols, order], g[order], sse)
+                split = _best_split(XT[cols, order], g[order], total_sum,
+                                    total_sq)
                 base = total_sq - total_sum ** 2 / n
                 if split is not None and base - split[2] > 1e-12:
                     feat, thr = int(split[0]), float(split[1])
+                    feature.append(feat)
+                    threshold.append(thr)
+                    value.append([0.0])
                     goes_left = XT[feat] <= thr
                     keep, here = goes_left[order], goes_left[rows]
-                    return (feat, thr, (rows[here], order, keep, depth + 1),
-                            (rows[~here], order, ~keep, depth + 1))
+                    stack.append((rows[~here], order, ~keep, depth + 1,
+                                  right, node))
+                    stack.append((rows[here], order, keep, depth + 1,
+                                  left, node))
+                    continue
             self.fit_leaves_[rows] = node
-            return np.array([gn.sum() / (h[rows].sum() + 1e-12)])
-
-        self._build((np.arange(len(g)), order, None, 0), expand)
+            feature.append(-1)
+            threshold.append(0.0)
+            value.append([gn.sum() / (h[rows].sum() + 1e-12)])
+        self._set_arrays(feature, threshold, left, right, value)
         return self
 
     def predict(self, X) -> np.ndarray:
@@ -415,9 +357,9 @@ class RandomForest(_ClassProbaOutputs):
     """Bagged CART classifiers with random candidate features per node.
 
     Tree t draws its bootstrap rows and then its candidate features from
-    its own rng, seeded from (seed, t), so `_grow_classifiers` can grow
-    all trees side by side with one batched search per step and still fit
-    each tree as if it grew alone.  `max_features` is an int >= 1, "sqrt"
+    its own rng, seeded from (seed, t), so `grower._grow_classifiers` can
+    grow all trees side by side with one batched search per step and
+    still fit each tree as if it grew alone.  `max_features` is an int >= 1, "sqrt"
     (ceil(sqrt(d))), or "all"/None for every feature; `fit` rejects other
     values, and n_trees < 1, with a ValueError naming the parameter.
     """
