@@ -6,13 +6,14 @@ node that searches; the searching nodes of all trees are scored together
 in NaN-padded batches by `_gini_search`, each node sorting only its own
 rows, so a node's cost grows with its size.  Each tree draws its candidate
 features from its own rng in its own pre-order, so it comes out exactly
-as if grown alone.  The hyperparameter checks of both learners live here
+as if grown alone.  The hyperparameter checks of all learners live here
 too.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -29,6 +30,16 @@ def _check_int(name: str, value, low: int, *named) -> None:
         raise ValueError(f"{name} must be an integer >= {low}"
                          + "".join(f" or {v!r}" for v in named)
                          + f", got {value!r}")
+
+
+def _check_real(name: str, value, low: float, inclusive: bool = False) -> None:
+    """Raise ValueError naming `name` unless `value` is a finite real
+    number (not a bool) above `low`, or equal to it when `inclusive`."""
+    if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and (low <= value if inclusive else low < value)
+            and value < math.inf):
+        raise ValueError(f"{name} must be a finite number "
+                         f"{'>=' if inclusive else '>'} {low}, got {value!r}")
 
 
 # nodes x features x rows x classes that one Gini search counts at most,
@@ -50,8 +61,10 @@ def _gini_search(xs, ys, m, counts):
     argmin per node over (feature, cut) breaks ties to the lowest
     feature, then threshold.
 
-    Returns per node the winning feature position, midpoint threshold and
-    loss, inf when no cut exists.
+    Returns per node the winning feature position, threshold and loss,
+    inf when no cut exists.  The threshold is the midpoint of the cut's
+    two values, or the lower value where the midpoint rounds onto the
+    upper one or overflows, so every cut sends rows both ways.
     """
     (k, _, w), c = xs.shape, counts.shape[1]
     cum = np.cumsum(ys[:, :, None] == np.arange(c)[:, None], axis=3)
@@ -78,9 +91,10 @@ def _gini_search(xs, ys, m, counts):
     cost[node, feat, cut] = gl
     f, cut = np.divmod(np.argmin(cost.reshape(k, -1), axis=1), w - 1)
     j = np.arange(k)
+    lo, hi = xs[j, f, cut], xs[j, f, cut + 1]
     with np.errstate(invalid="ignore", over="ignore"):
-        thr = (xs[j, f, cut] + xs[j, f, cut + 1]) / 2.0
-    return f, thr, cost[j, f, cut]
+        mid = (lo + hi) / 2.0
+    return f, np.where((lo <= mid) & (mid < hi), mid, lo), cost[j, f, cut]
 
 
 def _grow_classifiers(trees, X, y, rows) -> None:
@@ -109,11 +123,6 @@ def _grow_classifiers(trees, X, y, rows) -> None:
     XT[:, :n_total] = X.T
     yp = np.append(yi, -1)
 
-    def leaf(counts, n):
-        # a side that a midpoint rounded onto its upper value emptied is a
-        # leaf of NaNs
-        return [v / n for v in counts] if n else [math.nan] * c
-
     # per tree: a stack of (rows, class counts, depth, parent, 2 for a
     # left child or 3 for a right one), and node rows [feature, threshold,
     # left, right, value]
@@ -133,7 +142,7 @@ def _grow_classifiers(trees, X, y, rows) -> None:
                 n = len(r)
                 if (max(counts) == n or depth >= max_depth
                         or n < first.min_samples_split):
-                    nodes.append([-1, 0.0, -1, -1, leaf(counts, n)])
+                    nodes.append([-1, 0.0, -1, -1, [v / n for v in counts]])
                     continue
                 nodes.append([-1, 0.0, -1, -1, [0.0] * c])
                 batch.append((r, counts, depth, tree._feature_indices(d),
@@ -171,7 +180,7 @@ def _grow_classifiers(trees, X, y, rows) -> None:
                 tree, stack, nodes = grow
                 # this tree's node searched last is its last node so far
                 if loss[j] == np.inf:
-                    nodes[-1][4] = leaf(counts, len(r))
+                    nodes[-1][4] = [v / len(r) for v in counts]
                     continue
                 feat = int(feats[f[j]])
                 nodes[-1][:2] = feat, float(thr[j])

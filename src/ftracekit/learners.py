@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import EmptyData, SingleClass, WidthMismatch
-from .grower import _check_int, _grow_classifiers, _is_int
+from .grower import _check_int, _check_real, _grow_classifiers, _is_int
 
 MODEL_FORMAT_VERSION = 2
 
@@ -64,20 +64,18 @@ def _presort(X) -> np.ndarray:
 
 
 def _best_split(xs, gs, total_sum, total_sq):
-    """Exact least-squares midpoint split of one regression node.
+    """Exact least-squares split of one regression node.
 
-    `xs` is (features, rows): each candidate column's node values in
-    ascending order, and `gs` the residuals in the same order, summing to
-    `total_sum` with squares summing to `total_sq`.  A cut's cost is the
-    SSE of its two sides from float prefix sums of `gs`; cuts between
-    equal values are not allowed.  One flat argmin over (feature, cut)
+    `xs` is (features >= 1, rows >= 2): each candidate column's node
+    values in ascending order, and `gs` the residuals in the same order,
+    summing to `total_sum` with squares summing to `total_sq`.  A cut's
+    cost is the SSE of its two sides from float prefix sums of `gs`; cuts
+    between equal values cost inf.  One flat argmin over (feature, cut)
     picks the lowest cost; ties go to the lowest candidate, then the
-    lowest threshold.  Returns (candidate position, midpoint threshold,
-    cost), or None when no cut exists.
+    lowest threshold.  Returns (candidate position, threshold, cost),
+    the threshold by the rule of `grower._gini_search`.
     """
     m = xs.shape[1]
-    if m < 2 or xs.shape[0] == 0:
-        return None
     nl = np.arange(1, m, dtype=float)
     cum = np.cumsum(gs[:, :-1], axis=1)
     # (total_sq - cum**2 / nl) - (total_sum - cum)**2 / nr in place
@@ -90,9 +88,9 @@ def _best_split(xs, gs, total_sum, total_sq):
     cost -= cum
     np.copyto(cost, np.inf, where=~(xs[:, :-1] < xs[:, 1:]))
     f, cut = divmod(int(np.argmin(cost)), m - 1)
-    if not np.isfinite(cost[f, cut]):
-        return None
-    return f, (xs[f, cut] + xs[f, cut + 1]) / 2.0, float(cost[f, cut])
+    lo, hi = xs[f, cut:cut + 2].tolist()
+    mid = (lo + hi) / 2.0
+    return f, mid if lo <= mid < hi else lo, float(cost[f, cut])
 
 
 class _FlatTree:
@@ -242,13 +240,12 @@ class DecisionTree(_ClassProbaOutputs, _FlatTree):
         self.classes_: Optional[np.ndarray] = None
         self._imp_raw: Optional[np.ndarray] = None
 
-    def fit(self, X, y, classes=None):
+    def fit(self, X, y):
         X = np.asarray(X, dtype=float)
         y = np.asarray(y)
         if X.shape[0] == 0:
             raise EmptyData("cannot fit a tree on zero samples")
-        self.classes_ = np.asarray(classes if classes is not None
-                                   else np.unique(y))
+        self.classes_ = np.unique(y)
         _grow_classifiers([self], X, y, [np.arange(X.shape[0])])
         return self
 
@@ -285,7 +282,8 @@ class RegressionTree(_FlatTree):
     That order matters: the SSE of each cut comes from a float prefix sum
     of g (`_best_split`).  Ties go to the lowest feature, then the lowest
     threshold.  After `fit`, `fit_leaves_` holds the leaf id of each
-    training row.
+    training row.  `fit` raises ValueError unless max_depth is an int
+    >= 0 and min_samples_split an int >= 1.
     """
 
     def __init__(self, max_depth=3, min_samples_split=2):
@@ -296,6 +294,8 @@ class RegressionTree(_FlatTree):
     def fit(self, X, g, h, order=None):
         """`order` may pass in `_presort(X)` when the caller fits many
         trees on the same X."""
+        _check_int("max_depth", self.max_depth, 0)
+        _check_int("min_samples_split", self.min_samples_split, 1)
         X = np.asarray(X, dtype=float)
         g = np.asarray(g, dtype=float)
         h = np.asarray(h, dtype=float)
@@ -304,46 +304,38 @@ class RegressionTree(_FlatTree):
             order = _presort(X)
         cols = np.arange(X.shape[1])[:, None]
         self.fit_leaves_ = np.empty(len(g), dtype=np.intp)
-        feature, threshold, left, right, value = [], [], [], [], []
-        # (rows, the parent's presort, the mask of this child's part of it,
-        # partitioned only once the child searches, depth, the parent's
-        # child links and id)
-        stack = [(np.arange(len(g)), order, None, 0, left, -1)]
+        # a stack of (rows, the parent's presort, the mask of this child's
+        # part of it, partitioned only once it searches, depth, parent,
+        # side), and node rows laid out as `grower._grow_classifiers` does
+        stack, nodes = [(np.arange(len(g)), order, None, 0, -1, 0)], []
         while stack:
-            rows, order, keep, depth, links, parent = stack.pop()
-            node = len(feature)
+            rows, order, keep, depth, parent, side = stack.pop()
             if parent >= 0:
-                links[parent] = node
-            left.append(-1)
-            right.append(-1)
+                nodes[parent][side] = len(nodes)
             gn = g[rows]
             n = len(gn)
             if (depth < self.max_depth and n >= self.min_samples_split
-                    and gn.min() != gn.max()):
+                    and len(cols) and gn.min() != gn.max()):
                 if keep is not None:
                     order = order[keep].reshape(len(order), -1)
                 total_sum = gn.sum()
                 total_sq = np.sum(gn * gn)
-                split = _best_split(XT[cols, order], g[order], total_sum,
-                                    total_sq)
-                base = total_sq - total_sum ** 2 / n
-                if split is not None and base - split[2] > 1e-12:
-                    feat, thr = int(split[0]), float(split[1])
-                    feature.append(feat)
-                    threshold.append(thr)
-                    value.append([0.0])
+                feat, thr, cost = _best_split(XT[cols, order], g[order],
+                                              total_sum, total_sq)
+                # an inf cost (no cut) fails this too
+                if total_sq - total_sum ** 2 / n - cost > 1e-12:
                     goes_left = XT[feat] <= thr
                     keep, here = goes_left[order], goes_left[rows]
                     stack.append((rows[~here], order, ~keep, depth + 1,
-                                  right, node))
+                                  len(nodes), 3))
                     stack.append((rows[here], order, keep, depth + 1,
-                                  left, node))
+                                  len(nodes), 2))
+                    nodes.append([feat, thr, -1, -1, [0.0]])
                     continue
-            self.fit_leaves_[rows] = node
-            feature.append(-1)
-            threshold.append(0.0)
-            value.append([gn.sum() / (h[rows].sum() + 1e-12)])
-        self._set_arrays(feature, threshold, left, right, value)
+            self.fit_leaves_[rows] = len(nodes)
+            nodes.append([-1, 0.0, -1, -1,
+                          [gn.sum() / (h[rows].sum() + 1e-12)]])
+        self._set_arrays(*zip(*nodes))
         return self
 
     def predict(self, X) -> np.ndarray:
@@ -452,7 +444,9 @@ class GradientBoosting(_Proba1Outputs):
     Each round fits a regression tree to the residuals y - p with Newton
     leaf values; the contribution is halved until training log-loss does
     not increase, so the recorded loss sequence is non-increasing.  Trees
-    whose step was halved to 0 take no part in prediction.
+    whose step was halved to 0 take no part in prediction.  `fit` raises
+    ValueError unless n_rounds is an int >= 0 and learning_rate a finite
+    number > 0; each tree's `fit` checks max_depth and min_samples_split.
     """
 
     def __init__(self, n_rounds=100, learning_rate=0.1, max_depth=3,
@@ -473,6 +467,8 @@ class GradientBoosting(_Proba1Outputs):
         y = np.asarray(y, dtype=float)
         if X.shape[0] == 0:
             raise EmptyData("cannot fit boosting on zero samples")
+        _check_int("n_rounds", self.n_rounds, 0)
+        _check_real("learning_rate", self.learning_rate, 0.0)
         self.trees, self.scales = [], []
         self._stack_trees()
         pbar = float(np.mean(y))
@@ -559,7 +555,9 @@ class GradientBoosting(_Proba1Outputs):
 
 class LogisticModel(_Proba1Outputs):
     """L2-regularized logistic regression, full-batch gradient descent,
-    deterministic zero initialization (bias unregularized)."""
+    deterministic zero initialization (bias unregularized).  `fit` raises
+    ValueError unless epochs is an int >= 0, step a finite number > 0 and
+    l2 a finite number >= 0."""
 
     _HYPERPARAMETERS = ("epochs", "step", "l2")
 
@@ -584,6 +582,9 @@ class LogisticModel(_Proba1Outputs):
         y = np.asarray(y, dtype=float)
         if X.shape[0] == 0:
             raise EmptyData("cannot fit logistic regression on zero samples")
+        _check_int("epochs", self.epochs, 0)
+        _check_real("step", self.step, 0.0)
+        _check_real("l2", self.l2, 0.0, inclusive=True)
         self.w = np.zeros(X.shape[1])
         self.b = 0.0
         for _ in range(self.epochs):
@@ -835,12 +836,6 @@ def _per_label(Y_true, Y_pred) -> tuple[list, float]:
                             np.asarray(Y_pred, dtype=int))
     micro = _prf(int(tp.sum()), int(fp.sum()), int(fn.sum()))[2]
     return [_prf(*c) for c in zip(tp.tolist(), fp.tolist(), fn.tolist())], micro
-
-
-def multilabel_f1(Y_true, Y_pred) -> tuple[float, float]:
-    """(macro, micro) F1 over binary indicator matrices."""
-    per_label, micro = _per_label(Y_true, Y_pred)
-    return float(np.mean([f1 for _, _, f1 in per_label])), micro
 
 
 def one_hot(tasks: list[str], label_vocab: list[str]) -> np.ndarray:

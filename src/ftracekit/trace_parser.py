@@ -43,8 +43,6 @@ class RawLine:
     kind: BodyKind
     cpu: int = -1
     abstime: Optional[float] = None
-    comm_pid: Optional[str] = None
-    marker: Optional[str] = None
     duration_us: Optional[float] = None
     name: Optional[str] = None
     tail_name: Optional[str] = None
@@ -119,9 +117,9 @@ class TraceSample:
 # line layout:  [abstime |]  cpu)  [comm-pid |]  [marker] [duration us]  |  body
 _ABSTIME_CPU_RE = re.compile(r"^\s*(\d+\.\d+)\s+\|\s*(\d+)\)(.*)$")
 _CPU_RE = re.compile(r"^\s*(\d+)\)(.*)$")
-_COMM_PID_RE = re.compile(r"^\s*(\S+-\d+)\s+\|(.*)$")
+_COMM_PID_RE = re.compile(r"^\s*\S+-\d+\s+\|(.*)$")
 _DUR_BODY_RE = re.compile(
-    r"^\s*(?:([%s])\s*)?(?:(\d+(?:\.\d+)?)\s+us\s*)?\|(.*)$" % re.escape(OVERHEAD_MARKERS)
+    r"^\s*(?:[%s]\s*)?(?:(\d+(?:\.\d+)?)\s+us\s*)?\|(.*)$" % re.escape(OVERHEAD_MARKERS)
 )
 _EXIT_RE = re.compile(r"^\}\s*(?:;)?\s*(?:/\*\s*(.*?)\s*\*/)?$")
 _NAME_RE = re.compile(r"^(\S+)\(\)$")
@@ -172,17 +170,15 @@ def _parse_line_strict(line: str) -> RawLine:
         raise MalformedLine(f"CPU column of {len(cpu_text)} digits: {line!r}",
                             column=0) from None
 
-    comm_pid = None
     m = _COMM_PID_RE.match(rest)
     if m:
-        comm_pid = m.group(1)
-        rest = m.group(2)
+        rest = m.group(1)
 
     m = _DUR_BODY_RE.match(rest)
     if not m:
         raise MalformedLine(f"no duration/body separator: {line!r}",
                             column=len(line) - len(rest))
-    marker, dur_text, body = m.group(1), m.group(2), m.group(3)
+    dur_text, body = m.group(1), m.group(2)
     duration_us = float(dur_text) if dur_text is not None else None
 
     # body starts with a fixed 2-space column gap, then indentation
@@ -205,8 +201,8 @@ def _parse_line_strict(line: str) -> RawLine:
         if duration_us is None:
             raise MalformedLine(f"exit line without duration: {line!r}")
         return RawLine(kind=BodyKind.EXIT, cpu=cpu, abstime=abstime,
-                       comm_pid=comm_pid, marker=marker, duration_us=duration_us,
-                       tail_name=m.group(1), depth=depth)
+                       duration_us=duration_us, tail_name=m.group(1),
+                       depth=depth)
 
     if content.endswith("{"):
         name_part = content[:-1].rstrip()
@@ -216,7 +212,7 @@ def _parse_line_strict(line: str) -> RawLine:
         if duration_us is not None:
             raise MalformedLine(f"entry line carries a duration: {line!r}")
         return RawLine(kind=BodyKind.ENTRY, cpu=cpu, abstime=abstime,
-                       comm_pid=comm_pid, name=m.group(1), depth=depth)
+                       name=m.group(1), depth=depth)
 
     if content.endswith(";"):
         m = _NAME_RE.match(content[:-1].rstrip())
@@ -225,8 +221,7 @@ def _parse_line_strict(line: str) -> RawLine:
         if duration_us is None:
             raise MalformedLine(f"leaf line without duration: {line!r}")
         return RawLine(kind=BodyKind.LEAF, cpu=cpu, abstime=abstime,
-                       comm_pid=comm_pid, marker=marker, duration_us=duration_us,
-                       name=m.group(1), depth=depth)
+                       duration_us=duration_us, name=m.group(1), depth=depth)
 
     raise MalformedLine(f"unrecognized body: {line!r}")
 

@@ -62,12 +62,20 @@ class TestExitCodes:
         ("forest", {"max_depth": -1}, "max_depth"),
         ("tree", {"max_depth": 1.5}, "max_depth"),
         ("tree", {"min_samples_split": 0}, "min_samples_split"),
+        ("boosting", {"max_depth": "a"}, "max_depth"),
+        ("boosting", {"min_samples_split": 0}, "min_samples_split"),
+        ("boosting", {"n_rounds": 2.5}, "n_rounds"),
+        ("boosting", {"learning_rate": "x"}, "learning_rate"),
+        ("logistic", {"epochs": "a"}, "epochs"),
+        ("logistic", {"l2": -1}, "l2"),
     ])
     def test_bad_tree_hyperparameter_is_runtime_error(
             self, learner, params, name, feature_csv, tmp_path, capsys):
         # before, a fractional max_features truncated to 0 features and
-        # fitted single-leaf trees with exit 0; wrong types raised an
-        # uncaught TypeError (exit 1) and a negative one numpy's message
+        # fitted single-leaf trees with exit 0, as boosting did with
+        # min_samples_split 0; wrong types raised an uncaught TypeError
+        # or numpy error (exit 1) and a negative max_features numpy's
+        # message
         rc = run(["train", "--features", str(feature_csv), "--learner",
                   learner, "--params", json.dumps(params), "--seed", "0",
                   "--out", str(tmp_path / "m.json")])

@@ -1,5 +1,7 @@
+import contextlib
 import itertools
 import json
+import signal
 import sys
 
 import numpy as np
@@ -172,6 +174,12 @@ class TestRegressionTree:
         assert len(tree.feature) == 1
         assert not tree.fit_leaves_.any()
 
+    def test_no_columns_make_one_leaf(self):
+        tree = ln.RegressionTree().fit(np.empty((4, 0)), [-0.5, 0.5] * 2,
+                                       np.full(4, 0.25))
+        assert len(tree.feature) == 1
+        assert tree.predict(np.empty((2, 0))).tolist() == [0.0, 0.0]
+
 
 class TestGradientBoosting:
     def _data(self, seed=0):
@@ -208,6 +216,18 @@ class TestGradientBoosting:
         with pytest.raises(EmptyData):
             ln.GradientBoosting().fit(np.empty((0, 2)), np.empty(0))
 
+    @pytest.mark.parametrize("params, name", [
+        ({"n_rounds": -1}, "n_rounds"), ({"n_rounds": True}, "n_rounds"),
+        ({"learning_rate": 0}, "learning_rate"),
+        ({"learning_rate": float("inf")}, "learning_rate"),
+        ({"learning_rate": True}, "learning_rate"),
+        ({"max_depth": None}, "max_depth"),
+        ({"min_samples_split": 1.0}, "min_samples_split")])
+    def test_bad_hyperparameters_rejected(self, params, name):
+        X, y = self._data()
+        with pytest.raises(ValueError, match=name):
+            ln.GradientBoosting(**params).fit(X, y)
+
     def test_serialization_round_trip(self):
         X, y = self._data()
         model = ln.GradientBoosting(n_rounds=10).fit(X, y)
@@ -226,6 +246,73 @@ class TestGradientBoosting:
             assert getattr(again, name) == value
         assert np.array_equal(again.decision_scores(X),
                               model.impl.decision_scores(X))
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the body once `seconds` of wall time pass."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+# two neighbouring values whose midpoint rounds onto the upper one, and
+# two whose sum overflows
+CLOSE_PAIRS = [np.array([[1 + 2**-52], [1 + 2 * 2**-52]]),
+               np.array([[1e308], [1.7e308]])]
+
+
+def assert_cut_at_lower_value(tree, X):
+    """Each internal node of `tree` cuts between the two rows of X, at
+    the lower value, so that it sends one row each way."""
+    assert len(tree.feature) <= 3
+    assert np.all(tree.threshold[tree.left >= 0] == X[0, 0])
+
+
+@pytest.mark.parametrize("X", CLOSE_PAIRS, ids=["rounds_up", "overflows"])
+class TestCutBetweenNeighbours:
+    """Where the midpoint of two neighbouring values rounds onto the upper
+    one or overflows, the threshold is the lower value.  A cut at such a
+    midpoint sent every row left: an unbounded tree split the same rows
+    forever and a forest predicted NaN."""
+
+    def test_decision_tree(self, X):
+        with time_limit(1.0):
+            tree = ln.DecisionTree(max_depth=None).fit(X, [0, 1])
+        assert tree.threshold.tolist() == [X[0, 0], 0.0, 0.0]
+        assert tree.predict_proba(X).tolist() == [[1.0, 0.0], [0.0, 1.0]]
+
+    def test_random_forest(self, X):
+        with time_limit(1.0):
+            forest = ln.RandomForest(seed=0).fit(X, [0, 1])
+        for tree in forest.trees:
+            assert_cut_at_lower_value(tree, X)
+        assert not np.isnan(forest.predict_proba(X)).any()
+        assert forest.predict(X).tolist() == [0, 1]
+
+    def test_regression_tree(self, X):
+        with time_limit(1.0):
+            tree = ln.RegressionTree(max_depth=3).fit(X, [-0.5, 0.5],
+                                                      [0.25, 0.25])
+        assert len(tree.feature) == 3
+        assert_cut_at_lower_value(tree, X)
+        assert tree.fit_leaves_.tolist() == [1, 2]
+
+    def test_gradient_boosting(self, X):
+        with time_limit(1.0):
+            model = ln.GradientBoosting().fit(X, [0, 1])
+        for tree in model.trees:
+            assert_cut_at_lower_value(tree, X)
+        p = model.predict_proba1(X)
+        assert not np.isnan(p).any()
+        assert model.predict(X).tolist() == [0, 1]
 
 
 class TestRefitAndReload:
@@ -354,6 +441,15 @@ class TestLogistic:
         lm, _, _ = ln.LogisticModel.loss_and_grad(w, b - eps, X, y, l2)
         assert gb == pytest.approx((lp - lm) / (2 * eps), abs=1e-5)
 
+    @pytest.mark.parametrize("params, name", [
+        ({"epochs": 2.5}, "epochs"), ({"step": 0.0}, "step"),
+        ({"step": NAN}, "step"), ({"l2": -1e-4}, "l2"),
+        ({"l2": "0"}, "l2")])
+    def test_bad_hyperparameters_rejected(self, params, name):
+        X = np.random.default_rng(0).random((8, 3))
+        with pytest.raises(ValueError, match=name):
+            ln.LogisticModel(**params).fit(X, np.array([0, 1] * 4))
+
     def test_separable_data_learned(self):
         rng = np.random.default_rng(2)
         X = rng.standard_normal((60, 2))
@@ -384,7 +480,7 @@ class TestOneVsRest:
                            seed=1).fit(X, tasks)
         Y = ovr.outputs(X)[0]
         truth = ln.one_hot(tasks, ovr.labels_)
-        _, micro = ln.multilabel_f1(truth, Y)
+        _, micro = ln._per_label(truth, Y)
         assert micro >= 0.9
 
 
@@ -662,9 +758,9 @@ class TestMetrics:
     def test_multilabel_f1_micro_equals_accuracy_for_exact_one_hot(self):
         truth = ln.one_hot(["a", "b", "a", "c"], ["a", "b", "c"])
         pred = ln.one_hot(["a", "b", "c", "c"], ["a", "b", "c"])
-        macro, micro = ln.multilabel_f1(truth, pred)
+        per_label, micro = ln._per_label(truth, pred)
         assert micro == pytest.approx(0.75)
-        assert macro == pytest.approx(7 / 9)
+        assert np.mean([f1 for _, _, f1 in per_label]) == pytest.approx(7 / 9)
 
     def test_monotone_transform_preserves_auc(self):
         rng = np.random.default_rng(8)

@@ -45,7 +45,6 @@ class TestParseLine:
         assert rl.kind is BodyKind.EXIT
         assert rl.cpu == 0
         assert rl.duration_us == 12.5
-        assert rl.marker == "+"
         assert rl.tail_name == "vfs_read"
         assert rl.depth == 1
 
@@ -58,7 +57,6 @@ class TestParseLine:
 
     def test_comm_pid_column(self):
         rl = parse_line(" 0)    bash-4251   |   0.332 us    |  cpumask_next();")
-        assert rl.comm_pid == "bash-4251"
         assert rl.name == "cpumask_next"
         assert rl.duration_us == 0.332
 

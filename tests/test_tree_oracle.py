@@ -1,8 +1,11 @@
 """Presorted split search against the per-node argsort search it replaced.
 
 The classes below, down to the end of the "decision trees" section, are
-the earlier recursive implementation kept verbatim as a reference: every
-node re-argsorts every candidate column and scans one feature at a time.
+the earlier recursive implementation kept as a reference: every node
+re-argsorts every candidate column and scans one feature at a time.  Its
+one change is the threshold rule (`threshold`): where the midpoint of two
+neighbouring values rounds onto the upper one or overflows, the cut is at
+the lower value, so that every split sends rows both ways.
 The flat-array trees in `ftracekit.learners` must fit exactly the same
 trees (same features, thresholds, leaf values, importances and rng draws)
 on data with heavy ties, constant columns, duplicate and bootstrap rows and
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from ftracekit import learners as ln
@@ -63,6 +66,13 @@ def flat_layout(root: TreeNode) -> dict:
     width = len(next(v for v in out["value"] if v is not None))
     out["value"] = [[0.0] * width if v is None else v for v in out["value"]]
     return out
+
+
+def threshold(lo, hi) -> float:
+    """The cut between neighbouring values lo < hi: their midpoint, or lo
+    where the midpoint rounds onto hi or overflows."""
+    mid = (float(lo) + float(hi)) / 2.0
+    return mid if lo <= mid < hi else float(lo)
 
 
 def _gini(counts: np.ndarray) -> float:
@@ -157,8 +167,7 @@ class DecisionTree:
             if not np.isfinite(w[i]):
                 continue
             if best is None or w[i] < best[2]:
-                thr = (xs[i] + xs[i + 1]) / 2.0
-                best = (j, thr, float(w[i]))
+                best = (j, threshold(xs[i], xs[i + 1]), float(w[i]))
         if best is None:
             return None
         # zero-gain splits are kept: XOR-style targets need them
@@ -236,7 +245,7 @@ class RegressionTree:
             if not np.isfinite(sse[i]):
                 continue
             if best is None or sse[i] < best[2]:
-                best = (j, (xs[i] + xs[i + 1]) / 2.0, float(sse[i]))
+                best = (j, threshold(xs[i], xs[i + 1]), float(sse[i]))
         if best is None:
             return None
         base = total_sq - total_sum ** 2 / n
@@ -346,8 +355,7 @@ def residuals(draw, n, lo, hi):
 
 
 def assert_same(a: dict, b: dict):
-    # JSON text: exact float reprs, and NaN leaves (a cut whose midpoint
-    # rounds onto the upper value leaves one side empty) compare equal
+    # JSON text: exact float reprs
     assert json.dumps(a) == json.dumps(b)
 
 
@@ -358,40 +366,65 @@ PROPS = settings(max_examples=150, deadline=None,
 # ---------------------------------------------------------------------------
 # properties
 
-@PROPS
-@given(st.data())
-def test_decision_tree_matches_reference(data):
-    X = data.draw(tied_matrix())
+# two neighbouring values whose midpoint rounds onto the upper one, and
+# two whose sum overflows
+CLOSE_PAIRS = [np.array([[1 + 2**-52], [1 + 2 * 2**-52]]),
+               np.array([[1e308], [1.7e308]])]
+
+
+@st.composite
+def decision_tree_case(draw):
+    X = draw(tied_matrix())
     n, d = X.shape
-    if data.draw(st.booleans()):  # bootstrap rows
-        X = X[np.array(data.draw(st.lists(st.integers(0, n - 1),
-                                          min_size=n, max_size=n)))]
-    y = labels(data.draw, n, data.draw(st.sampled_from([2, 3])))
+    if draw(st.booleans()):  # bootstrap rows
+        X = X[np.array(draw(st.lists(st.integers(0, n - 1),
+                                     min_size=n, max_size=n)))]
+    y = labels(draw, n, draw(st.sampled_from([2, 3])))
     params = dict(
-        max_depth=data.draw(st.none() | st.integers(0, 6)),
-        min_samples_split=data.draw(st.integers(1, 5)),
-        max_features=data.draw(st.none() | st.integers(0, d)))
-    seed = data.draw(st.integers(0, 2**32 - 1))
+        max_depth=draw(st.none() | st.integers(0, 6)),
+        min_samples_split=draw(st.integers(1, 5)),
+        max_features=draw(st.none() | st.integers(0, d)))
+    return X, y, params, draw(st.integers(0, 2**32 - 1))
+
+
+@st.composite
+def regression_tree_case(draw):
+    X = draw(tied_matrix())
+    n = X.shape[0]
+    g = residuals(draw, n, -1.0, 1.0)
+    h = residuals(draw, n, 1e-3, 0.25)
+    params = dict(max_depth=draw(st.integers(0, 5)),
+                  min_samples_split=draw(st.integers(1, 5)))
+    return X, g, h, params
+
+
+UNBOUNDED = dict(max_depth=None, min_samples_split=2, max_features=None)
+
+
+@PROPS
+@given(decision_tree_case())
+@example((CLOSE_PAIRS[0], np.array([0, 1]), UNBOUNDED, 0))
+@example((CLOSE_PAIRS[1], np.array([0, 1]), UNBOUNDED, 0))
+def test_decision_tree_matches_reference(case):
+    X, y, params, seed = case
     rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
     new = ln.DecisionTree(rng=rng_new, **params).fit(X, y)
     ref = DecisionTree(rng=rng_ref, **params).fit(X, y)
     probe = np.vstack([X, X + 0.5, X - 0.5])
-    assert np.array_equal(new.predict_proba(probe), ref.predict_proba(probe),
-                          equal_nan=True)
+    assert np.array_equal(new.predict_proba(probe), ref.predict_proba(probe))
     assert_same(new.to_dict(), ref.to_dict())
     assert np.array_equal(new._imp_raw, ref._imp_raw)
     assert rng_new.random() == rng_ref.random()
 
 
 @PROPS
-@given(st.data())
-def test_regression_tree_matches_reference(data):
-    X = data.draw(tied_matrix())
-    n = X.shape[0]
-    g = residuals(data.draw, n, -1.0, 1.0)
-    h = residuals(data.draw, n, 1e-3, 0.25)
-    params = dict(max_depth=data.draw(st.integers(0, 5)),
-                  min_samples_split=data.draw(st.integers(1, 5)))
+@given(regression_tree_case())
+@example((CLOSE_PAIRS[0], np.array([-0.5, 0.5]), np.full(2, 0.25),
+          dict(max_depth=3, min_samples_split=2)))
+@example((CLOSE_PAIRS[1], np.array([-0.5, 0.5]), np.full(2, 0.25),
+          dict(max_depth=3, min_samples_split=2)))
+def test_regression_tree_matches_reference(case):
+    X, g, h, params = case
     new = ln.RegressionTree(**params).fit(X, g, h)
     ref = RegressionTree(**params).fit(X, g, h)
     assert_same(new.to_dict(), ref.to_dict())
@@ -487,7 +520,7 @@ def test_random_forest_matches_reference(data):
     classes, trees = oracle_forest(X, y, **params)
     probe = np.vstack([X, X + 0.5, X - 0.5])
     proba = np.mean([t.predict_proba(probe) for t in trees], axis=0)
-    assert np.array_equal(new.predict_proba(probe), proba, equal_nan=True)
+    assert np.array_equal(new.predict_proba(probe), proba)
     assert np.array_equal(new.predict(probe),
                           classes[np.argmax(proba, axis=1)])
     assert_same(new.to_dict(),
@@ -504,11 +537,8 @@ def test_lockstep_forest_and_tree_match_reference(data):
     # in one step are scored together in padded batches.  Depth limits and
     # bootstrap draws give the trees different shapes, so batches mix node
     # sizes; NaN cells must sort before the NaN pad rows and never bound a
-    # cut; up to six classes widen the one-hot counts.  Values are
-    # multiples of 1/4, so no midpoint rounds onto the upper value: such a
-    # cut can leave a child with all its parent's rows, which an unbounded
-    # tree then splits the same way forever.
-    X = np.round(data.draw(tied_matrix(max_rows=32, max_cols=6))) / 4
+    # cut; up to six classes widen the one-hot counts.
+    X = data.draw(tied_matrix(max_rows=32, max_cols=6))
     n, d = X.shape
     for i, j in data.draw(st.lists(st.tuples(st.integers(0, n - 1),
                                              st.integers(0, d - 1)),
@@ -530,12 +560,10 @@ def test_lockstep_forest_and_tree_match_reference(data):
                  "trees": [t.to_dict() for t in trees]})
     for a, b in zip(new.trees, trees):
         assert np.array_equal(a._imp_raw, b._imp_raw)
-        assert np.array_equal(a.predict_proba(probe), b.predict_proba(probe),
-                              equal_nan=True)
+        assert np.array_equal(a.predict_proba(probe), b.predict_proba(probe))
     assert np.array_equal(
         new.predict_proba(probe),
-        np.mean([t.predict_proba(probe) for t in trees], axis=0),
-        equal_nan=True)
+        np.mean([t.predict_proba(probe) for t in trees], axis=0))
     # a single tree is a forest of one
     mf = trees[0].max_features
     tree_params = dict(max_depth=params["max_depth"],
@@ -547,6 +575,5 @@ def test_lockstep_forest_and_tree_match_reference(data):
     ref = DecisionTree(rng=rng_ref, **tree_params).fit(X, y)
     assert_same(one.to_dict(), ref.to_dict())
     assert np.array_equal(one._imp_raw, ref._imp_raw)
-    assert np.array_equal(one.predict_proba(probe), ref.predict_proba(probe),
-                          equal_nan=True)
+    assert np.array_equal(one.predict_proba(probe), ref.predict_proba(probe))
     assert rng_new.random() == rng_ref.random()
