@@ -174,7 +174,7 @@ def kfold_cv(m: FeatureMatrix, labels, pipeline: Pipeline,
     all_idx = np.arange(len(labels))
     fold_metrics = []
     for i, va in enumerate(folds):
-        tr = np.setdiff1d(all_idx, va)
+        tr = np.delete(all_idx, va)
         fitted = pipeline.fit(m.subset_rows(tr), labels[tr],
                               _sub_seed(seed, i))
         fold_metrics.append(

@@ -26,6 +26,12 @@ def _sub_seed(seed: int, *tags: int) -> int:
     return int(np.random.SeedSequence([seed, *tags]).generate_state(1)[0])
 
 
+def _classes(y: np.ndarray) -> np.ndarray:
+    """y's distinct labels in ascending order, as np.unique gives them; a
+    sorted set keeps out numpy.ma, which np.unique imports."""
+    return np.array(sorted(set(y.tolist())), dtype=y.dtype)
+
+
 # ---------------------------------------------------------------------------
 # decision trees
 
@@ -245,7 +251,7 @@ class DecisionTree(_ClassProbaOutputs, _FlatTree):
         y = np.asarray(y)
         if X.shape[0] == 0:
             raise EmptyData("cannot fit a tree on zero samples")
-        self.classes_ = np.unique(y)
+        self.classes_ = _classes(y)
         _grow_classifiers([self], X, y, [np.arange(X.shape[0])])
         return self
 
@@ -353,7 +359,8 @@ class RandomForest(_ClassProbaOutputs):
     grow all trees side by side with one batched search per step and
     still fit each tree as if it grew alone.  `max_features` is an int >= 1, "sqrt"
     (ceil(sqrt(d))), or "all"/None for every feature; `fit` rejects other
-    values, and n_trees < 1, with a ValueError naming the parameter.
+    values, n_trees < 1 and a `bootstrap` that is not a bool with a
+    ValueError naming the parameter.
     """
 
     _HYPERPARAMETERS = ("n_trees", "max_depth", "min_samples_split",
@@ -387,7 +394,9 @@ class RandomForest(_ClassProbaOutputs):
             raise ValueError(f"a forest needs at least one tree, got "
                              f"n_trees={self.n_trees!r}")
         _check_int("max_features", self.max_features, 1, None, "sqrt", "all")
-        self.classes_ = np.unique(y)
+        if not isinstance(self.bootstrap, (bool, np.bool_)):
+            raise ValueError(f"bootstrap must be a bool, got {self.bootstrap!r}")
+        self.classes_ = _classes(y)
         mf = self._resolve_max_features(X.shape[1])
         n = X.shape[0]
         self.trees, rows = [], []
@@ -445,8 +454,9 @@ class GradientBoosting(_Proba1Outputs):
     leaf values; the contribution is halved until training log-loss does
     not increase, so the recorded loss sequence is non-increasing.  Trees
     whose step was halved to 0 take no part in prediction.  `fit` raises
-    ValueError unless n_rounds is an int >= 0 and learning_rate a finite
-    number > 0; each tree's `fit` checks max_depth and min_samples_split.
+    ValueError unless n_rounds is an int >= 0, learning_rate a finite
+    number > 0, max_depth an int >= 0 and min_samples_split an int >= 1,
+    also when it grows no tree.
     """
 
     def __init__(self, n_rounds=100, learning_rate=0.1, max_depth=3,
@@ -469,6 +479,8 @@ class GradientBoosting(_Proba1Outputs):
             raise EmptyData("cannot fit boosting on zero samples")
         _check_int("n_rounds", self.n_rounds, 0)
         _check_real("learning_rate", self.learning_rate, 0.0)
+        _check_int("max_depth", self.max_depth, 0)
+        _check_int("min_samples_split", self.min_samples_split, 1)
         self.trees, self.scales = [], []
         self._stack_trees()
         pbar = float(np.mean(y))

@@ -90,7 +90,7 @@ def chi2_statistics(m: FeatureMatrix, labels: np.ndarray) -> list[ScoredFeature]
     if np.any(X < 0):
         raise NegativeFeature("chi-squared needs nonnegative features; "
                               "apply minmax scaling first")
-    classes = np.unique(labels)
+    classes = learners._classes(labels)
     if classes.size < 2:
         raise SingleClass("need at least two classes")
 
@@ -112,7 +112,7 @@ def chi2_scores(m: FeatureMatrix, labels: np.ndarray) -> list[ScoredFeature]:
     """Every column's chi-squared statistic (see chi2_statistics) with its
     p-value; zero-mass columns get p = 1."""
     scores = chi2_statistics(m, labels)
-    df = np.unique(np.asarray(labels)).size - 1
+    df = learners._classes(np.asarray(labels)).size - 1
     out: list[ScoredFeature] = []
     clamped = 0
     for s in scores:

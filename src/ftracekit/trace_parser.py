@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from enum import Enum
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
@@ -30,25 +29,6 @@ _MARKER_THRESHOLDS = [
 ]
 
 
-class BodyKind(Enum):
-    LEAF = "leaf"
-    ENTRY = "entry"
-    EXIT = "exit"
-    COMMENT = "comment"
-    BOUNDARY = "boundary"
-
-
-@dataclass(frozen=True)
-class RawLine:
-    kind: BodyKind
-    cpu: int = -1
-    abstime: Optional[float] = None
-    duration_us: Optional[float] = None
-    name: Optional[str] = None
-    tail_name: Optional[str] = None
-    depth: int = 0
-
-
 @dataclass
 class IoMeta:
     read_count: int = 0
@@ -60,14 +40,6 @@ class IoMeta:
         for f in ("read_count", "write_count", "read_bytes", "write_bytes"):
             if getattr(self, f) < 0:
                 raise ValueError(f"{f} must be >= 0")
-
-    def as_dict(self):
-        return {
-            "read_count": self.read_count,
-            "write_count": self.write_count,
-            "read_bytes": self.read_bytes,
-            "write_bytes": self.write_bytes,
-        }
 
 
 @dataclass(slots=True)
@@ -144,15 +116,18 @@ _LINE_RE = re.compile(
     r"\s*\Z" % re.escape(OVERHEAD_MARKERS))
 
 
-def _parse_line_strict(line: str) -> RawLine:
-    """Classify one physical line of function_graph output; a malformed
-    line raises MalformedLine."""
+def _parse_line_strict(line: str) -> Optional[tuple]:
+    """The fields of one physical line of function_graph output: _LINE_RE's
+    groups (abstime, cpu, duration_us, depth, exit tail, leaf name, entry
+    name) with the numbers converted and the indentation given as a depth.
+    None for a comment, a boundary or a /* ... */ body; a malformed line
+    raises MalformedLine."""
     stripped = line.strip()
     if not stripped or stripped.startswith("#"):
-        return RawLine(kind=BodyKind.COMMENT)
+        return None
     if set(stripped) <= {"-"} or "=>" in stripped:
         # CPU-switch separator emitted by the kernel between task migrations
-        return RawLine(kind=BodyKind.BOUNDARY)
+        return None
 
     abstime = None
     m = _ABSTIME_CPU_RE.match(line)
@@ -192,7 +167,7 @@ def _parse_line_strict(line: str) -> RawLine:
     content = body.strip()
 
     if content.startswith("/*"):
-        return RawLine(kind=BodyKind.COMMENT, cpu=cpu, abstime=abstime)
+        return None
 
     if content.startswith("}"):
         m = _EXIT_RE.match(content)
@@ -200,9 +175,7 @@ def _parse_line_strict(line: str) -> RawLine:
             raise MalformedLine(f"bad exit line: {line!r}")
         if duration_us is None:
             raise MalformedLine(f"exit line without duration: {line!r}")
-        return RawLine(kind=BodyKind.EXIT, cpu=cpu, abstime=abstime,
-                       duration_us=duration_us, tail_name=m.group(1),
-                       depth=depth)
+        return abstime, cpu, duration_us, depth, m.group(1), None, None
 
     if content.endswith("{"):
         name_part = content[:-1].rstrip()
@@ -211,8 +184,7 @@ def _parse_line_strict(line: str) -> RawLine:
             raise MalformedLine(f"bad entry line: {line!r}")
         if duration_us is not None:
             raise MalformedLine(f"entry line carries a duration: {line!r}")
-        return RawLine(kind=BodyKind.ENTRY, cpu=cpu, abstime=abstime,
-                       name=m.group(1), depth=depth)
+        return abstime, cpu, None, depth, None, None, m.group(1)
 
     if content.endswith(";"):
         m = _NAME_RE.match(content[:-1].rstrip())
@@ -220,8 +192,7 @@ def _parse_line_strict(line: str) -> RawLine:
             raise MalformedLine(f"bad leaf line: {line!r}")
         if duration_us is None:
             raise MalformedLine(f"leaf line without duration: {line!r}")
-        return RawLine(kind=BodyKind.LEAF, cpu=cpu, abstime=abstime,
-                       duration_us=duration_us, name=m.group(1), depth=depth)
+        return abstime, cpu, duration_us, depth, None, m.group(1), None
 
     raise MalformedLine(f"unrecognized body: {line!r}")
 
@@ -243,46 +214,42 @@ def parse_trace(stream, strict: bool = False) -> TraceSample:
     warnings: list[str] = []
     has_abstime = False
     match = _LINE_RE.match
-    ENTRY, LEAF, EXIT = BodyKind.ENTRY, BodyKind.LEAF, BodyKind.EXIT
     cur_cpu = None
     stack: list[CallRecord] = []
     cpu_roots: list[CallRecord] = []
+
+    def anomaly(msg: str, exc: Optional[Exception] = None) -> None:
+        """Strict mode raises exc, or a NestingError of msg; tolerant mode
+        keeps msg as a warning."""
+        if strict:
+            raise exc if exc is not None else NestingError(msg)
+        warnings.append(msg)
 
     for lineno, line in enumerate(lines, start=1):
         line = line.rstrip("\n")
         m = match(line)
         if m is not None:
-            abstime, cpu, duration, indent, tail, leaf, entry = m.groups()
+            abstime, cpu, duration, depth, tail, leaf, entry = m.groups()
             try:
                 cpu = int(cpu)
             except ValueError:  # too many digits: the slow path rejects it
                 m = None
-        if m is not None:
-            if abstime is not None:
-                abstime = float(abstime)
-            if duration is not None:
-                duration = float(duration)
-            depth = len(indent) // 2
-            if entry is not None:
-                kind, name = ENTRY, entry
-            elif leaf is not None:
-                kind, name = LEAF, leaf
             else:
-                kind = EXIT
-        else:
+                if abstime is not None:
+                    abstime = float(abstime)
+                if duration is not None:
+                    duration = float(duration)
+                depth = len(depth) // 2
+        if m is None:
             try:
-                rl = _parse_line_strict(line)
+                fields = _parse_line_strict(line)
             except MalformedLine as exc:
-                if strict:
-                    exc.lineno = lineno
-                    raise
-                warnings.append(f"line {lineno}: malformed, skipped ({exc})")
+                exc.lineno = lineno
+                anomaly(f"line {lineno}: malformed, skipped ({exc})", exc)
                 continue
-            kind = rl.kind
-            if kind is BodyKind.COMMENT or kind is BodyKind.BOUNDARY:
+            if fields is None:
                 continue
-            cpu, abstime, duration = rl.cpu, rl.abstime, rl.duration_us
-            depth, name, tail = rl.depth, rl.name, rl.tail_name
+            abstime, cpu, duration, depth, tail, leaf, entry = fields
         if abstime is not None:
             has_abstime = True
 
@@ -291,43 +258,32 @@ def parse_trace(stream, strict: bool = False) -> TraceSample:
             stack = stacks.setdefault(cpu, [])
             cpu_roots = roots.setdefault(cpu, [])
 
-        if kind is not EXIT:
+        name = entry or leaf  # None on an exit
+        if name is not None:
             if depth != len(stack):
-                msg = (f"line {lineno}: depth {depth} does not match "
-                       f"nesting level {len(stack)} on cpu {cpu}")
-                if strict:
-                    raise NestingError(msg)
-                warnings.append(msg)
+                anomaly(f"line {lineno}: depth {depth} does not match "
+                        f"nesting level {len(stack)} on cpu {cpu}")
             parent = stack[-1] if stack else None
             # name, cpu, depth, duration_us, start_time, end_time, parent_name
             rec = CallRecord(
                 name, cpu, len(stack), duration, abstime,
                 (abstime + duration * 1e-6
-                 if kind is LEAF and abstime is not None else None),
+                 if leaf is not None and abstime is not None else None),
                 parent.name if parent else None)
             (parent.children if parent else cpu_roots).append(rec)
-            if kind is ENTRY:
+            if entry is not None:
                 stack.append(rec)
         else:
             if not stack:
-                msg = f"line {lineno}: unmatched exit on cpu {cpu}, dropped"
-                if strict:
-                    raise NestingError(msg)
-                warnings.append(msg)
+                anomaly(f"line {lineno}: unmatched exit on cpu {cpu}, dropped")
                 continue
             rec = stack.pop()
             if depth != len(stack):
-                msg = (f"line {lineno}: exit depth {depth} does not match "
-                       f"entry depth {len(stack)} on cpu {cpu}")
-                if strict:
-                    raise NestingError(msg)
-                warnings.append(msg)
+                anomaly(f"line {lineno}: exit depth {depth} does not match "
+                        f"entry depth {len(stack)} on cpu {cpu}")
             if tail and tail != rec.name:
-                msg = (f"line {lineno}: exit tail {tail!r} does not "
-                       f"match open entry {rec.name!r}")
-                if strict:
-                    raise NestingError(msg)
-                warnings.append(msg)
+                anomaly(f"line {lineno}: exit tail {tail!r} does not "
+                        f"match open entry {rec.name!r}")
             rec.duration_us = duration
             if abstime is not None:
                 rec.end_time = abstime

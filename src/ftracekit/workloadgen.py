@@ -12,7 +12,7 @@ import hashlib
 import json
 import math
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from operator import attrgetter
 from pathlib import Path
 from typing import Optional
@@ -242,7 +242,7 @@ def generate_corpus(profiles: list[WorkloadProfile], per_profile_count: int,
             trace_path = task_dir / f"{stem}.trace"
             trace_path.write_text(text)
             sidecar = {"label": profile.label, "task": profile.name,
-                       **io.as_dict()}
+                       **asdict(io)}
             (task_dir / f"{stem}.io.json").write_text(json.dumps(sidecar))
             entries.append({
                 "file": str(trace_path.relative_to(out)),

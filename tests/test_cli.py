@@ -1,5 +1,9 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -68,6 +72,8 @@ class TestExitCodes:
         ("boosting", {"learning_rate": "x"}, "learning_rate"),
         ("logistic", {"epochs": "a"}, "epochs"),
         ("logistic", {"l2": -1}, "l2"),
+        ("boosting", {"n_rounds": 0, "max_depth": "a"}, "max_depth"),
+        ("forest", {"bootstrap": "false"}, "bootstrap"),
     ])
     def test_bad_tree_hyperparameter_is_runtime_error(
             self, learner, params, name, feature_csv, tmp_path, capsys):
@@ -280,3 +286,29 @@ class TestPipeline:
         assert rc == 0
         lines = out.read_text().splitlines()
         assert len(lines) == 8  # header + 7 configurations
+
+    def test_experiments_leave_numpy_ma_unimported(self, tmp_path):
+        # np.unique and np.setdiff1d import numpy.ma, about 1.2 MB that
+        # then stays for the life of the process; some numpy versions
+        # import it with numpy itself
+        code = ("import sys\n"
+                "import numpy\n"
+                "before = 'numpy.ma' in sys.modules\n"
+                "from ftracekit import cli\n"
+                "for argv in sys.argv[1:]:\n"
+                "    assert cli.main(argv.split()) == 0, argv\n"
+                "print(before, 'numpy.ma' in sys.modules)\n")
+        c2, c6, out = tmp_path / "c2", tmp_path / "c6", tmp_path / "out"
+        runs = [f"gen --profiles default2 --count 10 --roots 6 --seed 3 --out {c2}",
+                f"gen --profiles tasks6 --count 6 --roots 6 --seed 3 --out {c6}"
+                " --multi-cpu --abstime",
+                f"exp1 --corpus {c2} --seed 7 --k 10 --out {out}/boost",
+                f"exp1 --corpus {c2} --seed 7 --k 10 --learner forest"
+                f" --out {out}/forest",
+                f"exp2 --corpus {c6} --seed 7 --k 10 --out {out}/exp2"]
+        src = str(Path(cli.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-c", code, *runs], check=True,
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        before, after = done.stdout.splitlines()[-1].split()
+        assert after == before

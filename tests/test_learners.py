@@ -131,6 +131,9 @@ class TestRandomForest:
         ({"min_samples_split": 0}, "min_samples_split"),
         ({"max_depth": -1}, "max_depth"),
         ({"max_depth": 2.0}, "max_depth"),
+        ({"bootstrap": "no"}, "bootstrap"),
+        ({"bootstrap": 1}, "bootstrap"),
+        ({"bootstrap": None}, "bootstrap"),
     ])
     def test_bad_hyperparameters_rejected(self, params, name):
         X, y = self._data()
@@ -141,7 +144,8 @@ class TestRandomForest:
         {"max_features": 1}, {"max_features": "sqrt"}, {"max_features": "all"},
         {"max_features": None}, {"max_features": 6},
         {"max_depth": None}, {"max_depth": 0}, {"min_samples_split": 1},
-        {"n_trees": np.int64(2)}])
+        {"n_trees": np.int64(2)}, {"bootstrap": False},
+        {"bootstrap": np.bool_(True)}])
     def test_documented_hyperparameters_accepted(self, params):
         X, y = self._data()
         forest = ln.RandomForest(**{"n_trees": 3, **params}).fit(X, y)
@@ -222,11 +226,17 @@ class TestGradientBoosting:
         ({"learning_rate": float("inf")}, "learning_rate"),
         ({"learning_rate": True}, "learning_rate"),
         ({"max_depth": None}, "max_depth"),
-        ({"min_samples_split": 1.0}, "min_samples_split")])
+        ({"min_samples_split": 1.0}, "min_samples_split"),
+        ({"n_rounds": 0, "max_depth": "a"}, "max_depth")])
     def test_bad_hyperparameters_rejected(self, params, name):
         X, y = self._data()
         with pytest.raises(ValueError, match=name):
             ln.GradientBoosting(**params).fit(X, y)
+
+    def test_single_class_checks_tree_hyperparameters(self):
+        X, _ = self._data()
+        with pytest.raises(ValueError, match="min_samples_split"):
+            ln.GradientBoosting(min_samples_split=0).fit(X[:6], [1] * 6)
 
     def test_serialization_round_trip(self):
         X, y = self._data()

@@ -1,6 +1,6 @@
 """The one-regex line classifier against the step-by-step parser it speeds up.
 
-Everything from `RawLine` down to the end of `parse_trace` in the
+Everything from `BodyKind` down to the end of `parse_trace` in the
 "reference parser" section is the earlier parser kept verbatim: it runs
 the checks of `_parse_line_strict` on every line.  The parser in
 `ftracekit.trace_parser` first tries one anchored regex and falls back to
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from enum import Enum
 from typing import Iterable, Optional
 
 import pytest
@@ -26,10 +27,17 @@ from hypothesis import strategies as st
 from ftracekit import trace_parser as tp
 from ftracekit import workloadgen as wg
 from ftracekit.errors import MalformedLine, NestingError
-from ftracekit.trace_parser import (OVERHEAD_MARKERS, BodyKind, CallRecord,
-                                    TraceSample)
+from ftracekit.trace_parser import OVERHEAD_MARKERS, CallRecord, TraceSample
 
 # reference parser
+
+
+class BodyKind(Enum):
+    LEAF = "leaf"
+    ENTRY = "entry"
+    EXIT = "exit"
+    COMMENT = "comment"
+    BOUNDARY = "boundary"
 
 
 @dataclass(frozen=True)
@@ -257,6 +265,17 @@ def reference_fields(rl: RawLine):
             rl.tail_name)
 
 
+def strict_fields(rl: RawLine):
+    """The reference's classification in the shape of tp._parse_line_strict:
+    None for a comment or boundary, else (abstime, cpu, duration_us, depth,
+    exit tail, leaf name, entry name)."""
+    if rl.kind in (BodyKind.COMMENT, BodyKind.BOUNDARY):
+        return None
+    return (rl.abstime, rl.cpu, rl.duration_us, rl.depth, rl.tail_name,
+            rl.name if rl.kind is BodyKind.LEAF else None,
+            rl.name if rl.kind is BodyKind.ENTRY else None)
+
+
 def base_traces():
     """A few generated traces in both layouts, kept small."""
     out = []
@@ -373,6 +392,19 @@ class TestLineClassifier:
             m = FAST.match(line)
             if m is not None:
                 assert fast_fields(m) == reference_fields(classify_reference(line))
+
+    @settings(max_examples=1500, deadline=None)
+    @given(mutated_line())
+    def test_slow_path_gives_the_reference_fields(self, line):
+        want = classify_reference(line)
+        try:
+            got = tp._parse_line_strict(line)
+        except MalformedLine as exc:
+            assert isinstance(want, MalformedLine), (line, want)
+            assert str(exc) == str(want)
+            return
+        assert not isinstance(want, MalformedLine), (line, want)
+        assert got == strict_fields(want)
 
     def test_boundary_with_arrow_in_a_name_is_refused(self):
         line = " 0)   1.000 us    |  a=>b();"

@@ -8,7 +8,6 @@ from ftracekit import features as ft
 from ftracekit import trace_parser as tp
 from ftracekit import workloadgen as wg
 from ftracekit.errors import MalformedLine, NestingError
-from ftracekit.trace_parser import BodyKind
 
 
 
@@ -24,47 +23,33 @@ def parse_line(line):
 
 
 class TestParseLine:
+    # fields: abstime, cpu, duration_us, depth, exit tail, leaf name, entry name
     def test_leaf(self):
-        rl = parse_line(" 1)   0.462 us    |  mutex_unlock();")
-        assert rl.kind is BodyKind.LEAF
-        assert rl.cpu == 1
-        assert rl.name == "mutex_unlock"
-        assert rl.duration_us == 0.462
-        assert rl.depth == 0
+        assert parse_line(" 1)   0.462 us    |  mutex_unlock();") == (
+            None, 1, 0.462, 0, None, "mutex_unlock", None)
 
     def test_entry(self):
-        rl = parse_line(" 0)               |    vfs_read() {")
-        assert rl.kind is BodyKind.ENTRY
-        assert rl.cpu == 0
-        assert rl.name == "vfs_read"
-        assert rl.duration_us is None
-        assert rl.depth == 1
+        assert parse_line(" 0)               |    vfs_read() {") == (
+            None, 0, None, 1, None, None, "vfs_read")
 
     def test_exit_with_marker(self):
-        rl = parse_line(" 0) + 12.500 us   |    } /* vfs_read */")
-        assert rl.kind is BodyKind.EXIT
-        assert rl.cpu == 0
-        assert rl.duration_us == 12.5
-        assert rl.tail_name == "vfs_read"
-        assert rl.depth == 1
+        assert parse_line(" 0) + 12.500 us   |    } /* vfs_read */") == (
+            None, 0, 12.5, 1, "vfs_read", None, None)
 
     def test_comment_and_boundary(self):
-        assert parse_line("# tracer: function_graph").kind is BodyKind.COMMENT
-        assert parse_line(" ------------------------------------------").kind \
-            is BodyKind.BOUNDARY
-        assert parse_line(" 0)  bash-123  =>  cc1-456 ").kind is BodyKind.BOUNDARY
-        assert parse_line("").kind is BodyKind.COMMENT
+        assert parse_line("# tracer: function_graph") is None
+        assert parse_line(" ------------------------------------------") is None
+        assert parse_line(" 0)  bash-123  =>  cc1-456 ") is None
+        assert parse_line("") is None
+        assert parse_line(" 0)   0.100 us    |  /* note */") is None
 
     def test_comm_pid_column(self):
-        rl = parse_line(" 0)    bash-4251   |   0.332 us    |  cpumask_next();")
-        assert rl.name == "cpumask_next"
-        assert rl.duration_us == 0.332
+        assert parse_line(" 0)    bash-4251   |   0.332 us    |  cpumask_next();") == (
+            None, 0, 0.332, 0, None, "cpumask_next", None)
 
     def test_abstime_column(self):
-        rl = parse_line(" 1234.567890 |  0)   0.500 us |  fsnotify();")
-        assert rl.abstime == 1234.56789
-        assert rl.cpu == 0
-        assert rl.name == "fsnotify"
+        assert parse_line(" 1234.567890 |  0)   0.500 us |  fsnotify();") == (
+            1234.56789, 0, 0.5, 0, None, "fsnotify", None)
 
     def test_strict_rejects_garbage(self):
         with pytest.raises(MalformedLine):
