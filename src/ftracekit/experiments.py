@@ -13,7 +13,6 @@ import json
 import math
 import time
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -23,6 +22,7 @@ from . import learners, selection
 from .errors import ClassTooSmall, EmptyGrid, EmptyGroup
 from .features import FeatureMatrix
 from .learners import _sub_seed
+from .trace_parser import trace_paths
 
 
 def _is_multilabel(labels) -> bool:
@@ -367,7 +367,7 @@ def balance_by_resampling(m: FeatureMatrix, task_labels, seed: int = 0,
 
 def corpus_digest(corpus_dir) -> str:
     h = hashlib.sha256()
-    for p in sorted(Path(corpus_dir).rglob("*.trace")):
+    for p in trace_paths(corpus_dir):
         h.update(hashlib.sha256(p.read_bytes()).digest())
     return h.hexdigest()
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import call_graph
 from .errors import EmptyCorpus
-from .trace_parser import TraceSample, load_corpus
+from .trace_parser import TraceSample, load_sample, trace_paths
 
 GROUP_GRAPH = "graph"
 GROUP_TEMPORAL = "temporal"
@@ -136,34 +136,26 @@ class FeatureMatrix:
                              labels=self.labels, tasks=self.tasks)
 
 
-def build_vocabulary(corpus: list[TraceSample]) -> FeatureVocabulary:
-    """Column universe from a training corpus; deterministic ordering."""
-    if not corpus:
-        raise EmptyCorpus("cannot build a vocabulary from an empty corpus")
-    names: set[str] = set()
-    for sample in corpus:
-        names.update(rec.name for rec in sample.preorder)
-    functions = sorted(names)
-    columns: list[FeatureColumn] = []
-    for f in functions:
-        columns.append(FeatureColumn(f"count_{f}", GROUP_SYSTEM))
-        columns.append(FeatureColumn(f"total_dur_{f}", GROUP_TEMPORAL))
-    columns += [FeatureColumn(n, GROUP_GRAPH) for n in GRAPH_AGGREGATE_COLUMNS]
-    columns += [FeatureColumn(n, GROUP_TEMPORAL) for n in TEMPORAL_GLOBAL_COLUMNS]
-    columns += [FeatureColumn(n, GROUP_SYSTEM) for n in SYSTEM_GLOBAL_COLUMNS]
-    return FeatureVocabulary(function_names=functions, columns=columns)
+@dataclass
+class TraceSummary:
+    """What one trace gives its feature row, without its call records:
+    each function name's call count and total duration, summed in
+    pre-order; the trace-level values (graph aggregates, temporal and
+    system globals, in column order); and the parse facts the matrix
+    reports."""
+    counts: dict[str, float]
+    durations: dict[str, float]
+    trace_values: list[float]
+    n_warnings: int
+    has_abstime: bool
+    label: Optional[int]
+    task: Optional[str]
 
 
-def unseen_functions(sample: TraceSample, vocab: FeatureVocabulary) -> set[str]:
-    return {rec.name for rec in sample.preorder}.difference(vocab.function_names)
-
-
-def extract(sample: TraceSample, vocab: FeatureVocabulary) -> np.ndarray:
-    """One feature row for a sample; unseen functions are ignored."""
-    fpos = {f: i for i, f in enumerate(vocab.function_names)}
-    nf = len(vocab.function_names)
-    counts = [0.0] * nf
-    durs = [0.0] * nf
+def extract(sample: TraceSample) -> TraceSummary:
+    """Summarise one parsed trace; no vocabulary is needed."""
+    counts: dict[str, float] = {}
+    durs: dict[str, float] = {}
     all_durs: list[float] = []
     starts: list[float] = []
     records = sample.preorder
@@ -173,10 +165,8 @@ def extract(sample: TraceSample, vocab: FeatureVocabulary) -> np.ndarray:
         all_durs.append(d)
         if rec.start_time is not None:
             starts.append(rec.start_time)
-        i = fpos.get(rec.name)
-        if i is not None:
-            counts[i] += 1
-            durs[i] += d
+        counts[rec.name] = counts.get(rec.name, 0.0) + 1
+        durs[rec.name] = durs.get(rec.name, 0.0) + d
 
     graph = call_graph.build_graph(sample)
     if graph.nodes:
@@ -197,7 +187,7 @@ def extract(sample: TraceSample, vocab: FeatureVocabulary) -> np.ndarray:
         s = np.sort(np.asarray(starts))
         intercall = float(np.mean(np.diff(s))) * 1e6  # us
     else:
-        intercall = 0.0  # abstime absent: flagged by the caller
+        intercall = 0.0  # abstime absent: flagged by extract_matrix
 
     io = sample.io_meta
     system = [
@@ -207,52 +197,94 @@ def extract(sample: TraceSample, vocab: FeatureVocabulary) -> np.ndarray:
         float(io.write_bytes) if io else 0.0,
         float(total_calls),
     ]
+    return TraceSummary(
+        counts=counts, durations=durs,
+        trace_values=agg + [mean_dur, std_dur, intercall] + system,
+        n_warnings=len(sample.warnings), has_abstime=sample.has_abstime,
+        label=sample.label, task=sample.task_name)
 
-    row = np.empty(len(vocab.columns))
-    row[0:2 * nf:2] = counts
-    row[1:2 * nf:2] = durs
-    row[2 * nf:] = np.asarray(agg + [mean_dur, std_dur, intercall] + system)
-    return row
+
+def build_vocabulary(summaries: list[TraceSummary]) -> FeatureVocabulary:
+    """Column universe from training summaries; deterministic ordering."""
+    if not summaries:
+        raise EmptyCorpus("cannot build a vocabulary from an empty corpus")
+    names: set[str] = set()
+    for summary in summaries:
+        names.update(summary.counts)
+    functions = sorted(names)
+    columns: list[FeatureColumn] = []
+    for f in functions:
+        columns.append(FeatureColumn(f"count_{f}", GROUP_SYSTEM))
+        columns.append(FeatureColumn(f"total_dur_{f}", GROUP_TEMPORAL))
+    columns += [FeatureColumn(n, GROUP_GRAPH) for n in GRAPH_AGGREGATE_COLUMNS]
+    columns += [FeatureColumn(n, GROUP_TEMPORAL) for n in TEMPORAL_GLOBAL_COLUMNS]
+    columns += [FeatureColumn(n, GROUP_SYSTEM) for n in SYSTEM_GLOBAL_COLUMNS]
+    return FeatureVocabulary(function_names=functions, columns=columns)
 
 
-def extract_matrix(samples: list[TraceSample],
+def extract_matrix(summaries: list[TraceSummary],
                    vocab: FeatureVocabulary) -> FeatureMatrix:
-    if not samples:
+    """One row per summary in `vocab`'s layout: functions absent from a
+    trace count 0, and names outside `vocab` are ignored and counted."""
+    if not summaries:
         raise EmptyCorpus("no samples to extract")
-    X = np.vstack([extract(s, vocab) for s in samples])
+    fpos = {f: i for i, f in enumerate(vocab.function_names)}
+    nf = len(vocab.function_names)
+    X = np.zeros((len(summaries), len(vocab.columns)))
+    n_unseen = 0
+    for row, s in zip(X, summaries):
+        for name, count in s.counts.items():
+            i = fpos.get(name)
+            if i is None:
+                n_unseen += 1
+            else:
+                row[2 * i] = count
+                row[2 * i + 1] = s.durations[name]
+        row[2 * nf:] = s.trace_values
     warnings: list[str] = []
-    n_parse = sum(len(s.warnings) for s in samples)
+    n_parse = sum(s.n_warnings for s in summaries)
     if n_parse:
         warnings.append(f"parser warnings: {n_parse}")
-    n_unseen = sum(len(unseen_functions(s, vocab)) for s in samples)
     if n_unseen:
         warnings.append(f"coverage: {n_unseen} unseen function names ignored")
-    if not all(s.has_abstime for s in samples):
+    if not all(s.has_abstime for s in summaries):
         warnings.append("abstime absent for some samples; "
                         "mean_intercall_interval is 0 there")
     labels = None
-    if all(s.label is not None for s in samples):
-        labels = np.array([s.label for s in samples], dtype=int)
+    if all(s.label is not None for s in summaries):
+        labels = np.array([s.label for s in summaries], dtype=int)
     tasks = None
-    if all(s.task_name is not None for s in samples):
-        tasks = [s.task_name for s in samples]
+    if all(s.task is not None for s in summaries):
+        tasks = [s.task for s in summaries]
     return FeatureMatrix(vocab=vocab, X=X, labels=labels, tasks=tasks,
                          warnings=warnings)
 
 
 def load_matrix(corpus_dir, strict: bool) -> FeatureMatrix:
-    """Parse every trace under a corpus directory, build its vocabulary and
-    extract one row per trace."""
-    samples = load_corpus(corpus_dir, strict)
-    return extract_matrix(samples, build_vocabulary(samples))
+    """Parse and summarise each trace under a corpus directory in turn,
+    holding one parsed trace at a time, then build the vocabulary and
+    one row per trace."""
+    summaries = [extract(load_sample(path, strict))
+                 for path in trace_paths(corpus_dir)]
+    return extract_matrix(summaries, build_vocabulary(summaries))
+
+
+def _csv_cell(v) -> str:
+    if isinstance(v, float):
+        return f"{v:.9g}"
+    if isinstance(v, str) and ("," in v or "\r" in v or "\n" in v):
+        # it would split its row or the table
+        raise ValueError(f"cannot write {v!r} to a CSV table: it holds a "
+                         "comma or a line break")
+    return str(v)
 
 
 def _write_table_csv(path, header: list[str], rows) -> None:
-    """Comma-separated table: floats as `.9g`, everything else as `str`."""
-    lines = [",".join(header)]
+    """Comma-separated table: floats as `.9g`, everything else as `str`;
+    a column name or text cell holding a comma or line break is refused."""
+    lines = [",".join(map(_csv_cell, header))]
     for row in rows:
-        lines.append(",".join(
-            f"{v:.9g}" if isinstance(v, float) else str(v) for v in row))
+        lines.append(",".join(map(_csv_cell, row)))
     Path(path).write_text("\n".join(lines) + "\n")
 
 

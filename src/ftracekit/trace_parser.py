@@ -8,13 +8,14 @@ CPUs, truncated dumps, comment lines and CPU-switch boundary markers.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
-from .errors import MalformedLine, NestingError
+from .errors import EmptyCorpus, MalformedLine, NestingError
 
 OVERHEAD_MARKERS = "+!#*@$"
 
@@ -35,11 +36,6 @@ class IoMeta:
     write_count: int = 0
     read_bytes: int = 0
     write_bytes: int = 0
-
-    def __post_init__(self):
-        for f in ("read_count", "write_count", "read_bytes", "write_bytes"):
-            if getattr(self, f) < 0:
-                raise ValueError(f"{f} must be >= 0")
 
 
 @dataclass(slots=True)
@@ -333,6 +329,20 @@ def sidecar_path(trace_path) -> Path:
     return p.with_name(base + ".io.json")
 
 
+# IoMeta's fields, in order, as a sidecar names them
+_SIDECAR_COUNTS = ("read_count", "write_count", "read_bytes", "write_bytes")
+
+
+def _sidecar_int(sidecar: Path, meta: dict, key: str, top=math.inf) -> int:
+    """A sidecar field that must be a JSON integer (no bool, float or
+    string) from 0 to `top`; 0 when absent."""
+    value = meta.get(key, 0)
+    if type(value) is not int or not 0 <= value <= top:
+        raise ValueError(f"{sidecar}: {key} must be a JSON integer in "
+                         f"[0, {top}], not {value!r}")
+    return value
+
+
 def load_sample(trace_path, strict: bool = False) -> TraceSample:
     """Parse one trace file plus its optional *.io.json sidecar."""
     p = Path(trace_path)
@@ -342,20 +352,25 @@ def load_sample(trace_path, strict: bool = False) -> TraceSample:
     sc = sidecar_path(p)
     if sc.exists():
         meta = json.loads(sc.read_text())
-        sample.io_meta = IoMeta(
-            read_count=int(meta.get("read_count", 0)),
-            write_count=int(meta.get("write_count", 0)),
-            read_bytes=int(meta.get("read_bytes", 0)),
-            write_bytes=int(meta.get("write_bytes", 0)),
-        )
+        if not isinstance(meta, dict):
+            raise ValueError(f"{sc}: a sidecar must hold a JSON object")
+        sample.io_meta = IoMeta(*(_sidecar_int(sc, meta, key)
+                                  for key in _SIDECAR_COUNTS))
         if "label" in meta:
-            sample.label = int(meta["label"])
+            sample.label = _sidecar_int(sc, meta, "label", 1)
         if "task" in meta:
-            sample.task_name = meta["task"]
+            task = meta["task"]
+            if not isinstance(task, str) or not task:
+                raise ValueError(f"{sc}: task must be a non-empty JSON "
+                                 f"string, not {task!r}")
+            sample.task_name = task
     return sample
 
 
-def load_corpus(corpus_dir, strict: bool = False) -> list[TraceSample]:
-    """Load every *.trace file under a directory (sorted, recursive)."""
+def trace_paths(corpus_dir) -> list[Path]:
+    """Every *.trace file under a directory, sorted, recursive; a corpus
+    without one is refused."""
     paths = sorted(Path(corpus_dir).rglob("*.trace"))
-    return [load_sample(p, strict) for p in paths]
+    if not paths:
+        raise EmptyCorpus(f"no *.trace files found under {corpus_dir}")
+    return paths

@@ -88,6 +88,53 @@ class TestExitCodes:
         assert rc == 2
         assert name in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["missing", "file", "empty_dir"])
+    def test_corpus_without_traces_is_named(self, kind, tmp_path, capsys):
+        # before, every case said "cannot build a vocabulary from an
+        # empty corpus" without naming the path
+        corpus = tmp_path / "corpus"
+        if kind == "file":
+            corpus.write_text("not a directory\n")
+        elif kind == "empty_dir":
+            corpus.mkdir()
+        rc = run(["features", "--corpus", str(corpus),
+                  "--out", str(tmp_path / "f.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"no *.trace files found under {corpus}" in err
+        assert not (tmp_path / "f.csv").exists()
+
+    @pytest.mark.parametrize("where", ["function", "task"])
+    def test_csv_field_with_a_comma_is_refused(self, where, tmp_path, capsys):
+        # before, `features` wrote a header one field wider than its rows
+        # (or a row one field wider than its header), and `train` on the
+        # file failed on a column named after half the function name
+        name, task = ("foo,bar", "t") if where == "function" else ("foo", "a,b")
+        (tmp_path / "x.trace").write_text(
+            f" 0)               |  {name}() {{\n"
+            f" 0)   1.000 us    |  }} /* {name} */\n")
+        (tmp_path / "x.io.json").write_text(
+            json.dumps({"label": 1, "task": task}))
+        out = tmp_path / "f.csv"
+        rc = run(["features", "--corpus", str(tmp_path), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert repr("count_foo,bar" if where == "function" else task) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field, value", [
+        ("label", True), ("read_count", 2.9), ("task", 5),
+    ])
+    def test_bad_sidecar_value_is_runtime_error(self, field, value, tmp_path,
+                                                capsys):
+        (tmp_path / "x.trace").write_text(" 0)   1.000 us    |  f();\n")
+        (tmp_path / "x.io.json").write_text(json.dumps({field: value}))
+        rc = run(["features", "--corpus", str(tmp_path),
+                  "--out", str(tmp_path / "f.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "x.io.json" in err and field in err
+
     def test_unlabeled_csv_is_runtime_error(self, feature_csv, tmp_path,
                                             capsys):
         model = tmp_path / "m.json"

@@ -291,7 +291,7 @@ class TestExperiments:
         wg.generate_corpus(wg.default_pair(), 12, seed=3, out_dir=clean,
                            n_root_calls=8)
         before = ex.run_experiment_1(clean, self.CFG1, seed=7)
-        # rows follow the sorted trace paths, as in trace_parser.load_corpus
+        # rows follow the sorted trace paths, as in trace_parser.trace_paths
         paths = sorted(clean.rglob("*.trace"))
         metas = [json.loads(tp.sidecar_path(p).read_text()) for p in paths]
         _, _, te = ex.stratified_split_indices(

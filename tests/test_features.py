@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,12 +14,12 @@ from ftracekit import workloadgen as wg
 from ftracekit.errors import EmptyCorpus
 
 
-def sample_from_text(text, io=None, label=None, task=None):
+def summary_from_text(text, io=None, label=None, task=None):
     s = tp.parse_trace(text, strict=True)
     s.io_meta = io
     s.label = label
     s.task_name = task
-    return s
+    return ft.extract(s)
 
 
 TWO_FN_TEXT = "\n".join([
@@ -30,7 +31,7 @@ TWO_FN_TEXT = "\n".join([
 
 class TestVocabulary:
     def test_two_function_corpus_has_twenty_columns(self):
-        vocab = ft.build_vocabulary([sample_from_text(TWO_FN_TEXT)])
+        vocab = ft.build_vocabulary([summary_from_text(TWO_FN_TEXT)])
         assert vocab.function_names == ["rw_verify_area", "vfs_read"]
         assert len(vocab.columns) == 20
         names = vocab.column_names
@@ -41,7 +42,7 @@ class TestVocabulary:
         assert names[15:] == ft.SYSTEM_GLOBAL_COLUMNS
 
     def test_groups(self):
-        vocab = ft.build_vocabulary([sample_from_text(TWO_FN_TEXT)])
+        vocab = ft.build_vocabulary([summary_from_text(TWO_FN_TEXT)])
         by_name = {c.name: c.group for c in vocab.columns}
         assert by_name["count_vfs_read"] == "system"
         assert by_name["total_dur_vfs_read"] == "temporal"
@@ -56,7 +57,7 @@ class TestVocabulary:
         assert got == set(range(20))
 
     def test_vocab_json_round_trip(self):
-        vocab = ft.build_vocabulary([sample_from_text(TWO_FN_TEXT)])
+        vocab = ft.build_vocabulary([summary_from_text(TWO_FN_TEXT)])
         data = json.loads(vocab.to_json())
         again = ft.FeatureVocabulary(
             data["functions"], [ft.FeatureColumn(**c) for c in data["columns"]])
@@ -76,9 +77,9 @@ class TestVocabulary:
 
 class TestExtract:
     def test_counts_and_durations(self):
-        s = sample_from_text(TWO_FN_TEXT, io=tp.IoMeta(1, 2, 30, 40))
+        s = summary_from_text(TWO_FN_TEXT, io=tp.IoMeta(1, 2, 30, 40))
         vocab = ft.build_vocabulary([s])
-        row = ft.extract(s, vocab)
+        row = ft.extract_matrix([s], vocab).X[0]
         col = {n: i for i, n in enumerate(vocab.column_names)}
         assert row[col["count_vfs_read"]] == 1
         assert row[col["total_dur_vfs_read"]] == pytest.approx(2.15)
@@ -91,9 +92,9 @@ class TestExtract:
         assert row[col["mean_intercall_interval"]] == 0.0  # no abstime
 
     def test_unseen_function_ignored_and_warned(self):
-        base = sample_from_text(TWO_FN_TEXT)
+        base = summary_from_text(TWO_FN_TEXT)
         vocab = ft.build_vocabulary([base])
-        other = sample_from_text(" 0)   0.100 us    |  fsnotify();")
+        other = summary_from_text(" 0)   0.100 us    |  fsnotify();")
         m = ft.extract_matrix([base, other], vocab)
         assert m.X.shape == (2, 20)
         assert any("unseen" in w for w in m.warnings)
@@ -105,7 +106,7 @@ class TestExtract:
         for seed in range(4):
             text, io, book = wg.generate_trace(profiles[seed % 2], seed,
                                                n_root_calls=10)
-            samples.append(sample_from_text(text, io=io, label=book.label))
+            samples.append(summary_from_text(text, io=io, label=book.label))
         vocab = ft.build_vocabulary(samples)
         a = ft.extract_matrix(samples, vocab)
         b = ft.extract_matrix(samples, vocab)
@@ -119,7 +120,8 @@ class TestExtract:
                            multi_cpu=True, abstime=True)
         code = ("import hashlib, sys\n"
                 "from ftracekit import features, trace_parser\n"
-                "s = trace_parser.load_corpus(sys.argv[1])\n"
+                "s = [features.extract(trace_parser.load_sample(p))\n"
+                "     for p in trace_parser.trace_paths(sys.argv[1])]\n"
                 "m = features.extract_matrix(s, features.build_vocabulary(s))\n"
                 "print(hashlib.sha256(m.X.tobytes()).hexdigest())\n")
         src = str(Path(ft.__file__).resolve().parents[1])
@@ -142,9 +144,29 @@ class TestExtract:
         clean = ft.load_matrix(tmp_path, strict=False)
         assert not any(w.startswith("parser") for w in clean.warnings)
 
+    def test_load_matrix_holds_one_parsed_trace_at_a_time(self, tmp_path):
+        # each trace is summarised and freed before the next is parsed, so
+        # the traced peak grows with the summaries, not the call records;
+        # holding every parsed trace grew it by about 47 KB per trace
+        peaks = []
+        for n in (2, 8):
+            corpus = tmp_path / str(n)
+            wg.generate_corpus(wg.task_profiles(), n, seed=7, out_dir=corpus,
+                               multi_cpu=True, abstime=True)
+            ft.load_matrix(corpus, strict=True)  # warm caches and imports
+            tracemalloc.start()
+            try:
+                ft.load_matrix(corpus, strict=True)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        n_small, n_large = 6 * 2, 6 * 8
+        per_trace = (peaks[1] - peaks[0]) / (n_large - n_small)
+        assert per_trace < 15_000, peaks
+
     def test_labels_dropped_if_any_missing(self):
-        s1 = sample_from_text(TWO_FN_TEXT, label=1)
-        s2 = sample_from_text(TWO_FN_TEXT)
+        s1 = summary_from_text(TWO_FN_TEXT, label=1)
+        s2 = summary_from_text(TWO_FN_TEXT)
         vocab = ft.build_vocabulary([s1])
         m = ft.extract_matrix([s1, s2], vocab)
         assert m.labels is None
@@ -191,8 +213,8 @@ class TestScaling:
 
 class TestCsvRoundTrip:
     def test_round_trip_with_labels_and_tasks(self, tmp_path):
-        s = sample_from_text(TWO_FN_TEXT, io=tp.IoMeta(1, 2, 3, 4),
-                             label=1, task="aes_encrypt")
+        s = summary_from_text(TWO_FN_TEXT, io=tp.IoMeta(1, 2, 3, 4),
+                              label=1, task="aes_encrypt")
         vocab = ft.build_vocabulary([s])
         m = ft.extract_matrix([s, s], vocab)
         path = tmp_path / "feats.csv"
@@ -204,7 +226,7 @@ class TestCsvRoundTrip:
         assert back.tasks == m.tasks
 
     def test_read_without_vocab_infers_groups(self, tmp_path):
-        s = sample_from_text(TWO_FN_TEXT, label=0)
+        s = summary_from_text(TWO_FN_TEXT, label=0)
         vocab = ft.build_vocabulary([s])
         m = ft.extract_matrix([s], vocab)
         path = tmp_path / "feats.csv"
@@ -217,7 +239,7 @@ class TestCsvRoundTrip:
 
 class TestSubsets:
     def test_subset_rows_and_columns(self):
-        s = sample_from_text(TWO_FN_TEXT, io=tp.IoMeta(), label=1, task="t")
+        s = summary_from_text(TWO_FN_TEXT, io=tp.IoMeta(), label=1, task="t")
         vocab = ft.build_vocabulary([s])
         m = ft.extract_matrix([s, s, s], vocab)
         rows = m.subset_rows([0, 2])

@@ -1,3 +1,4 @@
+import json
 from collections import Counter
 
 import pytest
@@ -153,8 +154,9 @@ class TestParseTrace:
         sample = tp.parse_trace("\n".join(lines), strict=True)
         assert sample.record_count() == depth
         assert [r.depth for r in sample.preorder] == list(range(depth))
-        vocab = ft.build_vocabulary([sample])
-        row = ft.extract(sample, vocab)
+        summary = ft.extract(sample)
+        vocab = ft.build_vocabulary([summary])
+        row = ft.extract_matrix([summary], vocab).X[0]
         assert row[vocab.column_names.index("total_calls")] == depth
 
     def test_deep_nesting_is_formatted_without_recursion(self):
@@ -253,8 +255,41 @@ class TestSidecar:
     def test_load_sample_reads_sidecar(self, tmp_path):
         wg.generate_corpus(wg.default_pair(), 1, seed=3, out_dir=tmp_path,
                            n_root_calls=5)
-        samples = tp.load_corpus(tmp_path, strict=True)
+        samples = [tp.load_sample(p, strict=True)
+                   for p in tp.trace_paths(tmp_path)]
         assert len(samples) == 2
         assert {s.label for s in samples} == {0, 1}
         assert all(s.io_meta is not None for s in samples)
         assert all(s.task_name for s in samples)
+
+    @staticmethod
+    def trace_with_sidecar(tmp_path, sidecar_text):
+        trace = tmp_path / "x.trace"
+        trace.write_text(" 0)   1.000 us    |  f();\n")
+        tp.sidecar_path(trace).write_text(sidecar_text)
+        return trace
+
+    @pytest.mark.parametrize("field, value", [
+        ("label", True), ("label", 2.7), ("label", 2), ("label", -1),
+        ("label", "1"), ("read_count", 2.9), ("read_count", "12"),
+        ("write_count", True), ("read_bytes", -1), ("write_bytes", None),
+        ("task", 5), ("task", ""), ("task", ["t"]),
+    ])
+    def test_bad_sidecar_values_are_refused(self, field, value, tmp_path):
+        # before, true read as label 1, 2.7 as 2 and "12" as 12, and a
+        # task of 5 ended exp2 in an uncaught TypeError
+        trace = self.trace_with_sidecar(tmp_path, json.dumps({field: value}))
+        with pytest.raises(ValueError, match=rf"x\.io\.json: {field} must"):
+            tp.load_sample(trace)
+
+    def test_sidecar_integers_and_absent_counts(self, tmp_path):
+        trace = self.trace_with_sidecar(tmp_path, json.dumps(
+            {"label": 0, "read_bytes": 2 ** 40, "task": "t"}))
+        sample = tp.load_sample(trace)
+        assert sample.label == 0 and sample.task_name == "t"
+        assert sample.io_meta == tp.IoMeta(0, 0, 2 ** 40, 0)
+
+    def test_sidecar_must_be_an_object(self, tmp_path):
+        trace = self.trace_with_sidecar(tmp_path, "[1, 2]")
+        with pytest.raises(ValueError, match="JSON object"):
+            tp.load_sample(trace)
