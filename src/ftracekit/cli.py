@@ -25,6 +25,17 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for a count: a whole number of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return value
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="ftracekit",
                 description="function_graph traces -> features -> experiments")
@@ -33,11 +44,11 @@ def _build_parser() -> _Parser:
     g = sub.add_parser("gen", help="generate a synthetic labeled corpus")
     g.add_argument("--profiles", default="default2",
                    choices=sorted(workloadgen.PROFILE_SETS))
-    g.add_argument("--count", type=int, default=50,
+    g.add_argument("--count", type=_positive_int, default=50,
                    help="traces per profile")
     g.add_argument("--seed", type=int, required=True)
     g.add_argument("--out", required=True)
-    g.add_argument("--roots", type=int, default=30,
+    g.add_argument("--roots", type=_positive_int, default=30,
                    help="root calls per trace")
     g.add_argument("--multi-cpu", action="store_true")
     g.add_argument("--abstime", action="store_true")
@@ -55,7 +66,7 @@ def _build_parser() -> _Parser:
 
     se = sub.add_parser("select", help="chi-squared feature ranking")
     se.add_argument("--features", required=True, help="feature CSV")
-    se.add_argument("--k", type=int, default=60)
+    se.add_argument("--k", type=_positive_int, default=60)
     se.add_argument("--out", required=True, help="scores CSV")
 
     tr = sub.add_parser("train", help="fit a model on a feature CSV")
@@ -84,14 +95,14 @@ def _build_parser() -> _Parser:
     e1 = sub.add_parser("exp1", help="binary encryption-detection experiment")
     e1.add_argument("--corpus", required=True)
     e1.add_argument("--seed", type=int, required=True)
-    e1.add_argument("--k", type=int, default=60)
+    e1.add_argument("--k", type=_positive_int, default=60)
     e1.add_argument("--learner", default="boosting", choices=_LEARNERS)
     e1.add_argument("--out", required=True, help="output directory")
 
     e2 = sub.add_parser("exp2", help="multi-label task-identification experiment")
     e2.add_argument("--corpus", required=True)
     e2.add_argument("--seed", type=int, required=True)
-    e2.add_argument("--k", type=int, default=40)
+    e2.add_argument("--k", type=_positive_int, default=40)
     e2.add_argument("--out", required=True, help="output directory")
     return p
 

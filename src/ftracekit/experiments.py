@@ -1,4 +1,4 @@
-"""Experiment orchestration: splits, CV, search, curves, robustness.
+"""Experiment orchestration: splits, CV, grid search, curves, robustness.
 
 All randomness flows from one top-level seed; reports embed the seed and a
 corpus digest so reruns are bit-identical (wall-clock time is kept out of
@@ -193,39 +193,21 @@ def _grid_points(grid: dict) -> list[dict]:
             for combo in itertools.product(*(grid[k] for k in keys))]
 
 
-def _best_by_cv(m: FeatureMatrix, labels, pipeline: Pipeline,
-                points: list[dict], k: int, seed: int):
-    """k-fold CV of the pipeline with each parameter point laid over its
-    params; best by mean accuracy (binary) or F1-micro (multi-label),
+def grid_search(m: FeatureMatrix, labels, pipeline: Pipeline, grid: dict,
+                k: int = 5, seed: int = 0):
+    """k-fold CV of the pipeline with each grid point laid over its params;
+    best by mean accuracy (binary) or F1-micro (multi-label),
     first-encountered on ties."""
     metric = "f1_micro" if _is_multilabel(labels) else "accuracy"
     rows = []
     best = None
-    for params in points:
+    for params in _grid_points(grid):
         cv = kfold_cv(m, labels, pipeline.with_params(params), k, seed)
         rows.append({"params": params, "cv": cv.as_dict()})
         score = cv.means[metric]
         if best is None or score > best[0]:
             best = (score, params)
     return best[1], {"metric": metric, "evaluations": rows}
-
-
-def grid_search(m: FeatureMatrix, labels, pipeline: Pipeline, grid: dict,
-                k: int = 5, seed: int = 0):
-    """Evaluate every grid point with k-fold CV (see `_best_by_cv`)."""
-    return _best_by_cv(m, labels, pipeline, _grid_points(grid), k, seed)
-
-
-def random_search(m: FeatureMatrix, labels, pipeline: Pipeline, grid: dict,
-                  n_draws: int, k: int = 5, seed: int = 0):
-    """Uniform draws from the grid axes instead of the full product."""
-    if not grid:
-        raise EmptyGrid("parameter grid is empty")
-    rng = np.random.default_rng(seed)
-    keys = sorted(grid)
-    points = [{key: grid[key][int(rng.integers(len(grid[key])))]
-               for key in keys} for _ in range(n_draws)]
-    return _best_by_cv(m, labels, pipeline, points, k, seed)
 
 
 DEFAULT_FRACTIONS = [round(0.1 * i, 1) for i in range(1, 11)]
@@ -338,26 +320,20 @@ def ablation_study(m: FeatureMatrix, labels, pipeline: Pipeline,
     return rows
 
 
-def balance_by_resampling(m: FeatureMatrix, task_labels, seed: int = 0,
-                          oversample: bool = False) -> FeatureMatrix:
-    """Uniform class sizes: downsample to the minimum count (default) or
-    oversample with replacement to the maximum."""
+def balance_by_resampling(m: FeatureMatrix, task_labels,
+                          seed: int = 0) -> FeatureMatrix:
+    """Uniform class sizes: each class downsampled without replacement to
+    the smallest class's count, so every kept row is a distinct trace."""
     tasks = list(task_labels)
     rng = np.random.default_rng(seed)
     classes = sorted(set(tasks))
     by_class = {c: np.flatnonzero(np.asarray(tasks, dtype=object) == c)
                 for c in classes}
-    counts = [len(v) for v in by_class.values()]
-    target = max(counts) if oversample else min(counts)
+    target = min(len(v) for v in by_class.values())
     keep = []
     for c in classes:
-        idx = by_class[c]
-        if oversample and len(idx) < target:
-            extra = rng.choice(idx, size=target - len(idx), replace=True)
-            keep.extend(idx.tolist() + extra.tolist())
-        else:
-            picked = rng.choice(idx, size=target, replace=False)
-            keep.extend(sorted(picked.tolist()))
+        picked = rng.choice(by_class[c], size=target, replace=False)
+        keep.extend(sorted(picked.tolist()))
     keep = np.asarray(keep, dtype=int)
     out = m.subset_rows(keep)
     if out.tasks is None:
@@ -390,14 +366,25 @@ EXPERIMENT_1_DEFAULTS = {
 }
 
 
+def _merged_config(defaults: dict, config: Optional[dict],
+                   also: tuple = ()) -> dict:
+    """`defaults` overlaid with `config`; a key the run would not read is
+    refused, so a misspelt or retired option cannot be echoed unused."""
+    config = config or {}
+    unknown = sorted(set(config) - set(defaults) - set(also))
+    if unknown:
+        raise ValueError(f"unknown experiment config key(s) {unknown}; "
+                         f"known: {sorted([*defaults, *also])}")
+    return {**defaults, **config}
+
+
 def run_experiment_1(corpus_dir, config: Optional[dict] = None,
                      seed: int = 7) -> ExperimentReport:
     """Binary encryption-detection pipeline: parse, extract, split, then
     minmax -> chi-squared top-k -> learner fit on training rows only: grid
     search, test metrics, learning curve, perturbation and ablation."""
     t0 = time.monotonic()
-    cfg = dict(EXPERIMENT_1_DEFAULTS)
-    cfg.update(config or {})
+    cfg = _merged_config(EXPERIMENT_1_DEFAULTS, config, also=("grid",))
     cfg.setdefault("grid", EXPERIMENT_1_GRIDS[cfg["learner"]])
 
     matrix = feat.load_matrix(corpus_dir, cfg["strict"])
@@ -457,10 +444,6 @@ EXPERIMENT_2_DEFAULTS = {
     "importance_params": {"n_trees": 30, "max_depth": 10},
     "sigmas": [0.01, 0.05],
     "strict": True,
-    "oversample": False,
-    "search_grid": None,   # optional random-search grid for the base learner
-    "search_draws": 5,
-    "folds": 5,
 }
 
 
@@ -470,25 +453,16 @@ def run_experiment_2(corpus_dir, config: Optional[dict] = None,
     forest-importance top-k -> one-vs-rest fit on training rows only;
     F1-macro/micro plus noise robustness."""
     t0 = time.monotonic()
-    cfg = dict(EXPERIMENT_2_DEFAULTS)
-    cfg.update(config or {})
+    cfg = _merged_config(EXPERIMENT_2_DEFAULTS, config)
 
     matrix = feat.load_matrix(corpus_dir, cfg["strict"])
     if matrix.tasks is None:
         raise ValueError("experiment 2 needs task names in the sidecars")
-    balanced = balance_by_resampling(matrix, matrix.tasks, seed=seed,
-                                     oversample=cfg["oversample"])
-    train, pool, test = holdout_split(balanced, balanced.tasks, seed)
+    balanced = balance_by_resampling(matrix, matrix.tasks, seed=seed)
+    _, pool, test = holdout_split(balanced, balanced.tasks, seed)
     pipe = Pipeline(cfg["base_learner"], dict(cfg["base_params"]),
                     scaling="zscore", ranking="importance", k=cfg["k"],
                     importance_params=cfg["importance_params"])
-    search_report = None
-    if cfg["search_grid"]:
-        best, search_report = random_search(
-            train, train.tasks, pipe, cfg["search_grid"],
-            n_draws=cfg["search_draws"], k=cfg["folds"], seed=seed)
-        pipe = pipe.with_params(best)
-
     final = pipe.fit(pool, pool.tasks, _sub_seed(seed, 99))
     X_test = final.transform(test).X
     test_metrics = learners.evaluate(final.model, X_test, test.tasks)
@@ -509,7 +483,6 @@ def run_experiment_2(corpus_dir, config: Optional[dict] = None,
         "n_features_selected": len(final.columns),
         "selected_features": final.columns,
         "base_params": pipe.params,
-        "search": search_report,
         "test_metrics": test_metrics.as_dict(),
         "noise": noise_rows,
         "extraction_warnings": matrix.warnings,

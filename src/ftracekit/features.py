@@ -272,16 +272,24 @@ def load_matrix(corpus_dir, strict: bool) -> FeatureMatrix:
 def _csv_cell(v) -> str:
     if isinstance(v, float):
         return f"{v:.9g}"
-    if isinstance(v, str) and ("," in v or "\r" in v or "\n" in v):
-        # it would split its row or the table
-        raise ValueError(f"cannot write {v!r} to a CSV table: it holds a "
-                         "comma or a line break")
+    if isinstance(v, str):
+        if "," in v or "\r" in v or "\n" in v:
+            # it would split its row or the table
+            raise ValueError(f"cannot write {v!r} to a CSV table: it holds "
+                             "a comma or a line break")
+        try:
+            v.encode("utf-8")
+        except UnicodeEncodeError:
+            # a trace byte that is not UTF-8, kept by surrogateescape
+            raise ValueError(f"cannot write {v!r} to a CSV table: it is "
+                             "not valid UTF-8") from None
     return str(v)
 
 
 def _write_table_csv(path, header: list[str], rows) -> None:
     """Comma-separated table: floats as `.9g`, everything else as `str`;
-    a column name or text cell holding a comma or line break is refused."""
+    a column name or text cell holding a comma or line break, or one that
+    cannot be written as UTF-8, is refused before the file is opened."""
     lines = [",".join(map(_csv_cell, header))]
     for row in rows:
         lines.append(",".join(map(_csv_cell, row)))

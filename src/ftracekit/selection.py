@@ -137,6 +137,8 @@ def _ranked(scores: list[ScoredFeature]) -> list[ScoredFeature]:
 
 def select_top_k(scores: list[ScoredFeature], k: int) -> list[str]:
     """Top-k names in `_ranked` order."""
+    if k < 0:
+        raise ValueError(f"k={k} is negative")
     if k > len(scores):
         raise KTooLarge(f"k={k} exceeds {len(scores)} scored features")
     return [s.name for s in _ranked(scores)[:k]]

@@ -122,6 +122,40 @@ class TestExitCodes:
         assert repr("count_foo,bar" if where == "function" else task) in err
         assert not out.exists()
 
+    def test_function_name_that_is_not_utf8_is_refused(self, tmp_path,
+                                                       capsys):
+        # before, `features` exited 2 with the codec's message, naming
+        # neither column nor trace, and left an empty CSV behind
+        (tmp_path / "x.trace").write_bytes(b" 0)   1.000 us    |  f\xffoo();\n")
+        (tmp_path / "x.io.json").write_text(json.dumps({"label": 1}))
+        out = tmp_path / "f.csv"
+        rc = run(["features", "--corpus", str(tmp_path), "--out", str(out)])
+        assert rc == 2
+        assert repr("count_f\udcffoo") in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["select", "--features", "f.csv", "--out", "s.csv", "--k", "-3"],
+        ["select", "--features", "f.csv", "--out", "s.csv", "--k", "0"],
+        ["exp1", "--corpus", "c", "--seed", "1", "--out", "o", "--k", "-3"],
+        ["exp2", "--corpus", "c", "--seed", "1", "--out", "o", "--k", "0"],
+        ["gen", "--seed", "1", "--out", "g", "--roots", "0"],
+        ["gen", "--seed", "1", "--out", "g", "--roots", "-1"],
+        ["gen", "--seed", "1", "--out", "g", "--count", "0"],
+        ["gen", "--seed", "1", "--out", "g", "--count", "2.5"],
+    ], ids=lambda argv: f"{argv[0]}{argv[-2]}={argv[-1]}")
+    def test_count_flag_below_one_is_validation_error(self, argv, tmp_path,
+                                                      monkeypatch, capsys):
+        # before, a negative --k kept all but |k| features with exit 0,
+        # --roots 0 wrote empty traces and --count 0 exited 2
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as e:
+            run(argv)
+        assert e.value.code == 1
+        assert f"argument {argv[-2]}: {argv[-1]!r} is not a positive integer" \
+            in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     @pytest.mark.parametrize("field, value", [
         ("label", True), ("read_count", 2.9), ("task", 5),
     ])

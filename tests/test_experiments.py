@@ -149,17 +149,6 @@ class TestSearch:
         m, y = toy_problem(20, seed=5)
         with pytest.raises(EmptyGrid):
             ex.grid_search(m, y, ex.Pipeline("tree"), {}, k=2, seed=0)
-        with pytest.raises(EmptyGrid):
-            ex.random_search(m, y, ex.Pipeline("tree"), {}, 3, k=2, seed=0)
-
-    def test_random_search_deterministic(self):
-        m, y = toy_problem(40, seed=6)
-        grid = {"max_depth": [1, 2, 3, 4], "min_samples_split": [2, 4]}
-        a = ex.random_search(m, y, ex.Pipeline("tree"), grid, 4, k=2, seed=11)
-        b = ex.random_search(m, y, ex.Pipeline("tree"), grid, 4, k=2, seed=11)
-        assert a[0] == b[0]
-        assert [e["params"] for e in a[1]["evaluations"]] == \
-            [e["params"] for e in b[1]["evaluations"]]
 
 
 class TestLearningCurve:
@@ -251,13 +240,20 @@ class TestBalance:
         out = ex.balance_by_resampling(m, tasks, seed=0)
         assert sorted(out.tasks) == ["a"] * 3 + ["b"] * 3
 
-    def test_oversample_to_max(self):
-        rng = np.random.default_rng(4)
-        X = rng.random((8, 2))
-        tasks = ["a"] * 5 + ["b"] * 3
-        m = matrix(X, tasks=tasks)
-        out = ex.balance_by_resampling(m, tasks, seed=0, oversample=True)
-        assert sorted(out.tasks) == ["a"] * 5 + ["b"] * 5
+    def test_rows_are_distinct_corpus_rows(self, tmp_path):
+        # exp2's balancing on a corpus with one short class: every kept row
+        # is a different trace, so no copy can reach both sides of a split
+        wg.generate_corpus(wg.task_profiles(), 6, seed=3, out_dir=tmp_path,
+                           n_root_calls=6)
+        for path in sorted((tmp_path / "aes_encrypt").glob("*.trace"))[3:]:
+            path.unlink()
+            tp.sidecar_path(path).unlink()
+        m = ft.load_matrix(tmp_path, strict=True)
+        out = ex.balance_by_resampling(m, m.tasks, seed=3)
+        assert out.n_rows == 6 * 3
+        rows = {tuple(x) for x in out.X}
+        assert len(rows) == out.n_rows
+        assert rows <= {tuple(x) for x in m.X}
 
     def test_deterministic(self):
         rng = np.random.default_rng(5)
@@ -308,15 +304,13 @@ class TestExperiments:
         for key in ("selected_features", "chi2_top", "best_params", "search"):
             assert after.payload[key] == before.payload[key], key
 
-    def test_exp2_random_search(self, tmp_path):
-        wg.generate_corpus(wg.task_profiles(), 8, seed=3, out_dir=tmp_path,
-                           n_root_calls=8)
-        base = {"n_trees": 5, "max_depth": 6}
-        rep = ex.run_experiment_2(tmp_path, {
-            "k": 10, "base_params": base, "importance_params": base,
-            "search_grid": {"max_depth": [2, 6], "min_samples_split": [2]},
-            "search_draws": 2}, seed=7)
-        rows = rep.payload["search"]["evaluations"]
-        assert len(rows) == 2
-        best = max(rows, key=lambda r: r["cv"]["means"]["f1_micro"])
-        assert rep.payload["base_params"] == {**base, **best["params"]}
+    @pytest.mark.parametrize("run, key", [
+        (ex.run_experiment_1, "fold"),
+        (ex.run_experiment_2, "oversample"),
+        (ex.run_experiment_2, "folds"),
+    ])
+    def test_unknown_config_key_is_refused(self, run, key, tmp_path):
+        # before, exp1 ran its default 5 folds beside an echoed "fold": 3,
+        # and exp2 echoed keys it no longer reads
+        with pytest.raises(ValueError, match=repr(key)):
+            run(tmp_path, {key: 3}, seed=7)

@@ -33,9 +33,9 @@ GOLDEN = {
         "0f91ea285ff469cb8468de41d432b5a2e98d723996b407774fc93e29f5208a65"),
     "exp2_tasks6_multi_cpu_abstime": (
         ex.run_experiment_2, "tasks6", 8, {"multi_cpu": True, "abstime": True},
-        {"k": 20, "folds": 3, "base_params": {"n_trees": 8, "max_depth": 6},
+        {"k": 20, "base_params": {"n_trees": 8, "max_depth": 6},
          "importance_params": {"n_trees": 8, "max_depth": 6}},
-        "af26d48eed46b46414978c8b7ad026dc838651518724192a4e134e4fd7f11e87"),
+        "a161b6111b2a3183c629d95d7700c9e99b580c7dfd291a2a53b6a23b0a0748c9"),
 }
 
 PARSE_SHA256 = "bbca8ec4b29258f4ee925cc1c4e37e52008abf90ad33779396cf46ee599c88db"

@@ -126,6 +126,11 @@ class TestSelectTopK:
         with pytest.raises(KTooLarge):
             sel.select_top_k(self._scores(), 5)
 
+    def test_negative_k_is_refused(self):
+        # before, k=-3 kept all but the last three features
+        with pytest.raises(ValueError, match="k=-3"):
+            sel.select_top_k(self._scores(), -3)
+
 
 class TestForestImportance:
     def test_sums_to_one_and_finds_signal(self):
