@@ -15,7 +15,8 @@ from . import experiments, features, learners, selection, trace_parser, workload
 from .errors import FtraceKitError
 
 
-_LEARNERS = ["tree", "forest", "boosting", "logistic"]
+# the learners fit on a binary label; one-vs-rest needs task targets
+_LEARNERS = [k for k in learners._IMPL_CLASSES if k != "one_vs_rest"]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -48,7 +49,8 @@ def _build_parser() -> _Parser:
                    help="traces per profile")
     g.add_argument("--seed", type=int, required=True)
     g.add_argument("--out", required=True)
-    g.add_argument("--roots", type=_positive_int, default=30,
+    g.add_argument("--roots", type=_positive_int,
+                   default=workloadgen.DEFAULT_ROOT_CALLS,
                    help="root calls per trace")
     g.add_argument("--multi-cpu", action="store_true")
     g.add_argument("--abstime", action="store_true")
@@ -83,11 +85,13 @@ def _build_parser() -> _Parser:
 
     cu = sub.add_parser("curve", help="learning-curve analysis")
     _common_study_flags(cu)
-    cu.add_argument("--fractions", default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0")
+    cu.add_argument("--fractions", default=",".join(
+        map(str, experiments.DEFAULT_FRACTIONS)))
 
     pe = sub.add_parser("perturb", help="per-feature noise robustness")
     _common_study_flags(pe)
-    pe.add_argument("--sigmas", default="0.1,0.2,0.5,1.0")
+    pe.add_argument("--sigmas", default=",".join(
+        map(str, experiments.DEFAULT_SIGMAS)))
 
     ab = sub.add_parser("ablate", help="feature-group ablation study")
     _common_study_flags(ab)
@@ -95,14 +99,17 @@ def _build_parser() -> _Parser:
     e1 = sub.add_parser("exp1", help="binary encryption-detection experiment")
     e1.add_argument("--corpus", required=True)
     e1.add_argument("--seed", type=int, required=True)
-    e1.add_argument("--k", type=_positive_int, default=60)
-    e1.add_argument("--learner", default="boosting", choices=_LEARNERS)
+    e1.add_argument("--k", type=_positive_int,
+                    default=experiments.EXPERIMENT_1_DEFAULTS["k"])
+    e1.add_argument("--learner", choices=_LEARNERS,
+                    default=experiments.EXPERIMENT_1_DEFAULTS["learner"])
     e1.add_argument("--out", required=True, help="output directory")
 
     e2 = sub.add_parser("exp2", help="multi-label task-identification experiment")
     e2.add_argument("--corpus", required=True)
     e2.add_argument("--seed", type=int, required=True)
-    e2.add_argument("--k", type=_positive_int, default=40)
+    e2.add_argument("--k", type=_positive_int,
+                    default=experiments.EXPERIMENT_2_DEFAULTS["k"])
     e2.add_argument("--out", required=True, help="output directory")
     return p
 

@@ -306,11 +306,15 @@ def write_csv(m: FeatureMatrix, path) -> None:
 
 
 def read_csv(path) -> FeatureMatrix:
-    """Read a `write_csv` file; column groups come from the names."""
+    """Read a `write_csv` file; column groups come from the names.  Every
+    row has the header's cell count and a label of 0, 1 or none."""
     lines = Path(path).read_text().splitlines()
+    if not lines:
+        raise ValueError(f"{path}: empty feature CSV")
     header = lines[0].split(",")
     if header[-2:] != ["label", "task"]:
-        raise ValueError("feature CSV must end with label,task columns")
+        raise ValueError(f"{path}: feature CSV must end with label,task "
+                         "columns")
     names = header[:-2]
     functions = sorted({n[len("count_"):] for n in names
                         if n.startswith("count_")})
@@ -318,9 +322,18 @@ def read_csv(path) -> FeatureMatrix:
         function_names=functions,
         columns=[FeatureColumn(n, infer_group(n)) for n in names])
     rows, labels, tasks = [], [], []
-    for line in lines[1:]:
+    for lineno, line in enumerate(lines[1:], start=2):
         cells = line.split(",")
-        rows.append([float(c) for c in cells[:-2]])
+        if len(cells) != len(header):
+            raise ValueError(f"{path}, line {lineno}: {len(cells)} cells, "
+                             f"the header has {len(header)}")
+        if cells[-2] not in ("0", "1", ""):
+            raise ValueError(f"{path}, line {lineno}: label must be 0, 1 "
+                             f"or empty, not {cells[-2]!r}")
+        try:
+            rows.append([float(c) for c in cells[:-2]])
+        except ValueError as exc:
+            raise ValueError(f"{path}, line {lineno}: {exc}") from None
         labels.append(cells[-2])
         tasks.append(cells[-1])
     X = np.asarray(rows, dtype=float)

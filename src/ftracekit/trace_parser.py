@@ -17,8 +17,6 @@ from typing import Iterable, Iterator, Optional
 
 from .errors import EmptyCorpus, MalformedLine, NestingError
 
-OVERHEAD_MARKERS = "+!#*@$"
-
 # duration thresholds (us) for the kernel's overhead annotation characters
 _MARKER_THRESHOLDS = [
     (1_000_000.0, "$"),
@@ -28,6 +26,7 @@ _MARKER_THRESHOLDS = [
     (100.0, "!"),
     (10.0, "+"),
 ]
+OVERHEAD_MARKERS = "".join(m for _, m in reversed(_MARKER_THRESHOLDS))
 
 
 @dataclass
@@ -83,14 +82,21 @@ class TraceSample:
 
 
 # line layout:  [abstime |]  cpu)  [comm-pid |]  [marker] [duration us]  |  body
-_ABSTIME_CPU_RE = re.compile(r"^\s*(\d+\.\d+)\s+\|\s*(\d+)\)(.*)$")
-_CPU_RE = re.compile(r"^\s*(\d+)\)(.*)$")
-_COMM_PID_RE = re.compile(r"^\s*\S+-\d+\s+\|(.*)$")
-_DUR_BODY_RE = re.compile(
-    r"^\s*(?:[%s]\s*)?(?:(\d+(?:\.\d+)?)\s+us\s*)?\|(.*)$" % re.escape(OVERHEAD_MARKERS)
-)
-_EXIT_RE = re.compile(r"^\}\s*(?:;)?\s*(?:/\*\s*(.*?)\s*\*/)?$")
-_NAME_RE = re.compile(r"^(\S+)\(\)$")
+# Each field and body form is written once here.  _LINE_RE chains them into
+# one match for the fast path; _parse_line_strict applies them one at a time
+# to say which field a malformed line breaks.
+_CPU = r"\s*(?:(\d+\.\d+)\s+\|\s*)?(\d+)\)"          # [abstime |] cpu)
+_COMM_PID = r"\s*\S+-\d+\s+\|"                        # comm-pid |
+_DURATION = (r"\s*(?:[%s]\s*)?(?:(\d+(?:\.\d+)?)\s+us\s*)?\|"
+             % re.escape(OVERHEAD_MARKERS))             # [marker] [duration us] |
+_EXIT = r"\}\s*;?\s*(?:/\*\s*(.*?)\s*\*/)?"             # } [;] [/* tail */]
+_LEAF = r"(\S+)\(\)\s*;"                              # name();
+_ENTRY = r"(\S+)\(\)\s*\{"                            # name() {
+
+# the slow path's steps: a column and the rest of the line, or a whole body
+_CPU_RE, _COMM_PID_RE, _DURATION_RE = (
+    re.compile(p + r"(.*)$") for p in (_CPU, _COMM_PID, _DURATION))
+_EXIT_RE, _LEAF_RE, _ENTRY_RE = (re.compile(p) for p in (_EXIT, _LEAF, _ENTRY))
 
 # Every well-formed entry, leaf and exit line in one anchored match, whose
 # groups are abstime, cpu, duration, indentation, exit tail, leaf name and
@@ -101,15 +107,10 @@ _NAME_RE = re.compile(r"^(\S+)\(\)$")
 # line refused here takes the slow path.  Each nesting level indents by the
 # kernel's 2 spaces.
 _LINE_RE = re.compile(
-    r"(?=[^=\n]*(?:=(?!>)[^=\n]*)*\Z)"
-    r"\s*(?:(\d+\.\d+)\s+\|\s*)?(\d+)\)"               # [abstime |] cpu)
-    r"(?:\s*\S+-\d+\s+\|)?"                             # [comm-pid |]
-    r"\s*(?:[%s]\s*)?(?:(\d+(?:\.\d+)?)\s+us\s*)?\|"    # [marker] [duration us] |
-    r"  ((?:  )*)"                                        # gap, indentation
-    r"(?(3)(?:\}\s*;?\s*(?:/\*\s*(.*?)\s*\*/)?"           # exit
-    r"|(?!\}|/\*)(\S+)\(\)\s*;)"                          # leaf
-    r"|(?!\}|/\*)(\S+)\(\)\s*\{)"                         # entry
-    r"\s*\Z" % re.escape(OVERHEAD_MARKERS))
+    r"(?=[^=\n]*(?:=(?!>)[^=\n]*)*\Z)" + _CPU + "(?:" + _COMM_PID + ")?"
+    + _DURATION + r"  ((?:  )*)"                        # gap, indentation
+    + "(?(3)(?:" + _EXIT + r"|(?!\}|/\*)" + _LEAF + ")"  # exit or leaf
+    + r"|(?!\}|/\*)" + _ENTRY + r")\s*\Z")              # entry
 
 
 def _parse_line_strict(line: str) -> Optional[tuple]:
@@ -125,16 +126,11 @@ def _parse_line_strict(line: str) -> Optional[tuple]:
         # CPU-switch separator emitted by the kernel between task migrations
         return None
 
-    abstime = None
-    m = _ABSTIME_CPU_RE.match(line)
-    if m:
-        abstime = float(m.group(1))
-        cpu_text, rest = m.group(2), m.group(3)
-    else:
-        m = _CPU_RE.match(line)
-        if not m:
-            raise MalformedLine(f"no CPU column: {line!r}", column=0)
-        cpu_text, rest = m.group(1), m.group(2)
+    m = _CPU_RE.match(line)
+    if not m:
+        raise MalformedLine(f"no CPU column: {line!r}", column=0)
+    abstime_text, cpu_text, rest = m.groups()
+    abstime = float(abstime_text) if abstime_text is not None else None
     try:
         cpu = int(cpu_text)
     except ValueError:  # more digits than int() converts
@@ -145,7 +141,7 @@ def _parse_line_strict(line: str) -> Optional[tuple]:
     if m:
         rest = m.group(1)
 
-    m = _DUR_BODY_RE.match(rest)
+    m = _DURATION_RE.match(rest)
     if not m:
         raise MalformedLine(f"no duration/body separator: {line!r}",
                             column=len(line) - len(rest))
@@ -166,7 +162,7 @@ def _parse_line_strict(line: str) -> Optional[tuple]:
         return None
 
     if content.startswith("}"):
-        m = _EXIT_RE.match(content)
+        m = _EXIT_RE.fullmatch(content)
         if not m:
             raise MalformedLine(f"bad exit line: {line!r}")
         if duration_us is None:
@@ -174,8 +170,7 @@ def _parse_line_strict(line: str) -> Optional[tuple]:
         return abstime, cpu, duration_us, depth, m.group(1), None, None
 
     if content.endswith("{"):
-        name_part = content[:-1].rstrip()
-        m = _NAME_RE.match(name_part)
+        m = _ENTRY_RE.fullmatch(content)
         if not m:
             raise MalformedLine(f"bad entry line: {line!r}")
         if duration_us is not None:
@@ -183,7 +178,7 @@ def _parse_line_strict(line: str) -> Optional[tuple]:
         return abstime, cpu, None, depth, None, None, m.group(1)
 
     if content.endswith(";"):
-        m = _NAME_RE.match(content[:-1].rstrip())
+        m = _LEAF_RE.fullmatch(content)
         if not m:
             raise MalformedLine(f"bad leaf line: {line!r}")
         if duration_us is None:

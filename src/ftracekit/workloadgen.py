@@ -166,10 +166,13 @@ def _rng_for(profile: WorkloadProfile, seed: int):
 
 _duration = attrgetter("duration_us")
 
+# root calls per generated trace unless the caller asks for another count
+DEFAULT_ROOT_CALLS = 30
+
 
 def generate_trace(profile: WorkloadProfile, seed: int,
-                   n_root_calls: int = 30, multi_cpu: bool = False,
-                   abstime: bool = False):
+                   n_root_calls: int = DEFAULT_ROOT_CALLS,
+                   multi_cpu: bool = False, abstime: bool = False):
     """Emit (trace text, IoMeta, GeneratorBookkeeping) for one workload run;
     `multi_cpu` deals the root calls to CPUs 0 and 1 in turn."""
     rng = _rng_for(profile, seed)
@@ -221,7 +224,8 @@ def generate_trace(profile: WorkloadProfile, seed: int,
 
 
 def generate_corpus(profiles: list[WorkloadProfile], per_profile_count: int,
-                    seed: int, out_dir, n_root_calls: int = 30,
+                    seed: int, out_dir,
+                    n_root_calls: int = DEFAULT_ROOT_CALLS,
                     multi_cpu: bool = False, abstime: bool = False) -> dict:
     """Write per_profile_count traces per profile plus sidecars and a
     manifest; returns the manifest."""

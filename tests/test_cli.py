@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import re
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from ftracekit import cli, experiments, features, learners
+from ftracekit import cli, experiments, features, learners, workloadgen
 
 
 def run(argv):
@@ -168,6 +169,55 @@ class TestExitCodes:
         assert rc == 2
         err = capsys.readouterr().err
         assert "x.io.json" in err and field in err
+
+    @pytest.mark.parametrize("cmd", ["train", "eval"])
+    def test_csv_label_other_than_0_or_1_is_refused(self, cmd, feature_csv,
+                                                    tmp_path, capsys):
+        # before, a label of 2 trained and evaluated with exit 0: eval
+        # reported an AUC above 1 and a confusion matrix short of a row
+        model = tmp_path / "m.json"
+        assert run(["train", "--features", str(feature_csv), "--learner",
+                    "tree", "--seed", "0", "--out", str(model)]) == 0
+        header, *rows = feature_csv.read_text().splitlines()[:7]
+        cells = rows[3].split(",")
+        cells[-2] = "2"
+        rows[3] = ",".join(cells)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join([header] + rows) + "\n")
+        argv = (["train", "--features", str(bad), "--learner", "tree",
+                 "--seed", "0", "--out", str(tmp_path / "m2.json")]
+                if cmd == "train" else
+                ["eval", "--model", str(model), "--features", str(bad)])
+        capsys.readouterr()
+        assert run(argv) == 2
+        assert f"{bad}, line 5: label must be 0, 1 or empty, not '2'" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "m2.json").exists()
+
+    @pytest.mark.parametrize("cmd", ["select", "train"])
+    @pytest.mark.parametrize("damage, where", [
+        (lambda header, rows: [], ""),
+        (lambda header, rows: [header, rows[0], "0.5"], ", line 3"),
+        (lambda header, rows: [header, "", rows[0]], ", line 2"),
+        (lambda header, rows: [header, rows[0] + ",0", rows[1]], ", line 2"),
+        (lambda header, rows: [header, rows[0], "x" + rows[1]], ", line 3"),
+    ], ids=["empty", "short_row", "blank_row", "long_row", "bad_number"])
+    def test_malformed_csv_row_is_named(self, cmd, damage, where,
+                                        feature_csv, tmp_path, capsys):
+        # before, an empty file or a row of fewer than 2 cells raised an
+        # uncaught IndexError (exit 1), and a row with an extra cell
+        # exited 2 with numpy's message, which named no line
+        header, *rows = feature_csv.read_text().splitlines()
+        bad = tmp_path / "bad.csv"
+        bad.write_text("".join(line + "\n" for line in damage(header, rows)))
+        out = tmp_path / "out"
+        argv = {"select": ["select", "--features", str(bad), "--out",
+                           str(out)],
+                "train": ["train", "--features", str(bad), "--seed", "0",
+                          "--out", str(out)]}[cmd]
+        assert run(argv) == 2
+        assert f"error: {bad}{where}: " in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unlabeled_csv_is_runtime_error(self, feature_csv, tmp_path,
                                             capsys):
@@ -359,6 +409,29 @@ class TestPipeline:
         assert [e["params"] for e in searched] == \
             [e["params"] for e in lib.payload["search"]["evaluations"]] == \
             experiments._grid_points(experiments.EXPERIMENT_1_GRIDS["forest"])
+
+    def test_flag_defaults_are_the_library_defaults(self):
+        parse = cli._build_parser().parse_args
+        e1 = parse(["exp1", "--corpus", "c", "--seed", "1", "--out", "o"])
+        assert (e1.k, e1.learner) == (
+            experiments.EXPERIMENT_1_DEFAULTS["k"],
+            experiments.EXPERIMENT_1_DEFAULTS["learner"])
+        e2 = parse(["exp2", "--corpus", "c", "--seed", "1", "--out", "o"])
+        assert e2.k == experiments.EXPERIMENT_2_DEFAULTS["k"]
+        study = ["--features", "f", "--seed", "1", "--out", "o"]
+        fractions = parse(["curve", *study]).fractions
+        assert [float(f) for f in fractions.split(",")] == \
+            experiments.DEFAULT_FRACTIONS
+        sigmas = parse(["perturb", *study]).sigmas
+        assert [float(s) for s in sigmas.split(",")] == \
+            experiments.DEFAULT_SIGMAS
+        gen = parse(["gen", "--seed", "1", "--out", "o"])
+        assert gen.roots == inspect.signature(
+            workloadgen.generate_corpus).parameters["n_root_calls"].default
+        for learner in cli._LEARNERS:
+            learners.train(learner, [[0.0], [1.0]], [0, 1])
+        with pytest.raises(SystemExit):
+            parse(["train", *study, "--learner", "one_vs_rest"])
 
     def test_ablate(self, feature_csv, tmp_path):
         out = tmp_path / "ablation.csv"
