@@ -246,7 +246,7 @@ def cmd_train(args) -> int:
     m = _read_labeled_csv(args.features)
     params = json.loads(args.params)
     model = learners.train(args.learner, m.X, m.labels, params, args.seed,
-                           m.vocab.column_names)
+                           m.vocab.columns)
     learners.save_model(model, args.out)
     acc = learners.evaluate(model, m.X, m.labels).accuracy
     print(f"train: {args.learner} fit on {m.n_rows} rows, "

@@ -7,7 +7,6 @@ the canonical payload).
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 import math
@@ -22,7 +21,6 @@ from . import learners, selection
 from .errors import ClassTooSmall, EmptyGrid, EmptyGroup
 from .features import FeatureMatrix
 from .learners import _sub_seed
-from .trace_parser import trace_paths
 
 
 def _is_multilabel(labels) -> bool:
@@ -130,7 +128,7 @@ class Pipeline:
         elif self.ranking is not None:
             raise ValueError(f"unknown ranking {self.ranking!r}")
         columns = (selection.select_top_k(scores, min(self.k, len(scores)))
-                   if scores else scaled.vocab.column_names)
+                   if scores else scaled.vocab.columns)
         kind, params = self.learner, self.params
         if _is_multilabel(y):
             kind, params, y = "one_vs_rest", {"base": kind, **params}, list(y)
@@ -297,17 +295,18 @@ ABLATION_GROUPS = (feat.GROUP_GRAPH, feat.GROUP_TEMPORAL, feat.GROUP_SYSTEM)
 def ablation_study(m: FeatureMatrix, labels, pipeline: Pipeline,
                    k: int = 5, seed: int = 0) -> list[dict]:
     """Full set, each leave-one-group-out, and each single group: 7 rows."""
+    named = [(n, feat.infer_group(n)) for n in m.vocab.columns]
     group_cols = {}
     for g in ABLATION_GROUPS:
-        cols = [c.name for c in m.vocab.columns if c.group == g]
+        cols = [n for n, group in named if group == g]
         if not cols:
             raise EmptyGroup(f"feature group {g!r} has no columns")
         group_cols[g] = cols
 
-    configs = [("full", list(m.vocab.column_names))]
+    configs = [("full", list(m.vocab.columns))]
     for g in ABLATION_GROUPS:
         configs.append((f"without_{g}",
-                        [c.name for c in m.vocab.columns if c.group != g]))
+                        [n for n, group in named if group != g]))
     for g in ABLATION_GROUPS:
         configs.append((f"{g}_only", group_cols[g]))
 
@@ -339,13 +338,6 @@ def balance_by_resampling(m: FeatureMatrix, task_labels,
     if out.tasks is None:
         out.tasks = [tasks[i] for i in keep]
     return out
-
-
-def corpus_digest(corpus_dir) -> str:
-    h = hashlib.sha256()
-    for p in trace_paths(corpus_dir):
-        h.update(hashlib.sha256(p.read_bytes()).digest())
-    return h.hexdigest()
 
 
 # grid searched per learner when the config gives none
@@ -431,7 +423,7 @@ def run_experiment_1(corpus_dir, config: Optional[dict] = None,
         "extraction_warnings": matrix.warnings,
     }
     report = ExperimentReport(kind="exp1", config=_jsonable(cfg), seed=seed,
-                              data_digest=corpus_digest(corpus_dir),
+                              data_digest=matrix.data_digest,
                               payload=payload)
     report.wall_clock_s = time.monotonic() - t0
     return report
@@ -488,7 +480,7 @@ def run_experiment_2(corpus_dir, config: Optional[dict] = None,
         "extraction_warnings": matrix.warnings,
     }
     report = ExperimentReport(kind="exp2", config=_jsonable(cfg), seed=seed,
-                              data_digest=corpus_digest(corpus_dir),
+                              data_digest=matrix.data_digest,
                               payload=payload)
     report.wall_clock_s = time.monotonic() - t0
     return report

@@ -1,15 +1,20 @@
-"""Feature extraction: samples -> fixed-width, group-tagged matrices.
+"""Feature extraction: samples -> fixed-width matrices of named columns.
 
 Column layout (deterministic given the corpus):
   per function f (sorted):  count_<f> (system), total_dur_<f> (temporal)
   graph aggregates:         {betweenness,eigenvector,clustering,avg_nbr_deg}_{mean,max}
   temporal globals:         mean_call_duration, std_call_duration, mean_intercall_interval
   system globals:           read_count, write_count, read_bytes, write_bytes, total_calls
+
+A column is its name: its group (`infer_group`) and function follow from
+it.  `load_matrix` reads each trace once, for its row and the digest.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
@@ -38,40 +43,32 @@ SYSTEM_GLOBAL_COLUMNS = [
 ]
 
 
-@dataclass(frozen=True)
-class FeatureColumn:
-    name: str
-    group: str
-
-
 @dataclass
 class FeatureVocabulary:
-    function_names: list[str]
-    columns: list[FeatureColumn]
+    columns: list[str]  # ordered column names
 
     @property
-    def column_names(self) -> list[str]:
-        return [c.name for c in self.columns]
+    def function_names(self) -> list[str]:
+        """The functions of the count_<f> columns, in column order."""
+        return [n[len("count_"):] for n in self.columns
+                if n.startswith("count_")]
 
     def to_json(self) -> str:
         return json.dumps({
             "functions": self.function_names,
-            "columns": [{"name": c.name, "group": c.group} for c in self.columns],
+            "columns": [{"name": n, "group": infer_group(n)}
+                        for n in self.columns],
         }, indent=2)
 
 
 def infer_group(name: str) -> str:
-    """Recover a column's ablation group from its name (CSV round-trips)."""
-    if name.startswith("count_"):
+    """A column's ablation group, from its name."""
+    if name.startswith("count_") or name in SYSTEM_GLOBAL_COLUMNS:
         return GROUP_SYSTEM
-    if name.startswith("total_dur_"):
+    if name.startswith("total_dur_") or name in TEMPORAL_GLOBAL_COLUMNS:
         return GROUP_TEMPORAL
     if name in GRAPH_AGGREGATE_COLUMNS:
         return GROUP_GRAPH
-    if name in TEMPORAL_GLOBAL_COLUMNS:
-        return GROUP_TEMPORAL
-    if name in SYSTEM_GLOBAL_COLUMNS:
-        return GROUP_SYSTEM
     raise ValueError(f"cannot infer feature group for column {name!r}")
 
 
@@ -109,6 +106,7 @@ class FeatureMatrix:
     labels: Optional[np.ndarray] = None        # binary 0/1 per row
     tasks: Optional[list[str]] = None          # multi-label target names
     warnings: list[str] = field(default_factory=list)
+    data_digest: Optional[str] = None  # sha256 of the traces' sha256s
 
     @property
     def n_rows(self) -> int:
@@ -124,15 +122,13 @@ class FeatureMatrix:
         )
 
     def subset_columns(self, names: list[str]) -> "FeatureMatrix":
-        pos = {c.name: i for i, c in enumerate(self.vocab.columns)}
+        pos = {n: i for i, n in enumerate(self.vocab.columns)}
         try:
             idx = [pos[n] for n in names]
         except KeyError as exc:
             raise ValueError(f"no feature column {exc.args[0]!r}") from None
-        vocab = FeatureVocabulary(
-            function_names=self.vocab.function_names,
-            columns=[self.vocab.columns[i] for i in idx])
-        return FeatureMatrix(vocab=vocab, X=self.X[:, idx],
+        return FeatureMatrix(vocab=FeatureVocabulary(list(names)),
+                             X=self.X[:, idx],
                              labels=self.labels, tasks=self.tasks)
 
 
@@ -142,7 +138,7 @@ class TraceSummary:
     each function name's call count and total duration, summed in
     pre-order; the trace-level values (graph aggregates, temporal and
     system globals, in column order); and the parse facts the matrix
-    reports."""
+    reports, with the sha256 of the trace file when it was read from one."""
     counts: dict[str, float]
     durations: dict[str, float]
     trace_values: list[float]
@@ -150,6 +146,7 @@ class TraceSummary:
     has_abstime: bool
     label: Optional[int]
     task: Optional[str]
+    sha256: Optional[bytes]
 
 
 def extract(sample: TraceSample) -> TraceSummary:
@@ -201,7 +198,7 @@ def extract(sample: TraceSample) -> TraceSummary:
         counts=counts, durations=durs,
         trace_values=agg + [mean_dur, std_dur, intercall] + system,
         n_warnings=len(sample.warnings), has_abstime=sample.has_abstime,
-        label=sample.label, task=sample.task_name)
+        label=sample.label, task=sample.task_name, sha256=sample.sha256)
 
 
 def build_vocabulary(summaries: list[TraceSummary]) -> FeatureVocabulary:
@@ -211,15 +208,10 @@ def build_vocabulary(summaries: list[TraceSummary]) -> FeatureVocabulary:
     names: set[str] = set()
     for summary in summaries:
         names.update(summary.counts)
-    functions = sorted(names)
-    columns: list[FeatureColumn] = []
-    for f in functions:
-        columns.append(FeatureColumn(f"count_{f}", GROUP_SYSTEM))
-        columns.append(FeatureColumn(f"total_dur_{f}", GROUP_TEMPORAL))
-    columns += [FeatureColumn(n, GROUP_GRAPH) for n in GRAPH_AGGREGATE_COLUMNS]
-    columns += [FeatureColumn(n, GROUP_TEMPORAL) for n in TEMPORAL_GLOBAL_COLUMNS]
-    columns += [FeatureColumn(n, GROUP_SYSTEM) for n in SYSTEM_GLOBAL_COLUMNS]
-    return FeatureVocabulary(function_names=functions, columns=columns)
+    columns = [c for f in sorted(names)
+               for c in (f"count_{f}", f"total_dur_{f}")]
+    return FeatureVocabulary(columns + GRAPH_AGGREGATE_COLUMNS
+                             + TEMPORAL_GLOBAL_COLUMNS + SYSTEM_GLOBAL_COLUMNS)
 
 
 def extract_matrix(summaries: list[TraceSummary],
@@ -229,7 +221,7 @@ def extract_matrix(summaries: list[TraceSummary],
     if not summaries:
         raise EmptyCorpus("no samples to extract")
     fpos = {f: i for i, f in enumerate(vocab.function_names)}
-    nf = len(vocab.function_names)
+    nf = len(fpos)
     X = np.zeros((len(summaries), len(vocab.columns)))
     n_unseen = 0
     for row, s in zip(X, summaries):
@@ -266,7 +258,10 @@ def load_matrix(corpus_dir, strict: bool) -> FeatureMatrix:
     one row per trace."""
     summaries = [extract(load_sample(path, strict))
                  for path in trace_paths(corpus_dir)]
-    return extract_matrix(summaries, build_vocabulary(summaries))
+    m = extract_matrix(summaries, build_vocabulary(summaries))
+    m.data_digest = hashlib.sha256(
+        b"".join(s.sha256 for s in summaries)).hexdigest()
+    return m
 
 
 def _csv_cell(v) -> str:
@@ -300,27 +295,25 @@ def write_csv(m: FeatureMatrix, path) -> None:
     labels = ([int(v) for v in m.labels] if m.labels is not None
               else [""] * m.n_rows)
     tasks = m.tasks if m.tasks is not None else [""] * m.n_rows
-    _write_table_csv(path, m.vocab.column_names + ["label", "task"],
+    _write_table_csv(path, m.vocab.columns + ["label", "task"],
                      (list(x) + [lab, task]
                       for x, lab, task in zip(m.X, labels, tasks)))
 
 
 def read_csv(path) -> FeatureMatrix:
-    """Read a `write_csv` file; column groups come from the names.  Every
-    row has the header's cell count and a label of 0, 1 or none."""
+    """Read a `write_csv` file.  Every column name must give a group; the
+    file has at least one row, and every row has the header's cell count,
+    finite feature cells and a label of 0, 1 or none."""
     lines = Path(path).read_text().splitlines()
-    if not lines:
-        raise ValueError(f"{path}: empty feature CSV")
+    if len(lines) < 2:
+        raise ValueError(f"{path}: feature CSV has no data rows")
     header = lines[0].split(",")
     if header[-2:] != ["label", "task"]:
         raise ValueError(f"{path}: feature CSV must end with label,task "
                          "columns")
     names = header[:-2]
-    functions = sorted({n[len("count_"):] for n in names
-                        if n.startswith("count_")})
-    vocab = FeatureVocabulary(
-        function_names=functions,
-        columns=[FeatureColumn(n, infer_group(n)) for n in names])
+    for n in names:
+        infer_group(n)  # refuses a name that gives no group
     rows, labels, tasks = [], [], []
     for lineno, line in enumerate(lines[1:], start=2):
         cells = line.split(",")
@@ -331,12 +324,18 @@ def read_csv(path) -> FeatureMatrix:
             raise ValueError(f"{path}, line {lineno}: label must be 0, 1 "
                              f"or empty, not {cells[-2]!r}")
         try:
-            rows.append([float(c) for c in cells[:-2]])
+            row = [float(c) for c in cells[:-2]]
         except ValueError as exc:
             raise ValueError(f"{path}, line {lineno}: {exc}") from None
+        for name, cell, v in zip(names, cells, row):
+            if not math.isfinite(v):
+                raise ValueError(f"{path}, line {lineno}: column {name} "
+                                 f"holds {cell!r}, not a finite number")
+        rows.append(row)
         labels.append(cells[-2])
         tasks.append(cells[-1])
     X = np.asarray(rows, dtype=float)
     lab = np.array([int(v) for v in labels], dtype=int) if all(labels) else None
     tk = list(tasks) if all(tasks) else None
-    return FeatureMatrix(vocab=vocab, X=X, labels=lab, tasks=tk)
+    return FeatureMatrix(vocab=FeatureVocabulary(names), X=X, labels=lab,
+                         tasks=tk)

@@ -105,7 +105,7 @@ def chi2_statistics(m: FeatureMatrix, labels: np.ndarray) -> list[ScoredFeature]
     terms[:, totals == 0] = 0.0
     stats = terms.sum(axis=0)
     return [ScoredFeature(name=name, score=float(score), p_value=None)
-            for name, score in zip(m.vocab.column_names, stats)]
+            for name, score in zip(m.vocab.columns, stats)]
 
 
 def chi2_scores(m: FeatureMatrix, labels: np.ndarray) -> list[ScoredFeature]:
@@ -150,10 +150,10 @@ def forest_importance(m: FeatureMatrix, labels, forest_params: dict,
     normalized to sum to 1.  p_value is 1 (not applicable).  Task names
     work as labels: the forest fits on their sorted class indices."""
     model = learners.train("forest", m.X, labels, forest_params, seed,
-                           feature_names=m.vocab.column_names)
+                           feature_names=m.vocab.columns)
     imp = model.impl.feature_importances()
     return [ScoredFeature(name=n, score=float(v), p_value=1.0)
-            for n, v in zip(m.vocab.column_names, imp)]
+            for n, v in zip(m.vocab.columns, imp)]
 
 
 def write_scores_csv(scores: list[ScoredFeature], path) -> None:

@@ -7,6 +7,8 @@ CPUs, truncated dumps, comment lines and CPU-switch boundary markers.
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
 import math
 import re
@@ -67,6 +69,7 @@ class TraceSample:
     warnings: list[str] = field(default_factory=list)
     has_abstime: bool = False
     source: Optional[str] = None
+    sha256: Optional[bytes] = None  # of the file's bytes, set by load_sample
 
     @cached_property
     def preorder(self) -> list[CallRecord]:
@@ -339,11 +342,15 @@ def _sidecar_int(sidecar: Path, meta: dict, key: str, top=math.inf) -> int:
 
 
 def load_sample(trace_path, strict: bool = False) -> TraceSample:
-    """Parse one trace file plus its optional *.io.json sidecar."""
+    """Parse one trace file plus its optional *.io.json sidecar.  The
+    file is read once; its bytes are split into lines as text-mode `open`
+    splits them (universal newlines) and hashed."""
     p = Path(trace_path)
-    with open(p, "r", encoding="utf-8", errors="surrogateescape") as fh:
+    data = p.read_bytes()
+    with io.TextIOWrapper(io.BytesIO(data), "utf-8", "surrogateescape") as fh:
         sample = parse_trace(fh, strict)
     sample.source = str(p)
+    sample.sha256 = hashlib.sha256(data).digest()
     sc = sidecar_path(p)
     if sc.exists():
         meta = json.loads(sc.read_text())

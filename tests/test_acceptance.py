@@ -124,14 +124,14 @@ def test_criterion_3_chi_squared():
     ok = True
     detail = ""
 
-    cols = [ft.FeatureColumn("f", "system")]
-    m = ft.FeatureMatrix(vocab=ft.FeatureVocabulary([], cols),
+    vocab = ft.FeatureVocabulary(["f"])
+    m = ft.FeatureMatrix(vocab=vocab,
                          X=np.array([[1.0], [1.0], [0.0], [0.0]]))
     (sf,) = sel.chi2_scores(m, np.array([1, 1, 0, 0]))
     if sf.score != 2.0:
         ok, detail = False, f"hand case chi2 {sf.score} != 2.0"
 
-    m2 = ft.FeatureMatrix(vocab=ft.FeatureVocabulary([], cols),
+    m2 = ft.FeatureMatrix(vocab=vocab,
                           X=np.array([[1.0], [1.0], [1.0], [1.0]]))
     (sf2,) = sel.chi2_scores(m2, np.array([1, 1, 0, 0]))
     if ok and sf2.score != 0.0:

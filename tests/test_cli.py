@@ -201,7 +201,9 @@ class TestExitCodes:
         (lambda header, rows: [header, "", rows[0]], ", line 2"),
         (lambda header, rows: [header, rows[0] + ",0", rows[1]], ", line 2"),
         (lambda header, rows: [header, rows[0], "x" + rows[1]], ", line 3"),
-    ], ids=["empty", "short_row", "blank_row", "long_row", "bad_number"])
+        (lambda header, rows: [header], ""),
+    ], ids=["empty", "short_row", "blank_row", "long_row", "bad_number",
+            "header_only"])
     def test_malformed_csv_row_is_named(self, cmd, damage, where,
                                         feature_csv, tmp_path, capsys):
         # before, an empty file or a row of fewer than 2 cells raised an
@@ -218,6 +220,19 @@ class TestExitCodes:
         assert run(argv) == 2
         assert f"error: {bad}{where}: " in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_csv_cell_is_refused(self, cell, tmp_path, capsys):
+        # before, nan and inf cells trained a tree with exit 0
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"count_a,total_dur_a,label,task\n0,1,0,\n"
+                       f"1,{cell},1,\n")
+        model = tmp_path / "m.json"
+        assert run(["train", "--features", str(bad), "--learner", "tree",
+                    "--seed", "0", "--out", str(model)]) == 2
+        assert (f"error: {bad}, line 3: column total_dur_a holds "
+                f"{cell!r}, not a finite number") in capsys.readouterr().err
+        assert not model.exists()
 
     def test_unlabeled_csv_is_runtime_error(self, feature_csv, tmp_path,
                                             capsys):
@@ -344,7 +359,7 @@ class TestPipeline:
         model = tmp_path / "ovr.json"
         learners.save_model(learners.train(
             "one_vs_rest", m.X, m.tasks, {"n_trees": 5}, seed=0,
-            feature_names=m.vocab.column_names), model)
+            feature_names=m.vocab.columns), model)
         metrics = tmp_path / "metrics.json"
         assert run(["eval", "--model", str(model), "--features",
                     str(feature_csv), "--out", str(metrics)]) == 0

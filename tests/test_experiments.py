@@ -1,4 +1,8 @@
+import builtins
+import hashlib
 import json
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,11 +14,18 @@ from ftracekit import workloadgen as wg
 from ftracekit.errors import ClassTooSmall, EmptyGrid, EmptyGroup
 
 
+def column_name(i, group):
+    """A name that `infer_group` maps to `group`."""
+    if group == "graph":
+        return ft.GRAPH_AGGREGATE_COLUMNS[i]
+    return {"system": "count_c", "temporal": "total_dur_c"}[group] + str(i)
+
+
 def matrix(X, groups=None, labels=None, tasks=None):
     X = np.asarray(X, dtype=float)
     groups = groups or ["system"] * X.shape[1]
-    cols = [ft.FeatureColumn(f"c{i}", g) for i, g in enumerate(groups)]
-    return ft.FeatureMatrix(vocab=ft.FeatureVocabulary([], cols), X=X,
+    cols = [column_name(i, g) for i, g in enumerate(groups)]
+    return ft.FeatureMatrix(vocab=ft.FeatureVocabulary(cols), X=X,
                             labels=None if labels is None else np.asarray(labels),
                             tasks=tasks)
 
@@ -314,3 +325,32 @@ class TestExperiments:
         # and exp2 echoed keys it no longer reads
         with pytest.raises(ValueError, match=repr(key)):
             run(tmp_path, {key: 3}, seed=7)
+
+    def test_exp2_reads_each_trace_once(self, tmp_path, monkeypatch):
+        # the report's digest is hashed from the bytes that were parsed;
+        # before, a second pass read every trace again to hash it
+        wg.generate_corpus(wg.task_profiles(), 4, seed=3, out_dir=tmp_path,
+                           n_root_calls=6)
+        reads = Counter()
+        read_bytes, builtin_open = Path.read_bytes, builtins.open
+
+        def counted_read_bytes(path):
+            reads[Path(path)] += 1
+            return read_bytes(path)
+
+        def counted_open(file, *args, **kwargs):
+            reads[Path(file)] += 1
+            return builtin_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_bytes", counted_read_bytes)
+        monkeypatch.setattr(builtins, "open", counted_open)
+        rep = ex.run_experiment_2(
+            tmp_path, {"k": 10, "base_params": {"n_trees": 4, "max_depth": 4},
+                       "importance_params": {"n_trees": 4, "max_depth": 4}},
+            seed=7)
+        monkeypatch.undo()
+        traces = sorted(tmp_path.rglob("*.trace"))
+        assert len(traces) == 6 * 4
+        assert {p: reads[p] for p in traces} == dict.fromkeys(traces, 1)
+        assert rep.data_digest == hashlib.sha256(b"".join(
+            hashlib.sha256(p.read_bytes()).digest() for p in traces)).hexdigest()

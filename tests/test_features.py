@@ -34,7 +34,7 @@ class TestVocabulary:
         vocab = ft.build_vocabulary([summary_from_text(TWO_FN_TEXT)])
         assert vocab.function_names == ["rw_verify_area", "vfs_read"]
         assert len(vocab.columns) == 20
-        names = vocab.column_names
+        names = vocab.columns
         assert names[:4] == ["count_rw_verify_area", "total_dur_rw_verify_area",
                              "count_vfs_read", "total_dur_vfs_read"]
         assert names[4:12] == ft.GRAPH_AGGREGATE_COLUMNS
@@ -43,7 +43,8 @@ class TestVocabulary:
 
     def test_groups(self):
         vocab = ft.build_vocabulary([summary_from_text(TWO_FN_TEXT)])
-        by_name = {c.name: c.group for c in vocab.columns}
+        groups = [ft.infer_group(n) for n in vocab.columns]
+        by_name = dict(zip(vocab.columns, groups))
         assert by_name["count_vfs_read"] == "system"
         assert by_name["total_dur_vfs_read"] == "temporal"
         assert by_name["clustering_max"] == "graph"
@@ -51,7 +52,7 @@ class TestVocabulary:
         assert by_name["read_bytes"] == "system"
         got = set()
         for g in ("graph", "temporal", "system"):
-            idx = [i for i, c in enumerate(vocab.columns) if c.group == g]
+            idx = [i for i, group in enumerate(groups) if group == g]
             assert idx, g
             got.update(idx)
         assert got == set(range(20))
@@ -59,9 +60,11 @@ class TestVocabulary:
     def test_vocab_json_round_trip(self):
         vocab = ft.build_vocabulary([summary_from_text(TWO_FN_TEXT)])
         data = json.loads(vocab.to_json())
-        again = ft.FeatureVocabulary(
-            data["functions"], [ft.FeatureColumn(**c) for c in data["columns"]])
+        again = ft.FeatureVocabulary([c["name"] for c in data["columns"]])
         assert again == vocab
+        assert data["functions"] == again.function_names
+        assert [c["group"] for c in data["columns"]] == \
+            [ft.infer_group(n) for n in again.columns]
 
     def test_empty_corpus_raises(self):
         with pytest.raises(EmptyCorpus):
@@ -80,7 +83,7 @@ class TestExtract:
         s = summary_from_text(TWO_FN_TEXT, io=tp.IoMeta(1, 2, 30, 40))
         vocab = ft.build_vocabulary([s])
         row = ft.extract_matrix([s], vocab).X[0]
-        col = {n: i for i, n in enumerate(vocab.column_names)}
+        col = {n: i for i, n in enumerate(vocab.columns)}
         assert row[col["count_vfs_read"]] == 1
         assert row[col["total_dur_vfs_read"]] == pytest.approx(2.15)
         assert row[col["count_rw_verify_area"]] == 1
@@ -175,8 +178,7 @@ class TestExtract:
 class TestScaling:
     def _matrix(self, X):
         X = np.asarray(X, dtype=float)
-        cols = [ft.FeatureColumn(f"c{i}", "system") for i in range(X.shape[1])]
-        vocab = ft.FeatureVocabulary(function_names=[], columns=cols)
+        vocab = ft.FeatureVocabulary([f"c{i}" for i in range(X.shape[1])])
         return ft.FeatureMatrix(vocab=vocab, X=X)
 
     def _fit_apply(self, kind, X):
@@ -232,9 +234,7 @@ class TestCsvRoundTrip:
         path = tmp_path / "feats.csv"
         ft.write_csv(m, path)
         back = ft.read_csv(path)
-        assert back.vocab.column_names == vocab.column_names
-        assert [c.group for c in back.vocab.columns] == \
-            [c.group for c in vocab.columns]
+        assert back.vocab.columns == vocab.columns
 
 
 class TestSubsets:
@@ -247,4 +247,12 @@ class TestSubsets:
         assert rows.labels.tolist() == [1, 1]
         cols = m.subset_columns(["total_calls", "count_vfs_read"])
         assert cols.X.shape == (3, 2)
-        assert cols.vocab.column_names == ["total_calls", "count_vfs_read"]
+        assert cols.vocab.columns == ["total_calls", "count_vfs_read"]
+
+    def test_column_subset_keeps_only_its_functions(self):
+        s = summary_from_text(TWO_FN_TEXT)
+        m = ft.extract_matrix([s], ft.build_vocabulary([s]))
+        sub = m.subset_columns(["total_calls", "total_dur_vfs_read",
+                                "count_vfs_read"])
+        assert sub.vocab.function_names == ["vfs_read"]
+        assert json.loads(sub.vocab.to_json())["functions"] == ["vfs_read"]

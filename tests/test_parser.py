@@ -1,3 +1,4 @@
+import hashlib
 import json
 from collections import Counter
 
@@ -157,7 +158,7 @@ class TestParseTrace:
         summary = ft.extract(sample)
         vocab = ft.build_vocabulary([summary])
         row = ft.extract_matrix([summary], vocab).X[0]
-        assert row[vocab.column_names.index("total_calls")] == depth
+        assert row[vocab.columns.index("total_calls")] == depth
 
     def test_deep_nesting_is_formatted_without_recursion(self):
         depth = 3000
@@ -293,3 +294,25 @@ class TestSidecar:
         trace = self.trace_with_sidecar(tmp_path, "[1, 2]")
         with pytest.raises(ValueError, match="JSON object"):
             tp.load_sample(trace)
+
+
+class TestLoadSample:
+    def test_lines_split_as_text_mode_open_splits_them(self, tmp_path):
+        # \r\n and a lone \r end a line; \f does not, so line 3 is one
+        # malformed line and not the two leaf calls it would split into
+        leaf = " 0)   1.000 us    |  {}();"
+        trace = tmp_path / "x.trace"
+        trace.write_bytes((leaf.format("a") + "\r\n" + leaf.format("b") + "\r"
+                           + leaf.format("c") + "\f" + leaf.format("d")
+                           + "\n").encode())
+        sample = tp.load_sample(trace)
+        assert [r.name for r in sample.preorder] == ["a", "b"]
+        assert len(sample.warnings) == 1
+        assert sample.warnings[0].startswith("line 3: malformed, skipped")
+
+    def test_sha256_is_of_the_file_bytes(self, tmp_path):
+        trace = tmp_path / "x.trace"
+        trace.write_bytes(b" 0)   1.000 us    |  f\xff();\r\n")
+        sample = tp.load_sample(trace)
+        assert sample.sha256 == hashlib.sha256(trace.read_bytes()).digest()
+        assert [r.name for r in sample.preorder] == ["f\udcff"]

@@ -12,8 +12,7 @@ from ftracekit.errors import (KTooLarge, NegativeFeature, PValueClampWarning,
 def matrix(X, names=None):
     X = np.asarray(X, dtype=float)
     names = names or [f"c{i}" for i in range(X.shape[1])]
-    cols = [ft.FeatureColumn(n, "system") for n in names]
-    return ft.FeatureMatrix(vocab=ft.FeatureVocabulary([], cols), X=X)
+    return ft.FeatureMatrix(vocab=ft.FeatureVocabulary(names), X=X)
 
 
 class TestChi2Survival:
