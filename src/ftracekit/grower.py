@@ -1,4 +1,5 @@
-"""The classification tree grower behind `DecisionTree` and `RandomForest`.
+"""The tree growers behind `DecisionTree`, `RandomForest` and
+`RegressionTree`.
 
 All trees of a forest grow side by side, and a lone tree is a forest of
 one.  At each step every tree lays out leaves in pre-order up to its next
@@ -6,8 +7,12 @@ node that searches; the searching nodes of all trees are scored together
 in NaN-padded batches by `_gini_search`, each node sorting only its own
 rows, so a node's cost grows with its size.  Each tree draws its candidate
 features from its own rng in its own pre-order, so it comes out exactly
-as if grown alone.  The hyperparameter checks of all learners live here
-too.
+as if grown alone.
+
+A regression tree grows from a read-only root state (`_regression_root`):
+the presort of X and what the root's split search needs besides the
+residuals.  A boosting fit builds it once and every round's tree reuses
+it.  The hyperparameter checks of all learners live here too.
 """
 
 from __future__ import annotations
@@ -194,3 +199,100 @@ def _grow_classifiers(trees, X, y, rows) -> None:
                 stack.append((left, lc, depth + 1, len(nodes) - 1, 2))
     for tree, _, nodes in grown:
         tree._set_arrays(*zip(*nodes))
+
+
+def _search_state(XT, order):
+    """What a regression node's split search needs besides its residuals:
+    its rows presorted per column as (features, rows) `order`, the node
+    values in that order, the mask of cuts between equal values, and each
+    cut's left and right sizes as floats."""
+    xs = XT[np.arange(len(XT))[:, None], order]
+    m = order.shape[1]
+    nl = np.arange(1, m, dtype=float)
+    return order, xs, ~(xs[:, :-1] < xs[:, 1:]), nl, m - nl
+
+
+def _regression_root(X):
+    """(X.T, the root's rows, the root's `_search_state`) for regression
+    trees on X.  It is read only, so every tree fit on X can share it.
+    The presort is each column's stable argsort: equal values keep their
+    row order."""
+    XT = X.T
+    order = np.argsort(XT, axis=1, kind="stable")
+    return XT, np.arange(X.shape[0]), _search_state(XT, order)
+
+
+def _best_split(xs, gs, tied, nl, nr, total_sum, total_sq):
+    """Exact least-squares split of one regression node.
+
+    `xs` is (features >= 1, rows >= 2): each candidate column's node
+    values in ascending order, and `gs` the residuals in the same order,
+    summing to `total_sum` with squares summing to `total_sq`; `tied`,
+    `nl` and `nr` are the cut mask and sizes of `_search_state`.  A cut's
+    cost is the SSE of its two sides from float prefix sums of `gs`; cuts
+    between equal values cost inf.  One flat argmin over (feature, cut)
+    picks the lowest cost; ties go to the lowest candidate, then the
+    lowest threshold.  Returns (candidate position, threshold, cost),
+    the threshold by the rule of `_gini_search`.
+    """
+    cum = np.cumsum(gs[:, :-1], axis=1)
+    # (total_sq - cum**2 / nl) - (total_sum - cum)**2 / nr in place
+    cost = np.multiply(cum, cum)
+    cost /= nl
+    np.subtract(total_sq, cost, out=cost)
+    np.subtract(total_sum, cum, out=cum)
+    cum *= cum
+    cum /= nr
+    cost -= cum
+    np.copyto(cost, np.inf, where=tied)
+    f, cut = divmod(int(np.argmin(cost)), len(nl))
+    lo, hi = xs[f, cut:cut + 2].tolist()
+    mid = (lo + hi) / 2.0
+    return f, mid if lo <= mid < hi else lo, float(cost[f, cut])
+
+
+def _grow_regressor(tree, g, h, root) -> None:
+    """Fit the regression tree `tree` to residuals g, with Newton leaf
+    values sum(g)/sum(h), from the root state of `_regression_root`.
+
+    A node whose residuals are all equal is a leaf without a search.  A
+    child keeps its parent's order and the mask of the data's rows on its
+    side; only when it searches does it stable-partition that order with
+    the mask and build its own `_search_state`, so every node sees its
+    rows in the order a stable argsort of its own subset would give.
+    Nodes are laid out as `_grow_classifiers` lays them out, and
+    `fit_leaves_` gets the leaf id of each training row.
+    """
+    XT, rows, root_state = root
+    tree.fit_leaves_ = np.empty(len(g), dtype=np.intp)
+    # a stack of (rows, the parent's order and the mask of this child's
+    # rows, None at the root, depth, parent, side)
+    stack, nodes = [(rows, None, None, 0, -1, 0)], []
+    while stack:
+        rows, order, mask, depth, parent, side = stack.pop()
+        if parent >= 0:
+            nodes[parent][side] = len(nodes)
+        gn = g[rows]
+        n = len(gn)
+        if (depth < tree.max_depth and n >= tree.min_samples_split
+                and len(XT) and gn.min() != gn.max()):
+            order, xs, tied, nl, nr = (root_state if mask is None else
+                                       _search_state(XT, order[mask[order]]
+                                                     .reshape(len(order), -1)))
+            total_sum = gn.sum()
+            total_sq = np.sum(gn * gn)
+            feat, thr, cost = _best_split(xs, g[order], tied, nl, nr,
+                                          total_sum, total_sq)
+            # an inf cost (no cut) fails this too
+            if total_sq - total_sum ** 2 / n - cost > 1e-12:
+                goes_left = XT[feat] <= thr
+                here = goes_left[rows]
+                stack.append((rows[~here], order, ~goes_left, depth + 1,
+                              len(nodes), 3))
+                stack.append((rows[here], order, goes_left, depth + 1,
+                              len(nodes), 2))
+                nodes.append([feat, thr, -1, -1, [0.0]])
+                continue
+        tree.fit_leaves_[rows] = len(nodes)
+        nodes.append([-1, 0.0, -1, -1, [gn.sum() / (h[rows].sum() + 1e-12)]])
+    tree._set_arrays(*zip(*nodes))

@@ -17,7 +17,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import EmptyData, SingleClass, WidthMismatch
-from .grower import _check_int, _check_real, _grow_classifiers, _is_int
+from .grower import (_check_int, _check_real, _grow_classifiers,
+                     _grow_regressor, _is_int, _regression_root)
 
 MODEL_FORMAT_VERSION = 2
 
@@ -63,42 +64,6 @@ class TreeNode:
                                                   self._tree.right[self._i])
 
 
-def _presort(X) -> np.ndarray:
-    """(features, rows): each column's row order by value, equal values in
-    row order, i.e. the stable argsort of every column."""
-    return np.argsort(X.T, axis=1, kind="stable")
-
-
-def _best_split(xs, gs, total_sum, total_sq):
-    """Exact least-squares split of one regression node.
-
-    `xs` is (features >= 1, rows >= 2): each candidate column's node
-    values in ascending order, and `gs` the residuals in the same order,
-    summing to `total_sum` with squares summing to `total_sq`.  A cut's
-    cost is the SSE of its two sides from float prefix sums of `gs`; cuts
-    between equal values cost inf.  One flat argmin over (feature, cut)
-    picks the lowest cost; ties go to the lowest candidate, then the
-    lowest threshold.  Returns (candidate position, threshold, cost),
-    the threshold by the rule of `grower._gini_search`.
-    """
-    m = xs.shape[1]
-    nl = np.arange(1, m, dtype=float)
-    cum = np.cumsum(gs[:, :-1], axis=1)
-    # (total_sq - cum**2 / nl) - (total_sum - cum)**2 / nr in place
-    cost = np.multiply(cum, cum)
-    cost /= nl
-    np.subtract(total_sq, cost, out=cost)
-    np.subtract(total_sum, cum, out=cum)
-    cum *= cum
-    cum /= m - nl
-    cost -= cum
-    np.copyto(cost, np.inf, where=~(xs[:, :-1] < xs[:, 1:]))
-    f, cut = divmod(int(np.argmin(cost)), m - 1)
-    lo, hi = xs[f, cut:cut + 2].tolist()
-    mid = (lo + hi) / 2.0
-    return f, mid if lo <= mid < hi else lo, float(cost[f, cut])
-
-
 class _FlatTree:
     """A fitted binary tree held as flat arrays indexed by node id.
 
@@ -124,13 +89,11 @@ class _FlatTree:
         out = cls()
         sizes = [len(t.feature) for t in trees]
         out.roots = np.cumsum([0] + sizes[:-1]).astype(np.intp)
-        out.feature = np.concatenate([t.feature for t in trees])
-        out.threshold = np.concatenate([t.threshold for t in trees])
-        out.left = np.concatenate([np.where(t.left < 0, -1, t.left + r)
-                                   for t, r in zip(trees, out.roots)])
-        out.right = np.concatenate([np.where(t.right < 0, -1, t.right + r)
-                                    for t, r in zip(trees, out.roots)])
-        out.value = np.concatenate([t.value for t in trees])
+        out.feature, out.threshold, out.left, out.right, out.value = (
+            np.concatenate([getattr(t, k) for t in trees]) for k in cls._ARRAYS)
+        shift = np.repeat(out.roots, sizes)
+        out.left = np.where(out.left < 0, -1, out.left + shift)
+        out.right = np.where(out.right < 0, -1, out.right + shift)
         return out
 
     @property
@@ -276,20 +239,17 @@ class DecisionTree(_ClassProbaOutputs, _FlatTree):
 
 class RegressionTree(_FlatTree):
     """Variance-reduction tree for boosting residuals; Newton leaf values
-    sum(g)/sum(h).
+    sum(g)/sum(h), grown by `grower._grow_regressor`.
 
     A node whose residuals are all equal is a leaf without a search: every
     cut of it gains 0, and searching it anyway could only split on
-    rounding noise.  Split search is presorted: `fit` takes (or computes)
-    the stable argsort of every column of X, and each child that searches
-    stable-partitions its parent's (features, rows) order with one boolean
-    mask, so every node sees its rows in the order a stable argsort of its
-    own subset would give; a child that ends as a leaf never partitions.
-    That order matters: the SSE of each cut comes from a float prefix sum
-    of g (`_best_split`).  Ties go to the lowest feature, then the lowest
-    threshold.  After `fit`, `fit_leaves_` holds the leaf id of each
-    training row.  `fit` raises ValueError unless max_depth is an int
-    >= 0 and min_samples_split an int >= 1.
+    rounding noise.  Split search is presorted: every node sees its rows
+    in the order a stable argsort of its own subset would give, and that
+    order matters, as the SSE of each cut comes from a float prefix sum
+    of g.  Ties go to the lowest feature, then the lowest threshold.
+    After `fit`, `fit_leaves_` holds the leaf id of each training row.
+    `fit` raises ValueError unless max_depth is an int >= 0 and
+    min_samples_split an int >= 1.
     """
 
     def __init__(self, max_depth=3, min_samples_split=2):
@@ -297,51 +257,15 @@ class RegressionTree(_FlatTree):
         self.min_samples_split = min_samples_split
         self.fit_leaves_: Optional[np.ndarray] = None
 
-    def fit(self, X, g, h, order=None):
-        """`order` may pass in `_presort(X)` when the caller fits many
-        trees on the same X."""
+    def fit(self, X, g, h, root=None):
+        """`root` may pass in `grower._regression_root(X)` when the caller
+        fits many trees on the same X."""
         _check_int("max_depth", self.max_depth, 0)
         _check_int("min_samples_split", self.min_samples_split, 1)
-        X = np.asarray(X, dtype=float)
-        g = np.asarray(g, dtype=float)
-        h = np.asarray(h, dtype=float)
-        XT = X.T
-        if order is None:
-            order = _presort(X)
-        cols = np.arange(X.shape[1])[:, None]
-        self.fit_leaves_ = np.empty(len(g), dtype=np.intp)
-        # a stack of (rows, the parent's presort, the mask of this child's
-        # part of it, partitioned only once it searches, depth, parent,
-        # side), and node rows laid out as `grower._grow_classifiers` does
-        stack, nodes = [(np.arange(len(g)), order, None, 0, -1, 0)], []
-        while stack:
-            rows, order, keep, depth, parent, side = stack.pop()
-            if parent >= 0:
-                nodes[parent][side] = len(nodes)
-            gn = g[rows]
-            n = len(gn)
-            if (depth < self.max_depth and n >= self.min_samples_split
-                    and len(cols) and gn.min() != gn.max()):
-                if keep is not None:
-                    order = order[keep].reshape(len(order), -1)
-                total_sum = gn.sum()
-                total_sq = np.sum(gn * gn)
-                feat, thr, cost = _best_split(XT[cols, order], g[order],
-                                              total_sum, total_sq)
-                # an inf cost (no cut) fails this too
-                if total_sq - total_sum ** 2 / n - cost > 1e-12:
-                    goes_left = XT[feat] <= thr
-                    keep, here = goes_left[order], goes_left[rows]
-                    stack.append((rows[~here], order, ~keep, depth + 1,
-                                  len(nodes), 3))
-                    stack.append((rows[here], order, keep, depth + 1,
-                                  len(nodes), 2))
-                    nodes.append([feat, thr, -1, -1, [0.0]])
-                    continue
-            self.fit_leaves_[rows] = len(nodes)
-            nodes.append([-1, 0.0, -1, -1,
-                          [gn.sum() / (h[rows].sum() + 1e-12)]])
-        self._set_arrays(*zip(*nodes))
+        if root is None:
+            root = _regression_root(np.asarray(X, dtype=float))
+        _grow_regressor(self, np.asarray(g, dtype=float),
+                        np.asarray(h, dtype=float), root)
         return self
 
     def predict(self, X) -> np.ndarray:
@@ -439,12 +363,25 @@ class RandomForest(_ClassProbaOutputs):
 
 
 def _sigmoid(z):
-    return 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
+    """1 / (1 + exp(-clip(z, -500, 500))) in one buffer."""
+    out = np.clip(z, -500, 500)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    out += 1.0
+    return np.divide(1.0, out, out=out)
 
 
-def _log_loss(y, p):
+def _log_loss(y, p, not_y=None):
+    """-mean(y log p + (1 - y) log(1 - p)) with p clipped to
+    [1e-12, 1 - 1e-12], in two buffers; `not_y` may pass in 1 - y."""
     p = np.clip(p, 1e-12, 1 - 1e-12)
-    return float(-np.mean(y * np.log(p) + (1 - y) * np.log(1 - p)))
+    q = np.subtract(1, p)
+    np.log(q, out=q)
+    q *= (1 - y) if not_y is None else not_y
+    np.log(p, out=p)
+    p *= y
+    p += q
+    return float(-np.mean(p))
 
 
 class GradientBoosting(_Proba1Outputs):
@@ -484,25 +421,26 @@ class GradientBoosting(_Proba1Outputs):
         self.trees, self.scales = [], []
         self._stack_trees()
         pbar = float(np.mean(y))
-        if pbar in (0.0, 1.0):
+        self.constant = pbar in (0.0, 1.0)
+        if self.constant:
             warnings.warn("single-class training data; emitting a constant "
                           "model", UserWarning)
-            self.constant = True
             self.prior = 500.0 if pbar == 1.0 else -500.0
             self.train_losses = [_log_loss(y, _sigmoid(np.full(len(y), self.prior)))]
             return self
         self.prior = math.log(pbar / (1.0 - pbar))
+        not_y = 1 - y
         F = np.full(X.shape[0], self.prior)
         p = _sigmoid(F)
-        loss = _log_loss(y, p)
+        loss = _log_loss(y, p, not_y)
         self.train_losses = [loss]
-        order = _presort(X)
+        root = _regression_root(X)
         for _ in range(self.n_rounds):
             g = y - p
             h = p * (1.0 - p)
             tree = RegressionTree(max_depth=self.max_depth,
                                   min_samples_split=self.min_samples_split)
-            tree.fit(X, g, h, order)
+            tree.fit(X, g, h, root)
             scale = self.learning_rate
             upd = scale * tree.value[tree.fit_leaves_, 0]
             # halve the step while it would increase training loss; the
@@ -510,7 +448,7 @@ class GradientBoosting(_Proba1Outputs):
             for _ in range(40):
                 F_step = F + upd
                 p_step = _sigmoid(F_step)
-                loss_step = _log_loss(y, p_step)
+                loss_step = _log_loss(y, p_step, not_y)
                 if loss_step <= loss + 1e-12:
                     F, p, loss = F_step, p_step, loss_step
                     break

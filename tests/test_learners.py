@@ -6,7 +6,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ftracekit import cli
@@ -354,6 +354,16 @@ class TestRefitAndReload:
         assert refit.trees == [] and refit.scales == []
         assert np.array_equal(refit.decision_scores(X2), np.full(len(X2), 500.0))
 
+    def test_two_class_refit_after_a_single_class_fit_is_not_constant(self):
+        _, _, X2, y2 = self._data()
+        refit = ln.GradientBoosting(n_rounds=12)
+        with pytest.warns(UserWarning):
+            refit.fit(X2, np.ones(len(X2)))
+        refit.fit(X2, y2)
+        fresh = ln.GradientBoosting(n_rounds=12).fit(X2, y2)
+        assert refit.constant is False
+        assert refit.to_dict() == fresh.to_dict()
+
     @pytest.mark.parametrize("kind", ["forest", "boosting"])
     def test_reload_predicts_like_a_fresh_fit(self, kind, tmp_path):
         _, _, X2, y2 = self._data()
@@ -362,6 +372,50 @@ class TestRefitAndReload:
         again = ln.load_model(tmp_path / "model.json")
         assert np.array_equal(again.predict(X2), fresh.predict(X2))
         assert np.array_equal(again.scores(X2), fresh.scores(X2))
+
+
+class TestSigmoidAndLogLoss:
+    """`_sigmoid` and `_log_loss` compute in place, in as few buffers as
+    they can; they must give the bits of the plain expressions below,
+    which do the same operations in the same order, and leave their
+    inputs unchanged."""
+
+    SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
+                        suppress_health_check=[HealthCheck.too_slow])
+
+    @staticmethod
+    def sigmoid(z):
+        return 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
+
+    @staticmethod
+    def log_loss(y, p):
+        p = np.clip(p, 1e-12, 1 - 1e-12)
+        return float(-np.mean(y * np.log(p) + (1 - y) * np.log(1 - p)))
+
+    @SETTINGS
+    @given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=300))
+    def test_sigmoid_bits(self, values):
+        # st.floats reaches past the +-500 clip, up to the infinities
+        z = np.array(values)
+        before = z.copy()
+        assert ln._sigmoid(z).tobytes() == self.sigmoid(z).tobytes()
+        assert z.tobytes() == before.tobytes()
+
+    @SETTINGS
+    @given(st.data())
+    def test_log_loss_bits(self, data):
+        n = data.draw(st.integers(1, 300))
+        p = np.array(data.draw(st.lists(
+            st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0, 1e-13, 1 - 1e-13]),
+            min_size=n, max_size=n)))
+        y = np.array(data.draw(st.lists(st.sampled_from([0.0, 1.0]),
+                                        min_size=n, max_size=n)))
+        before = p.copy()
+        want = np.float64(self.log_loss(y, p)).tobytes()
+        assert np.float64(ln._log_loss(y, p)).tobytes() == want
+        assert np.float64(ln._log_loss(y, p, 1 - y)).tobytes() == want
+        assert np.float64(ln._log_loss(y.astype(int), p)).tobytes() == want
+        assert p.tobytes() == before.tobytes()
 
 
 class TestDeepTrees:
