@@ -363,25 +363,12 @@ class RandomForest(_ClassProbaOutputs):
 
 
 def _sigmoid(z):
-    """1 / (1 + exp(-clip(z, -500, 500))) in one buffer."""
-    out = np.clip(z, -500, 500)
-    np.negative(out, out=out)
-    np.exp(out, out=out)
-    out += 1.0
-    return np.divide(1.0, out, out=out)
+    return 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
 
 
-def _log_loss(y, p, not_y=None):
-    """-mean(y log p + (1 - y) log(1 - p)) with p clipped to
-    [1e-12, 1 - 1e-12], in two buffers; `not_y` may pass in 1 - y."""
+def _log_loss(y, p):
     p = np.clip(p, 1e-12, 1 - 1e-12)
-    q = np.subtract(1, p)
-    np.log(q, out=q)
-    q *= (1 - y) if not_y is None else not_y
-    np.log(p, out=p)
-    p *= y
-    p += q
-    return float(-np.mean(p))
+    return float(-np.mean(y * np.log(p) + (1 - y) * np.log(1 - p)))
 
 
 class GradientBoosting(_Proba1Outputs):
@@ -429,10 +416,9 @@ class GradientBoosting(_Proba1Outputs):
             self.train_losses = [_log_loss(y, _sigmoid(np.full(len(y), self.prior)))]
             return self
         self.prior = math.log(pbar / (1.0 - pbar))
-        not_y = 1 - y
         F = np.full(X.shape[0], self.prior)
         p = _sigmoid(F)
-        loss = _log_loss(y, p, not_y)
+        loss = _log_loss(y, p)
         self.train_losses = [loss]
         root = _regression_root(X)
         for _ in range(self.n_rounds):
@@ -448,7 +434,7 @@ class GradientBoosting(_Proba1Outputs):
             for _ in range(40):
                 F_step = F + upd
                 p_step = _sigmoid(F_step)
-                loss_step = _log_loss(y, p_step, not_y)
+                loss_step = _log_loss(y, p_step)
                 if loss_step <= loss + 1e-12:
                     F, p, loss = F_step, p_step, loss_step
                     break
