@@ -52,6 +52,11 @@ class EmptyGroup(FtraceKitError):
     pass
 
 
+class WorkerFailed(FtraceKitError):
+    """A worker process ended, or sent what cannot be read, before all
+    its results arrived."""
+
+
 class NonConvergenceWarning(UserWarning):
     """Power iteration hit its iteration cap; values are returned anyway."""
 

@@ -7,7 +7,8 @@ Column layout (deterministic given the corpus):
   system globals:           read_count, write_count, read_bytes, write_bytes, total_calls
 
 A column is its name: its group (`infer_group`) and function follow from
-it.  `load_matrix` reads each trace once, for its row and the digest.
+it.  `load_matrix` reads each trace once, for its row and the digest, and
+maps the traces over the usable CPUs.
 """
 
 from __future__ import annotations
@@ -15,6 +16,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
+import pickle
+import signal
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
@@ -22,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from . import call_graph
-from .errors import EmptyCorpus
+from .errors import EmptyCorpus, WorkerFailed
 from .trace_parser import TraceSample, load_sample, trace_paths
 
 GROUP_GRAPH = "graph"
@@ -252,12 +256,105 @@ def extract_matrix(summaries: list[TraceSummary],
                          warnings=warnings)
 
 
+def _map_stripe(fn, items: list) -> list:
+    """fn over items in order, up to and including the first exception,
+    which takes its item's place as the last element."""
+    out = []
+    for item in items:
+        try:
+            out.append(fn(item))
+        except Exception as exc:
+            out.append(exc)
+            break
+    return out
+
+
+def _child(w: int, fn, items: list, r: int, wfd: int) -> None:
+    """Forked worker w: map its stripe, then send each result, or the
+    exception that ended the stripe, down the pipe as one pickle.  Never
+    returns to the caller's stack."""
+    status = 1
+    try:
+        os.close(r)
+        with os.fdopen(wfd, "wb") as out:
+            for result in _map_stripe(fn, items):
+                try:
+                    data = pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
+                except Exception as exc:
+                    data = pickle.dumps(WorkerFailed(
+                        f"worker {w}: cannot send {result!r}: {exc!r}"))
+                out.write(data)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _receive(w: int, pid: int, f, n_items: int) -> list:
+    """Worker w's results, read from its pipe until the pipe closes."""
+    got = []
+    while True:
+        try:
+            got.append(pickle.load(f))
+        except EOFError:
+            break
+        except Exception as exc:
+            raise WorkerFailed(f"worker {w} (pid {pid}) sent a result that "
+                               f"cannot be read: {exc!r}") from None
+    if len(got) < n_items and not (got and isinstance(got[-1], Exception)):
+        raise WorkerFailed(f"worker {w} (pid {pid}) ended after {len(got)} "
+                           f"of its {n_items} results")
+    return got
+
+
+def _map_forked(fn, items: list) -> list:
+    """[fn(x) for x in items], striped over the usable CPUs: worker w of n
+    maps items[w::n].  Worker 0 is this process; the others are forked
+    children that pickle their results into a pipe each.  A stripe stops
+    at its first exception, and the lowest-indexed item's exception is
+    raised, as a serial run would raise it.  Serial on one usable CPU or
+    where the platform cannot fork; no child outlives the call."""
+    try:
+        n = min(len(os.sched_getaffinity(0)), len(items))
+    except AttributeError:  # no sched_getaffinity on this platform
+        n = 1
+    if n <= 1 or not hasattr(os, "fork"):
+        return [fn(item) for item in items]
+    workers = []  # (pid, read end) of workers 1..n-1
+    finished = False
+    try:
+        for w in range(1, n):
+            r, wfd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _child(w, fn, items[w::n], r, wfd)
+            os.close(wfd)
+            workers.append((pid, os.fdopen(r, "rb")))
+        stripes = [_map_stripe(fn, items[0::n])]
+        stripes += [_receive(w, pid, f, len(items[w::n]))
+                    for w, (pid, f) in enumerate(workers, start=1)]
+        finished = True
+    finally:
+        for pid, f in workers:
+            f.close()
+            if not finished:
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    failed = [(w + n * (len(s) - 1), s[-1]) for w, s in enumerate(stripes)
+              if s and isinstance(s[-1], Exception)]
+    if failed:
+        raise min(failed, key=lambda f: f[0])[1]
+    out = [None] * len(items)
+    for w, s in enumerate(stripes):
+        out[w::n] = s
+    return out
+
+
 def load_matrix(corpus_dir, strict: bool) -> FeatureMatrix:
-    """Parse and summarise each trace under a corpus directory in turn,
-    holding one parsed trace at a time, then build the vocabulary and
-    one row per trace."""
-    summaries = [extract(load_sample(path, strict))
-                 for path in trace_paths(corpus_dir)]
+    """Parse and summarise every trace under a corpus directory, striped
+    over the usable CPUs (`_map_forked`), each process holding one parsed
+    trace at a time; then build the vocabulary and one row per trace."""
+    summaries = _map_forked(lambda path: extract(load_sample(path, strict)),
+                            trace_paths(corpus_dir))
     m = extract_matrix(summaries, build_vocabulary(summaries))
     m.data_digest = hashlib.sha256(
         b"".join(s.sha256 for s in summaries)).hexdigest()

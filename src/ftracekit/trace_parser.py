@@ -344,11 +344,19 @@ def _sidecar_int(sidecar: Path, meta: dict, key: str, top=math.inf) -> int:
 def load_sample(trace_path, strict: bool = False) -> TraceSample:
     """Parse one trace file plus its optional *.io.json sidecar.  The
     file is read once; its bytes are split into lines as text-mode `open`
-    splits them (universal newlines) and hashed."""
+    splits them (universal newlines) and hashed.  A strict-mode parse
+    error names the file and the line."""
     p = Path(trace_path)
     data = p.read_bytes()
-    with io.TextIOWrapper(io.BytesIO(data), "utf-8", "surrogateescape") as fh:
-        sample = parse_trace(fh, strict)
+    try:
+        with io.TextIOWrapper(io.BytesIO(data), "utf-8",
+                              "surrogateescape") as fh:
+            sample = parse_trace(fh, strict)
+    except MalformedLine as exc:
+        raise MalformedLine(f"{p}, line {exc.lineno}: {exc}", exc.lineno,
+                            exc.column) from None
+    except NestingError as exc:  # its message starts with the line number
+        raise NestingError(f"{p}, {exc}") from None
     sample.source = str(p)
     sample.sha256 = hashlib.sha256(data).digest()
     sc = sidecar_path(p)

@@ -1,6 +1,7 @@
 import builtins
 import hashlib
 import json
+import os
 from collections import Counter
 from pathlib import Path
 
@@ -329,17 +330,24 @@ class TestExperiments:
     def test_exp2_reads_each_trace_once(self, tmp_path, monkeypatch):
         # the report's digest is hashed from the bytes that were parsed;
         # before, a second pass read every trace again to hash it
+        # Ingest may fork workers, so each read is logged as one line
+        # appended to a file that every process shares, not counted in
+        # this process's memory.
         wg.generate_corpus(wg.task_profiles(), 4, seed=3, out_dir=tmp_path,
                            n_root_calls=6)
-        reads = Counter()
+        log = tmp_path / "reads.log"
+        fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
         read_bytes, builtin_open = Path.read_bytes, builtins.open
 
+        def note(path):
+            os.write(fd, f"{os.fspath(path)}\n".encode())
+
         def counted_read_bytes(path):
-            reads[Path(path)] += 1
+            note(path)
             return read_bytes(path)
 
         def counted_open(file, *args, **kwargs):
-            reads[Path(file)] += 1
+            note(file)
             return builtin_open(file, *args, **kwargs)
 
         monkeypatch.setattr(Path, "read_bytes", counted_read_bytes)
@@ -349,6 +357,8 @@ class TestExperiments:
                        "importance_params": {"n_trees": 4, "max_depth": 4}},
             seed=7)
         monkeypatch.undo()
+        os.close(fd)
+        reads = Counter(Path(line) for line in log.read_text().splitlines())
         traces = sorted(tmp_path.rglob("*.trace"))
         assert len(traces) == 6 * 4
         assert {p: reads[p] for p in traces} == dict.fromkeys(traces, 1)
