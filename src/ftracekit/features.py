@@ -271,8 +271,8 @@ def _map_stripe(fn, items: list) -> list:
 
 def _child(w: int, fn, items: list, r: int, wfd: int) -> None:
     """Forked worker w: map its stripe, then send each result, or the
-    exception that ended the stripe, down the pipe as one pickle.  Never
-    returns to the caller's stack."""
+    exception that ended the stripe, down the pipe as one pickle after its
+    8-byte length.  Never returns to the caller's stack."""
     status = 1
     try:
         os.close(r)
@@ -283,20 +283,23 @@ def _child(w: int, fn, items: list, r: int, wfd: int) -> None:
                 except Exception as exc:
                     data = pickle.dumps(WorkerFailed(
                         f"worker {w}: cannot send {result!r}: {exc!r}"))
-                out.write(data)
+                out.write(len(data).to_bytes(8, "little") + data)
         status = 0
     finally:
         os._exit(status)
 
 
 def _receive(w: int, pid: int, f, n_items: int) -> list:
-    """Worker w's results, read from its pipe until the pipe closes."""
+    """Worker w's results, read from its pipe until the pipe closes or a
+    result is cut short."""
     got = []
-    while True:
-        try:
-            got.append(pickle.load(f))
-        except EOFError:
+    while len(head := f.read(8)) == 8:
+        size = int.from_bytes(head, "little")
+        data = f.read(size)
+        if len(data) < size:
             break
+        try:
+            got.append(pickle.loads(data))
         except Exception as exc:
             raise WorkerFailed(f"worker {w} (pid {pid}) sent a result that "
                                f"cannot be read: {exc!r}") from None

@@ -9,6 +9,7 @@ patching `os.sched_getaffinity`; no test asks for more than 2 workers.
 
 import os
 import signal
+import time
 
 import numpy as np
 import pytest
@@ -151,6 +152,19 @@ class Unreadable(Exception):
         super().__init__(a)
 
 
+@pytest.fixture
+def deadline():
+    """Fail a test that waits on a worker for more than 60 s, instead of
+    letting it hang."""
+    def expire(signum, frame):
+        raise TimeoutError("waited 60 s for a worker")
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, old)
+
+
 def throw(exc):
     raise exc
 
@@ -176,10 +190,31 @@ def failing_in_child(action):
     (lambda: throw(Unreadable("a", "b")),
      r"worker 1 \(pid \d+\) sent a result that cannot be read"),
 ])
-def test_a_broken_worker_is_named_and_reaped(action, message, monkeypatch):
+def test_a_broken_worker_is_named_and_reaped(action, message, monkeypatch,
+                                             deadline):
     use_cpus(monkeypatch, TWO_CPUS)
     with pytest.raises(WorkerFailed, match=message):
         ft._map_forked(failing_in_child(action), list(range(4)))
+    assert_no_child_left()
+
+
+def test_an_error_raised_while_waiting_is_not_blamed_on_the_worker(
+        monkeypatch):
+    # a signal handler's exception during the wait for a stuck worker
+    # passes through unchanged, and the worker is killed and reaped
+    use_cpus(monkeypatch, TWO_CPUS)
+
+    def expire(signum, frame):
+        raise TimeoutError("deadline")
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(1)
+    try:
+        with pytest.raises(TimeoutError, match="deadline"):
+            ft._map_forked(failing_in_child(lambda: time.sleep(600)),
+                           list(range(4)))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
     assert_no_child_left()
 
 
