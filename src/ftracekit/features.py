@@ -281,9 +281,12 @@ def _child(w: int, fn, items: list, r: int, wfd: int) -> None:
                 try:
                     data = pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
                 except Exception as exc:
-                    data = pickle.dumps(WorkerFailed(
-                        f"worker {w}: cannot send {result!r}: {exc!r}"))
+                    result = WorkerFailed(
+                        f"worker {w}: cannot send {result!r}: {exc!r}")
+                    data = pickle.dumps(result)
                 out.write(len(data).to_bytes(8, "little") + data)
+                if isinstance(result, Exception):  # ends the stripe
+                    break
         status = 0
     finally:
         os._exit(status)
@@ -330,8 +333,8 @@ def _map_forked(fn, items: list) -> list:
             pid = os.fork()
             if pid == 0:
                 _child(w, fn, items[w::n], r, wfd)
+            workers.append((pid, os.fdopen(r, "rb")))  # reaped from here on
             os.close(wfd)
-            workers.append((pid, os.fdopen(r, "rb")))
         stripes = [_map_stripe(fn, items[0::n])]
         stripes += [_receive(w, pid, f, len(items[w::n]))
                     for w, (pid, f) in enumerate(workers, start=1)]

@@ -9,6 +9,7 @@ patching `os.sched_getaffinity`; no test asks for more than 2 workers.
 
 import os
 import signal
+import threading
 import time
 
 import numpy as np
@@ -170,12 +171,13 @@ def throw(exc):
 
 
 def failing_in_child(action):
-    """A map function that does `action` on item 1, the forked worker's."""
+    """A map function that returns `action()` for item 1, the forked
+    worker's."""
     parent = os.getpid()
 
     def fn(x):
         if x == 1 and os.getpid() != parent:
-            action()
+            return action()
         return x
     return fn
 
@@ -189,6 +191,8 @@ def failing_in_child(action):
      r"worker 1: cannot send Unpicklable\('x'\)"),
     (lambda: throw(Unreadable("a", "b")),
      r"worker 1 \(pid \d+\) sent a result that cannot be read"),
+    (lambda: threading.Lock(),  # a result that cannot be pickled
+     r"worker 1: cannot send <unlocked _thread.lock"),
 ])
 def test_a_broken_worker_is_named_and_reaped(action, message, monkeypatch,
                                              deadline):
@@ -210,7 +214,7 @@ def test_an_error_raised_while_waiting_is_not_blamed_on_the_worker(
     signal.alarm(1)
     try:
         with pytest.raises(TimeoutError, match="deadline"):
-            ft._map_forked(failing_in_child(lambda: time.sleep(600)),
+            ft._map_forked(failing_in_child(lambda: time.sleep(60)),
                            list(range(4)))
     finally:
         signal.alarm(0)
