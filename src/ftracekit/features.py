@@ -293,22 +293,20 @@ def _child(w: int, fn, items: list, r: int, wfd: int) -> None:
 
 
 def _receive(w: int, pid: int, f, n_items: int) -> list:
-    """Worker w's results, read from its pipe until the pipe closes or a
-    result is cut short."""
+    """Worker w's results, read from its pipe up to the first exception.
+    If the worker ended early or sent what cannot be read, a `WorkerFailed`
+    naming it takes the place of the first result missing."""
     got = []
-    while len(head := f.read(8)) == 8:
-        size = int.from_bytes(head, "little")
+    while len(got) < n_items and not (got and isinstance(got[-1], Exception)):
+        head = f.read(8)
+        size = int.from_bytes(head, "little") if len(head) == 8 else 0
         data = f.read(size)
-        if len(data) < size:
-            break
         try:
             got.append(pickle.loads(data))
-        except Exception as exc:
-            raise WorkerFailed(f"worker {w} (pid {pid}) sent a result that "
-                               f"cannot be read: {exc!r}") from None
-    if len(got) < n_items and not (got and isinstance(got[-1], Exception)):
-        raise WorkerFailed(f"worker {w} (pid {pid}) ended after {len(got)} "
-                           f"of its {n_items} results")
+        except Exception as exc:  # empty or cut short included
+            got.append(WorkerFailed(
+                f"worker {w} (pid {pid}): result {len(got) + 1} of {n_items} "
+                f"is missing or cannot be read: {exc!r}"))
     return got
 
 
@@ -317,14 +315,12 @@ def _map_forked(fn, items: list) -> list:
     maps items[w::n].  Worker 0 is this process; the others are forked
     children that pickle their results into a pipe each.  A stripe stops
     at its first exception, and the lowest-indexed item's exception is
-    raised, as a serial run would raise it.  Serial on one usable CPU or
-    where the platform cannot fork; no child outlives the call."""
-    try:
-        n = min(len(os.sched_getaffinity(0)), len(items))
-    except AttributeError:  # no sched_getaffinity on this platform
-        n = 1
-    if n <= 1 or not hasattr(os, "fork"):
-        return [fn(item) for item in items]
+    raised, as a serial run would raise it; a worker that fails counts as
+    failing at its first missing item.  One worker where the platform
+    cannot fork; no child outlives the call."""
+    n = 1
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        n = max(1, min(len(os.sched_getaffinity(0)), len(items)))
     workers = []  # (pid, read end) of workers 1..n-1
     finished = False
     try:

@@ -11,6 +11,7 @@ import os
 import signal
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -121,7 +122,8 @@ def test_nesting_error_names_the_trace(tmp_path):
     path.write_text(" 0)   1.000 us    |  } /* f */\n")
     with pytest.raises(NestingError) as err:
         tp.load_sample(path, strict=True)
-    assert str(err.value) == f"{path}, line 1: unmatched exit on cpu 0, dropped"
+    assert (str(err.value)
+            == f"{path}, line 1: unmatched exit on cpu 0, dropped")
 
 
 @pytest.mark.parametrize("cpus", [ONE_CPU, TWO_CPUS])
@@ -182,15 +184,16 @@ def failing_in_child(action):
     return fn
 
 
+MISSING = (r"worker 1 \(pid \d+\): result 1 of 2 is missing or cannot be "
+           r"read: ")
+
+
 @pytest.mark.parametrize("action,message", [
-    (lambda: os._exit(3),
-     r"worker 1 \(pid \d+\) ended after 0 of its 2 results"),
-    (lambda: os.kill(os.getpid(), signal.SIGKILL),
-     r"worker 1 \(pid \d+\) ended after 0 of its 2 results"),
+    (lambda: os._exit(3), MISSING + "EOFError"),
+    (lambda: os.kill(os.getpid(), signal.SIGKILL), MISSING + "EOFError"),
     (lambda: throw(Unpicklable("x")),
      r"worker 1: cannot send Unpicklable\('x'\)"),
-    (lambda: throw(Unreadable("a", "b")),
-     r"worker 1 \(pid \d+\) sent a result that cannot be read"),
+    (lambda: throw(Unreadable("a", "b")), MISSING + "TypeError"),
     (lambda: threading.Lock(),  # a result that cannot be pickled
      r"worker 1: cannot send <unlocked _thread.lock"),
 ])
@@ -234,3 +237,41 @@ def test_this_process_error_is_raised_as_is(monkeypatch):
         ft._map_forked(fn, list(range(4)))
     assert_no_child_left()
 
+
+
+@pytest.mark.parametrize("own_bad,child_action,child_item,raised", [
+    # this process's item 0 comes before the dead worker's first item
+    (0, lambda: os._exit(3), 1, ValueError),
+    # the dead worker's first item, 1, comes before this process's item 2
+    (2, lambda: os._exit(3), 1, WorkerFailed),
+    # the worker sends item 1; item 3, after item 2, cannot be sent or
+    # cannot be read
+    (2, threading.Lock, 3, ValueError),
+    (2, lambda: throw(Unreadable("a", "b")), 3, ValueError),
+])
+def test_a_broken_worker_fails_at_its_first_missing_item(
+        own_bad, child_action, child_item, raised, monkeypatch, deadline):
+    use_cpus(monkeypatch, TWO_CPUS)
+    parent = os.getpid()
+
+    def fn(x):
+        if os.getpid() == parent and x == own_bad:
+            raise ValueError(f"item {x}")
+        if os.getpid() != parent and x == child_item:
+            return child_action()
+        return x
+    with pytest.raises(raised):
+        ft._map_forked(fn, list(range(4)))
+    assert_no_child_left()
+
+
+def test_ingest_forks_without_a_warning(tmp_path, monkeypatch):
+    # Python 3.12 and later warn (DeprecationWarning) on a fork while
+    # other threads run; this pins that ingest's fork, under the Python
+    # the tests run on, warns of nothing
+    src = corpus(tmp_path, "default2", 2)
+    use_cpus(monkeypatch, TWO_CPUS)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ft.load_matrix(src, strict=False)
+    assert_no_child_left()
