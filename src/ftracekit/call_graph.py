@@ -148,12 +148,13 @@ def eigenvector(graph: CallGraph, max_iter: int = 1000) -> dict[str, float]:
     x = [1.0 / math.sqrt(k)] * k
     converged = False
     for _ in range(max_iter):
-        y = []
+        y, sq = [], 0.0
         for acc, nb in zip(x, nbrs):  # acc starts at x_i: the identity shift
             for j in nb:
                 acc += x[j]
             y.append(acc)
-        norm = math.sqrt(sum(t * t for t in y))
+            sq += acc * acc  # not sum(): from Python 3.12 it compensates
+        norm = math.sqrt(sq)
         y = [t / norm for t in y]
         change = max(map(abs, map(sub, x, y)))
         x = y

@@ -122,52 +122,49 @@ def _common_study_flags(sp):
     sp.add_argument("--out", required=True, help="output CSV")
 
 
-def _records_to_dict(root: trace_parser.CallRecord) -> dict:
-    """A record tree as nested dicts, built with an explicit stack."""
-    names = [f.name for f in dataclasses.fields(root)]
-    out: dict = {}
-    stack = [(root, out)]
-    while stack:
-        rec, d = stack.pop()
-        d.update({k: getattr(rec, k) for k in names},
-                 children=[{} for _ in rec.children])
-        stack += zip(rec.children, d["children"])
-    return out
+_FIELDS = [f.name for f in dataclasses.fields(trace_parser.CallRecord)
+           if f.name != "children"]
 
 
-# The stdlib json encoder recurses once per nesting level, and a parsed
-# trace can be thousands of levels deep.  This one does the same work with
-# an explicit stack; `_json_dumps(obj, indent) == json.dumps(obj,
-# indent=indent)` for any JSON value.
+def _list_todo(recs: list, pad: str) -> list:
+    """`_write_parse_json`'s work for a JSON list of records whose opening
+    line is indented by `pad`: text to write and (record, indent) pairs."""
+    if not recs:
+        return ["[]"]
+    inner = pad + "  "
+    sep = ",\n" + inner
+    todo = ["[\n" + inner]
+    for rec in recs:
+        todo += [(rec, inner), sep]
+    todo[-1] = "\n" + pad + "]"
+    return todo
 
-class _Text(str):
-    """Literal JSON text queued by `_json_dumps`."""
 
-
-def _json_dumps(obj, indent: int | None = None) -> str:
-    out, todo = [], [(obj, 0)]
+def _write_parse_json(sample: trace_parser.TraceSample, out) -> None:
+    """Write to `out` the text `json.dumps(d, indent=2)` gives for `d`, the
+    sample's header and record forests as nested dicts, one record at a time
+    and without building `d`.  The stdlib encoder recurses once per nesting
+    level, and a parsed trace can be thousands of levels deep."""
+    head = json.dumps({"source": sample.source,
+                       "has_abstime": sample.has_abstime,
+                       "warnings": sample.warnings}, indent=2)
+    todo = [head[:-2] + ',\n  "records": {']
+    for i, cpu in enumerate(sorted(sample.records)):
+        todo += [f'{"," if i else ""}\n    "{cpu}": ',
+                 *_list_todo(sample.records[cpu], "    ")]
+    todo.append("\n  }\n}" if sample.records else "}\n}")
+    todo.reverse()
     while todo:
-        item, level = todo.pop()
-        if isinstance(item, _Text):
-            out.append(item)
-        elif isinstance(item, (dict, list, tuple)) and item:
-            is_dict = isinstance(item, dict)
-            pad = "" if indent is None else "\n" + " " * (indent * (level + 1))
-            sep = ", " if indent is None else ","
-            parts = [(_Text("{" if is_dict else "["), 0)]
-            for i, v in enumerate(item.items() if is_dict else item):
-                text = (sep if i else "") + pad
-                if is_dict:
-                    k, v = v
-                    key = k if isinstance(k, str) else json.dumps(k)
-                    text += json.dumps(key) + ": "
-                parts += [(_Text(text), 0), (v, level + 1)]
-            parts.append((_Text(pad[:len(pad) - (indent or 0)]
-                                + ("}" if is_dict else "]")), 0))
-            todo += reversed(parts)
-        else:
-            out.append(json.dumps(item))
-    return "".join(out)
+        item = todo.pop()
+        if isinstance(item, str):
+            out.write(item)
+            continue
+        rec, pad = item
+        out.write("{" + "".join(
+            f'\n{pad}  "{k}": {json.dumps(getattr(rec, k))},'
+            for k in _FIELDS) + f'\n{pad}  "children": ')
+        todo.append("\n" + pad + "}")
+        todo += reversed(_list_todo(rec.children, pad + "  "))
 
 
 def _read_labeled_csv(path, column="label") -> features.FeatureMatrix:
@@ -206,14 +203,8 @@ def cmd_gen(args) -> int:
 
 def cmd_parse(args) -> int:
     sample = trace_parser.load_sample(args.input, args.strict)
-    out = {
-        "source": sample.source,
-        "has_abstime": sample.has_abstime,
-        "warnings": sample.warnings,
-        "records": {str(cpu): [_records_to_dict(r) for r in roots]
-                    for cpu, roots in sorted(sample.records.items())},
-    }
-    Path(args.out).write_text(_json_dumps(out, indent=2))
+    with open(args.out, "w") as out:
+        _write_parse_json(sample, out)
     print(f"parse: {sample.record_count()} records, "
           f"{len(sample.warnings)} warnings -> {args.out}")
     return 0

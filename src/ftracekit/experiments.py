@@ -221,6 +221,9 @@ def learning_curve(m: FeatureMatrix, labels, pipeline: Pipeline,
     pipeline is refit on each subsample.
     """
     fractions = list(fractions or DEFAULT_FRACTIONS)
+    for frac in fractions:
+        if not 0 < frac <= 1:  # nan too
+            raise ValueError(f"learning-curve fraction {frac!r} is not in (0, 1]")
     labels = np.asarray(labels)
     folds = stratified_folds(labels, k, seed)
 
@@ -262,6 +265,15 @@ def learning_curve(m: FeatureMatrix, labels, pipeline: Pipeline,
 DEFAULT_SIGMAS = [0.1, 0.2, 0.5, 1.0]
 
 
+def _checked_sigmas(sigmas) -> list:
+    """`sigmas` as a list; nan, an infinity or a negative sigma is refused."""
+    sigmas = list(sigmas)
+    for sigma in sigmas:
+        if not 0 <= sigma < math.inf:
+            raise ValueError(f"noise sigma {sigma!r} is not finite and >= 0")
+    return sigmas
+
+
 def perturbation_study(train_m: FeatureMatrix, test_m: FeatureMatrix,
                        pipeline: Pipeline, sigmas=None,
                        seed: int = 0) -> dict:
@@ -272,7 +284,7 @@ def perturbation_study(train_m: FeatureMatrix, test_m: FeatureMatrix,
     pipeline gives it the scale of one training-row std.  Output rows are
     the pipeline's columns, columns are the sigma=0 baseline plus each sigma.
     """
-    sigmas = list(sigmas or DEFAULT_SIGMAS)
+    sigmas = _checked_sigmas(sigmas or DEFAULT_SIGMAS)
     fitted = pipeline.fit(train_m, train_m.labels, seed)
     X_test = fitted.transform(test_m).X
     baseline = learners.evaluate(fitted.model, X_test, test_m.labels).accuracy
@@ -446,6 +458,7 @@ def run_experiment_2(corpus_dir, config: Optional[dict] = None,
     F1-macro/micro plus noise robustness."""
     t0 = time.monotonic()
     cfg = _merged_config(EXPERIMENT_2_DEFAULTS, config)
+    _checked_sigmas(cfg["sigmas"])
 
     matrix = feat.load_matrix(corpus_dir, cfg["strict"])
     if matrix.tasks is None:

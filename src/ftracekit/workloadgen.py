@@ -13,7 +13,6 @@ import json
 import math
 import zlib
 from dataclasses import asdict, dataclass, field
-from operator import attrgetter
 from pathlib import Path
 from typing import Optional
 
@@ -164,8 +163,6 @@ def _rng_for(profile: WorkloadProfile, seed: int):
     return np.random.default_rng([zlib.crc32(profile.name.encode()), seed])
 
 
-_duration = attrgetter("duration_us")
-
 # root calls per generated trace unless the caller asks for another count
 DEFAULT_ROOT_CALLS = 30
 
@@ -201,9 +198,12 @@ def generate_trace(profile: WorkloadProfile, seed: int,
         self_times = rng.lognormal(log_median, profile.duration_sigma,
                                    size=len(post)).tolist()
         for rec, self_us in zip(post, self_times):
-            # rounding after summing printed child values keeps containment exact
-            rec.duration_us = round(sum(map(_duration, rec.children))
-                                    + round(self_us, 3), 3)
+            # rounding after summing printed child values keeps containment
+            # exact; not sum(), which compensates float sums from Python 3.12
+            total = 0.0
+            for child in rec.children:
+                total += child.duration_us
+            rec.duration_us = round(total + round(self_us, 3), 3)
         root = post[-1]
         if abstime:
             _assign_times(root, clocks[cpu] + 1e-6)

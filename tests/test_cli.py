@@ -1,14 +1,20 @@
+import dataclasses
 import inspect
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from ftracekit import cli, experiments, features, learners, workloadgen
+from ftracekit import (cli, experiments, features, learners, trace_parser,
+                       workloadgen)
 
 
 def run(argv):
@@ -297,6 +303,33 @@ class TestExitCodes:
         assert rc == 2
         assert "malformed model file" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cmd, value, named", [
+        pytest.param(cmd, value, named, id=f"{cmd}={value}")
+        for cmd, value, named in [
+            ("curve", "inf", "fraction inf "),
+            ("curve", "1e400", "fraction inf "),
+            ("curve", "nan", "fraction nan "),
+            ("curve", "0", "fraction 0.0 "),
+            ("curve", "0.5,-1", "fraction -1.0 "),
+            ("perturb", "nan", "sigma nan "),
+            ("perturb", "0.1,inf", "sigma inf "),
+            ("perturb", "-0.5", "sigma -0.5 ")]])
+    def test_study_value_it_cannot_use_is_refused(self, cmd, value, named,
+                                                  feature_csv, tmp_path,
+                                                  monkeypatch, capsys):
+        # before, inf and 1e400 raised an uncaught OverflowError, and 0, -1
+        # and every bad sigma exited 0 with a meaningless table
+        def no_fit(*args):
+            raise AssertionError("fit before the study values were checked")
+        monkeypatch.setattr(experiments.Pipeline, "fit", no_fit)
+        out = tmp_path / "out.csv"
+        flag = "--fractions" if cmd == "curve" else "--sigmas"
+        rc = run([cmd, flag, value, "--features", str(feature_csv),
+                  "--seed", "1", "--out", str(out)])
+        assert rc == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestPipeline:
     def test_gen_layout(self, small_corpus):
@@ -481,3 +514,91 @@ class TestPipeline:
                               env={**os.environ, "PYTHONPATH": src})
         before, after = done.stdout.splitlines()[-1].split()
         assert after == before
+
+
+# names with the characters JSON escapes or that are not ASCII, lone
+# surrogates among them (the parser keeps bytes that are not UTF-8 as those)
+_names = st.text(st.characters() | st.sampled_from('"\\\n\té\udcff\ud800'),
+                 max_size=6)
+_scalars = st.none() | st.integers() | st.floats()
+_records = st.builds(trace_parser.CallRecord, name=_names, cpu=st.integers(),
+                     depth=st.integers(), duration_us=_scalars,
+                     start_time=_scalars, end_time=_scalars,
+                     parent_name=st.none() | _names)
+
+
+@st.composite
+def _forests(draw, max_depth=30):
+    """A list of root records, built in pre-order: each record's level is
+    a draw from [0, max_depth) capped at one below the record before it."""
+    roots, path = [], []
+    for level in draw(st.lists(st.integers(0, max_depth - 1), max_size=40)):
+        level = min(level, len(path))
+        rec = draw(_records)
+        del path[level:]
+        (path[-1].children if path else roots).append(rec)
+        path.append(rec)
+    return roots
+
+
+def _chain(depth: int) -> trace_parser.CallRecord:
+    """A root with one descendant at each level below it, `depth` in all."""
+    root = rec = trace_parser.CallRecord("f0", 0, 0)
+    for i in range(1, depth):
+        rec.children.append(trace_parser.CallRecord(f"f{i}", 0, i, 1.5))
+        rec = rec.children[0]
+    return root
+
+
+def _as_dict(rec: trace_parser.CallRecord) -> dict:
+    return {**{f.name: getattr(rec, f.name)
+               for f in dataclasses.fields(rec) if f.name != "children"},
+            "children": [_as_dict(c) for c in rec.children]}
+
+
+class TestParseJson:
+    """`ftracekit parse`'s writer against stdlib json of the dict form."""
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(source=st.none() | _names, has_abstime=st.booleans(),
+           warnings=st.lists(_names, max_size=3),
+           records=st.dictionaries(st.integers(0, 300), _forests(),
+                                   max_size=3))
+    @example(source="t.trace", has_abstime=False, warnings=["w"],
+             records={1: [_chain(30)], 10: [], 2: [_chain(2), _chain(1)]})
+    def test_matches_stdlib(self, source, has_abstime, warnings, records):
+        sample = trace_parser.TraceSample(
+            records=records, warnings=warnings, has_abstime=has_abstime,
+            source=source)
+        want = json.dumps({
+            "source": source, "has_abstime": has_abstime,
+            "warnings": warnings,
+            "records": {str(cpu): [_as_dict(r) for r in roots]
+                        for cpu, roots in sorted(records.items())}},
+            indent=2)
+        out = io.StringIO()
+        cli._write_parse_json(sample, out)
+        assert out.getvalue() == want
+
+    def test_memory_stays_near_the_parsed_records(self, tmp_path):
+        # the parse command once copied every record into a dict and the
+        # whole JSON into one string, peaking at 8x the parsed sample
+        text, _, _ = workloadgen.generate_trace(
+            workloadgen.task_profiles()[0], 7, n_root_calls=300,
+            multi_cpu=True, abstime=True)
+        trace = tmp_path / "t.trace"
+        trace.write_text(text)
+
+        def peak(fn):
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        alone = peak(lambda: trace_parser.load_sample(trace))
+        parse = peak(lambda: run(["parse", "--input", str(trace),
+                                  "--out", str(tmp_path / "o.json")]))
+        assert parse <= 2 * alone

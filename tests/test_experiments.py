@@ -327,6 +327,13 @@ class TestExperiments:
         with pytest.raises(ValueError, match=repr(key)):
             run(tmp_path, {key: 3}, seed=7)
 
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -0.01])
+    def test_exp2_refuses_a_noise_sigma_before_reading(self, sigma, tmp_path):
+        # before, a sigma was first read after the final fit; the corpus
+        # does not exist, so reading it would raise another error
+        with pytest.raises(ValueError, match=f"sigma {sigma!r} "):
+            ex.run_experiment_2(tmp_path / "none", {"sigmas": [0.01, sigma]})
+
     def test_exp2_reads_each_trace_once(self, tmp_path, monkeypatch):
         # the report's digest is hashed from the bytes that were parsed;
         # before, a second pass read every trace again to hash it

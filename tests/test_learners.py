@@ -9,7 +9,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ftracekit import cli
 from ftracekit import learners as ln
 from ftracekit.errors import EmptyData, WidthMismatch
 
@@ -427,24 +426,8 @@ class TestDeepTrees:
                                   getattr(model.impl, name))
 
 
-json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
-    lambda kids: st.lists(kids) | st.dictionaries(st.text(), kids),
-    max_leaves=20)
-
-
 class TestJsonCodec:
-    """`cli._json_dumps`, the non-recursive encoder behind `ftracekit
-    parse`, and the model reader's handling of text stdlib json rejects."""
-
-    @given(json_values)
-    def test_matches_stdlib(self, value):
-        assert cli._json_dumps(value) == json.dumps(value)
-
-    @given(json_values, st.sampled_from([0, 2, 4]))
-    def test_indent_matches_stdlib(self, value, indent):
-        want = json.dumps(value, indent=indent)
-        assert cli._json_dumps(value, indent) == want
+    """The model reader's handling of text stdlib json rejects."""
 
     @pytest.mark.parametrize("text", [
         "", "{", "[1,]", '{"a" 1}', '{"a": 1,}', "[1 2]", "1 2", "{1: 2}",
@@ -455,13 +438,6 @@ class TestJsonCodec:
         (tmp_path / "m.json").write_text(text)
         with pytest.raises(ValueError):
             ln.load_model(tmp_path / "m.json")
-
-    def test_any_depth(self):
-        value = [{"k": 1.5}]
-        for _ in range(5000):
-            value = {"left": value, "right": [None]}
-        assert cli._json_dumps(value) == ('{"left": ' * 5000 + '[{"k": 1.5}]'
-                                          + ', "right": [null]}' * 5000)
 
 
 class TestLogistic:

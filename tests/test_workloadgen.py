@@ -1,3 +1,4 @@
+import builtins
 import hashlib
 import json
 import math
@@ -6,6 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from ftracekit import call_graph as cg
 from ftracekit import trace_parser as tp
 from ftracekit import workloadgen as wg
 
@@ -77,6 +79,24 @@ class TestGenerateTrace:
         cl_t = np.mean(list(cg.clustering(g_t).values()))
         cl_l = np.mean(list(cg.clustering(g_l).values()))
         assert cl_t > cl_l + 0.2
+
+    def test_float_sums_skip_builtin_sum(self, monkeypatch):
+        # from Python 3.12 builtin sum compensates float sums, so durations
+        # and eigenvector scores summed with it differ between 3.11 and 3.12
+        real_sum = builtins.sum
+
+        def no_float_sum(items, start=0):
+            items = list(items)
+            if any(isinstance(v, float) for v in [start, *items]):
+                raise AssertionError("builtin sum over floats")
+            return real_sum(items, start)
+
+        monkeypatch.setattr(builtins, "sum", no_float_sum)
+        text, _, book = wg.generate_trace(wg.task_profiles()[0], 7,
+                                          n_root_calls=6)
+        scores = cg.eigenvector(cg.build_graph(tp.parse_trace(text)))
+        assert len(scores) == len(book.call_counts)
+        assert max(scores.values()) > 0
 
 
 class TestGenerateCorpus:
