@@ -3,6 +3,10 @@
 All randomness flows from one top-level seed; reports embed the seed and a
 corpus digest so reruns are bit-identical (wall-clock time is kept out of
 the canonical payload).
+
+Ingest and exp1's grid-search, learning-curve and ablation fits run on the
+usable CPUs (`workers.map_forked`), as many as `taskset` allows; there is no
+option, and the reports are the same on any number of CPUs.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from . import learners, selection
 from .errors import ClassTooSmall, EmptyGrid, EmptyGroup
 from .features import FeatureMatrix
 from .learners import _sub_seed
+from .workers import map_forked
 
 
 def _is_multilabel(labels) -> bool:
@@ -166,15 +171,34 @@ def kfold_cv(m: FeatureMatrix, labels, pipeline: Pipeline,
     """Stratified k-fold cross-validation, the pipeline refit on each
     fold's training rows: each fold's metrics ("folds") and their "means"
     and "stds"."""
+    return _cv_many(m, labels, [(pipeline, None)], k, seed)[0]
+
+
+def _cv_many(m: FeatureMatrix, labels, cases: list, k: int,
+             seed: int) -> list[dict]:
+    """`kfold_cv` of each (pipeline, columns) case (all columns for None),
+    each (case, fold) fit one job of one `map_forked` call that builds its
+    own columns and training rows."""
     labels = np.asarray(labels)
     all_idx = np.arange(len(labels))
-    folds = [_fit_and_score(m, labels, pipeline, np.delete(all_idx, va),
-                            _sub_seed(seed, i), va)[0].as_dict()
-             for i, va in enumerate(stratified_folds(labels, k, seed))]
-    keys = [key for key in folds[0] if key != "confusion"]
-    means = {key: float(np.mean([f[key] for f in folds])) for key in keys}
-    stds = {key: float(np.std([f[key] for f in folds])) for key in keys}
-    return {"means": means, "stds": stds, "folds": folds}
+    folds = stratified_folds(labels, k, seed)
+
+    def job(case_fold):
+        (pipeline, cols), i = case_fold
+        sub = m if cols is None else m.subset_columns(cols)
+        return _fit_and_score(sub, labels, pipeline,
+                              np.delete(all_idx, folds[i]),
+                              _sub_seed(seed, i), folds[i])[0].as_dict()
+
+    fits = map_forked(job, list(itertools.product(cases, range(k))))
+    out = []
+    for c in range(len(cases)):
+        fs = fits[c * k:(c + 1) * k]
+        keys = [key for key in fs[0] if key != "confusion"]
+        means = {key: float(np.mean([f[key] for f in fs])) for key in keys}
+        stds = {key: float(np.std([f[key] for f in fs])) for key in keys}
+        out.append({"means": means, "stds": stds, "folds": fs})
+    return out
 
 
 def _grid_points(grid: dict) -> list[dict]:
@@ -191,10 +215,11 @@ def grid_search(m: FeatureMatrix, labels, pipeline: Pipeline, grid: dict,
     best by mean accuracy (binary) or F1-micro (multi-label),
     first-encountered on ties."""
     metric = "f1_micro" if _is_multilabel(labels) else "accuracy"
-    rows = []
-    best = None
-    for params in _grid_points(grid):
-        cv = kfold_cv(m, labels, pipeline.with_params(params), k, seed)
+    points = _grid_points(grid)
+    cvs = _cv_many(m, labels, [(pipeline.with_params(params), None)
+                               for params in points], k, seed)
+    rows, best = [], None
+    for params, cv in zip(points, cvs):
         rows.append({"params": params, "cv": cv})
         score = cv["means"][metric]
         if best is None or score > best[0]:
@@ -206,8 +231,11 @@ DEFAULT_FRACTIONS = [round(0.1 * i, 1) for i in range(1, 11)]
 
 
 def _checked_fractions(fractions) -> list:
-    """`fractions` as a list; nan or a fraction outside (0, 1] is refused."""
+    """`fractions` as a list; an empty list, nan or a fraction outside
+    (0, 1] is refused."""
     fractions = list(fractions)
+    if not fractions:
+        raise ValueError("'fractions' is empty: give at least one fraction")
     for frac in fractions:
         if not 0 < frac <= 1:
             raise ValueError(f"learning-curve fraction {frac!r} is not in (0, 1]")
@@ -223,7 +251,8 @@ def learning_curve(m: FeatureMatrix, labels, pipeline: Pipeline,
     while the held-out fold stays complete, keeping folds consistent.  The
     pipeline is refit on each subsample.
     """
-    fractions = _checked_fractions(fractions or DEFAULT_FRACTIONS)
+    fractions = _checked_fractions(
+        DEFAULT_FRACTIONS if fractions is None else fractions)
     labels = np.asarray(labels)
     folds = stratified_folds(labels, k, seed)
 
@@ -242,16 +271,17 @@ def learning_curve(m: FeatureMatrix, labels, pipeline: Pipeline,
                  for cls_idx in orders[fold_i]]
         return np.sort(np.concatenate(parts))
 
+    def job(frac_fold):
+        frac, i = frac_fold
+        tr = np.sort(np.concatenate([subsample(j, frac)
+                                     for j in range(k) if j != i]))
+        return [met.accuracy for met in _fit_and_score(
+            m, labels, pipeline, tr, _sub_seed(seed, i), tr, folds[i])]
+
+    fits = map_forked(job, list(itertools.product(fractions, range(k))))
     rows = []
-    for frac in fractions:
-        train_accs, val_accs = [], []
-        for i, va in enumerate(folds):
-            tr = np.sort(np.concatenate([subsample(j, frac)
-                                         for j in range(k) if j != i]))
-            on_train, on_val = _fit_and_score(m, labels, pipeline, tr,
-                                              _sub_seed(seed, i), tr, va)
-            train_accs.append(on_train.accuracy)
-            val_accs.append(on_val.accuracy)
+    for f, frac in enumerate(fractions):
+        train_accs, val_accs = zip(*fits[f * k:(f + 1) * k])
         rows.append({"fraction": frac,
                      "train_mean": float(np.mean(train_accs)),
                      "train_std": float(np.std(train_accs)),
@@ -264,8 +294,11 @@ DEFAULT_SIGMAS = [0.1, 0.2, 0.5, 1.0]
 
 
 def _checked_sigmas(sigmas) -> list:
-    """`sigmas` as a list; nan, an infinity or a negative sigma is refused."""
+    """`sigmas` as a list; an empty list, nan, an infinity or a negative
+    sigma is refused."""
     sigmas = list(sigmas)
+    if not sigmas:
+        raise ValueError("'sigmas' is empty: give at least one sigma")
     for sigma in sigmas:
         if not 0 <= sigma < math.inf:
             raise ValueError(f"noise sigma {sigma!r} is not finite and >= 0")
@@ -282,7 +315,7 @@ def perturbation_study(train_m: FeatureMatrix, test_m: FeatureMatrix,
     pipeline gives it the scale of one training-row std.  Output rows are
     the pipeline's columns, columns are the sigma=0 baseline plus each sigma.
     """
-    sigmas = _checked_sigmas(sigmas or DEFAULT_SIGMAS)
+    sigmas = _checked_sigmas(DEFAULT_SIGMAS if sigmas is None else sigmas)
     fitted = pipeline.fit(train_m, train_m.labels, seed)
     X_test = fitted.transform(test_m).X
     baseline = learners.evaluate(fitted.model, X_test, test_m.labels).accuracy
@@ -320,13 +353,11 @@ def ablation_study(m: FeatureMatrix, labels, pipeline: Pipeline,
     for g in ABLATION_GROUPS:
         configs.append((f"{g}_only", group_cols[g]))
 
-    rows = []
-    for name, cols in configs:
-        sub = m.subset_columns(cols)
-        cv = kfold_cv(sub, labels, pipeline, k, seed)
-        rows.append({"config": name, "n_features": len(cols),
-                     "means": cv["means"], "stds": cv["stds"]})
-    return rows
+    cvs = _cv_many(m, labels, [(pipeline, cols) for _, cols in configs],
+                   k, seed)
+    return [{"config": name, "n_features": len(cols),
+             "means": cv["means"], "stds": cv["stds"]}
+            for (name, cols), cv in zip(configs, cvs)]
 
 
 def balance_by_resampling(m: FeatureMatrix, task_labels,

@@ -14,6 +14,8 @@ from ftracekit import trace_parser as tp
 from ftracekit import workloadgen as wg
 from ftracekit.errors import ClassTooSmall, EmptyGrid, EmptyGroup
 
+from conftest import ONE_CPU, TWO_CPUS, assert_no_child_left, use_cpus
+
 
 def column_name(i, group):
     """A name that `infer_group` maps to `group`."""
@@ -193,6 +195,27 @@ class TestLearningCurve:
         assert rows[0]["val_mean"] == pytest.approx(cv["means"]["accuracy"])
 
 
+class TestEmptyStudyLists:
+    """None alone means the default fractions or sigmas."""
+
+    def unfit(self, monkeypatch):
+        def fit(*args, **kwargs):
+            raise AssertionError("fitted before the list was checked")
+        monkeypatch.setattr(ex.Pipeline, "fit", fit)
+
+    def test_learning_curve(self, monkeypatch):
+        m, y = toy_problem(40, seed=1)
+        self.unfit(monkeypatch)
+        with pytest.raises(ValueError, match="'fractions' is empty"):
+            ex.learning_curve(m, y, ex.Pipeline("tree"), fractions=[])
+
+    def test_perturbation_study(self, monkeypatch):
+        m, _ = toy_problem(40, seed=1)
+        self.unfit(monkeypatch)
+        with pytest.raises(ValueError, match="'sigmas' is empty"):
+            ex.perturbation_study(m, m, ex.Pipeline("tree"), sigmas=[])
+
+
 class TestPerturbation:
     def test_baseline_and_shape(self):
         m, y = toy_problem(80, seed=9, d=3)
@@ -360,6 +383,19 @@ class TestExperiments:
         with pytest.raises(ValueError, match=named):
             ex.run_experiment_1(tmp_path / "none", {key: [value]})
 
+    @pytest.mark.parametrize("run, config", [
+        (ex.run_experiment_1, {"fractions": []}),
+        (ex.run_experiment_1, {"sigmas": []}),
+        (ex.run_experiment_2, {"sigmas": []}),
+    ])
+    def test_an_empty_study_list_is_refused_before_reading(self, run, config,
+                                                           tmp_path):
+        # before, exp1 echoed [] in its config beside a 10-row curve, and
+        # an empty sigma list ran the default sigmas
+        (key,) = config
+        with pytest.raises(ValueError, match=f"'{key}' is empty"):
+            run(tmp_path / "none", config)
+
     def test_exp2_reads_each_trace_once(self, tmp_path, monkeypatch):
         # the report's digest is hashed from the bytes that were parsed;
         # before, a second pass read every trace again to hash it
@@ -397,3 +433,60 @@ class TestExperiments:
         assert {p: reads[p] for p in traces} == dict.fromkeys(traces, 1)
         assert rep.data_digest == hashlib.sha256(b"".join(
             hashlib.sha256(p.read_bytes()).digest() for p in traces)).hexdigest()
+
+
+class TestMappedStudies:
+    """exp1's grid-search, learning-curve and ablation fits run through one
+    `workers.map_forked` call per study; see tests/test_ingest_workers.py
+    for the map on its own."""
+
+    @pytest.mark.parametrize("config", [
+        {"learner": "boosting", "k": 10,
+         "grid": {"n_rounds": [8], "max_depth": [2, 3]}},
+        {"learner": "forest", "k": 10,
+         "grid": {"n_trees": [5], "max_depth": [3, 6]}},
+    ])
+    def test_one_and_two_workers_give_the_same_report(self, config, tmp_path,
+                                                      monkeypatch):
+        wg.generate_corpus(wg.default_pair(), 12, seed=3, out_dir=tmp_path,
+                           n_root_calls=8)
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        got = {}
+        for name, cpus in (("one", ONE_CPU), ("two", TWO_CPUS)):
+            use_cpus(monkeypatch, cpus)
+            got[name] = ex.run_experiment_1(tmp_path, config, seed=7)
+            assert_no_child_left()
+            # ingest, grid search, learning curve and ablation fork once
+            # each; a single worker forks nothing
+            assert len(forks) == {"one": 0, "two": 4}[name]
+        one, two = got["one"], got["two"]
+        for key in ("learning_curve", "ablation", "search"):
+            assert one.payload[key] == two.payload[key], key
+        assert one.canonical_json() == two.canonical_json()
+
+    @pytest.mark.parametrize("study", ["kfold_cv", "learning_curve"])
+    @pytest.mark.parametrize("cpus", [ONE_CPU, TWO_CPUS])
+    def test_the_lowest_indexed_job_error_is_raised(self, study, cpus,
+                                                    monkeypatch):
+        # with two workers, job 1 (fold 1) fails in the forked worker and
+        # the later job 2 (fold 2) in this process; job 1's error wins, as
+        # in a serial run
+        m, y = toy_problem(60, seed=4)
+        fold_of = {ex._sub_seed(5, i): i for i in range(4)}
+        fit_and_score = ex._fit_and_score
+
+        def failing(m, labels, pipeline, train_rows, seed, *scored):
+            if fold_of[seed] in (1, 2):
+                raise ValueError(f"fold {fold_of[seed]} in pid {os.getpid()}")
+            return fit_and_score(m, labels, pipeline, train_rows, seed,
+                                 *scored)
+        monkeypatch.setattr(ex, "_fit_and_score", failing)
+        use_cpus(monkeypatch, cpus)
+        pipe = ex.Pipeline("tree", {"max_depth": 2})
+        with pytest.raises(ValueError, match="fold 1 in pid") as err:
+            getattr(ex, study)(m, y, pipe, k=4, seed=5)
+        # one worker fails in this process, two in the forked worker
+        raised_here = str(err.value) == f"fold 1 in pid {os.getpid()}"
+        assert raised_here == (cpus == ONE_CPU)
+        assert_no_child_left()

@@ -1,4 +1,4 @@
-"""Ingest striped over worker processes (`features._map_forked`).
+"""Ingest striped over worker processes (`workers.map_forked`).
 
 `load_matrix` maps its traces over the usable CPUs: this process works
 stripe 0 and forked children the rest.  One worker and two workers must
@@ -17,21 +17,14 @@ import numpy as np
 import pytest
 
 from ftracekit import cli
+from ftracekit import experiments as ex
 from ftracekit import features as ft
 from ftracekit import trace_parser as tp
+from ftracekit import workers
 from ftracekit import workloadgen as wg
 from ftracekit.errors import MalformedLine, NestingError, WorkerFailed
 
-ONE_CPU, TWO_CPUS = {0}, {0, 1}
-
-
-def use_cpus(monkeypatch, cpus):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus))
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+from conftest import ONE_CPU, TWO_CPUS, assert_no_child_left, use_cpus
 
 
 def corpus(tmp_path, profiles, count, **flags):
@@ -93,10 +86,10 @@ def test_map_keeps_item_order(monkeypatch):
     use_cpus(monkeypatch, TWO_CPUS)
     tag = lambda x: (x, os.getpid())  # noqa: E731
     for n in (0, 1, 2, 7):
-        assert [x for x, _ in ft._map_forked(tag, list(range(n)))] \
+        assert [x for x, _ in workers.map_forked(tag, list(range(n)))] \
             == list(range(n))
     # odd items come from the forked worker, even ones from this process
-    pids = dict(ft._map_forked(tag, list(range(4))))
+    pids = dict(workers.map_forked(tag, list(range(4))))
     assert pids[0] == pids[2] == os.getpid() != pids[1] == pids[3]
     assert_no_child_left()
 
@@ -201,7 +194,7 @@ def test_a_broken_worker_is_named_and_reaped(action, message, monkeypatch,
                                              deadline):
     use_cpus(monkeypatch, TWO_CPUS)
     with pytest.raises(WorkerFailed, match=message):
-        ft._map_forked(failing_in_child(action), list(range(4)))
+        workers.map_forked(failing_in_child(action), list(range(4)))
     assert_no_child_left()
 
 
@@ -217,7 +210,7 @@ def test_an_error_raised_while_waiting_is_not_blamed_on_the_worker(
     signal.alarm(1)
     try:
         with pytest.raises(TimeoutError, match="deadline"):
-            ft._map_forked(failing_in_child(lambda: time.sleep(60)),
+            workers.map_forked(failing_in_child(lambda: time.sleep(60)),
                            list(range(4)))
     finally:
         signal.alarm(0)
@@ -234,7 +227,7 @@ def test_this_process_error_is_raised_as_is(monkeypatch):
             raise Unpicklable("own")
         return x
     with pytest.raises(Unpicklable, match="own"):
-        ft._map_forked(fn, list(range(4)))
+        workers.map_forked(fn, list(range(4)))
     assert_no_child_left()
 
 
@@ -261,17 +254,19 @@ def test_a_broken_worker_fails_at_its_first_missing_item(
             return child_action()
         return x
     with pytest.raises(raised):
-        ft._map_forked(fn, list(range(4)))
+        workers.map_forked(fn, list(range(4)))
     assert_no_child_left()
 
 
 def test_ingest_forks_without_a_warning(tmp_path, monkeypatch):
     # Python 3.12 and later warn (DeprecationWarning) on a fork while
-    # other threads run; this pins that ingest's fork, under the Python
-    # the tests run on, warns of nothing
-    src = corpus(tmp_path, "default2", 2)
+    # other threads run; this pins that the forks of ingest and of exp1's
+    # study fits, under the Python the tests run on, warn of nothing
+    src = corpus(tmp_path, "default2", 12, n_root_calls=8)
     use_cpus(monkeypatch, TWO_CPUS)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         ft.load_matrix(src, strict=False)
+        ex.run_experiment_1(src, {"learner": "tree", "k": 10,
+                                  "grid": {"max_depth": [2, 4]}}, seed=7)
     assert_no_child_left()
