@@ -1,6 +1,6 @@
-"""`map_forked`: a map striped over the usable CPUs by forking, for ingest
-(`features.load_matrix`) and exp1's study fits (`experiments`).  `taskset`
-limits the workers; there is no option."""
+"""`map_forked`: a map striped over the usable CPUs by forking, for corpus
+generation (`workloadgen`), ingest (`features.load_matrix`) and exp1's study
+fits (`experiments`).  `taskset` limits the workers; there is no option."""
 
 import os
 import pickle

@@ -19,6 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .trace_parser import CallRecord, IoMeta, format_forest
+from .workers import map_forked
 
 CRYPTO_FUNCTIONS = [
     "aes_encrypt_block", "aes_key_expand", "sha256_transform",
@@ -232,41 +233,52 @@ def generate_corpus(profiles: list[WorkloadProfile], per_profile_count: int,
     is refused, so two corpora cannot mix."""
     if per_profile_count < 1:
         raise ValueError("per_profile_count must be >= 1")
+    if n_root_calls < 1:
+        raise ValueError("n_root_calls must be >= 1")
     out = Path(out_dir)
     if next(out.rglob("*.trace"), None) is not None:
         raise ValueError(f"{out_dir} already holds traces")
-    entries = []
+    jobs = []
     for p_idx, profile in enumerate(profiles):
-        task_dir = out / profile.name
-        task_dir.mkdir(parents=True, exist_ok=True)
+        (out / profile.name).mkdir(parents=True, exist_ok=True)
         for j in range(per_profile_count):
             file_seed = int(np.random.SeedSequence(
                 [seed, p_idx, j]).generate_state(1)[0]) % 10 ** 9
-            text, io, book = generate_trace(
-                profile, file_seed, n_root_calls=n_root_calls,
-                multi_cpu=multi_cpu, abstime=abstime)
-            stem = f"{j:04d}_{file_seed:09d}"
-            trace_path = task_dir / f"{stem}.trace"
-            trace_path.write_text(text)
-            sidecar = {"label": profile.label, "task": profile.name,
-                       **asdict(io)}
-            (task_dir / f"{stem}.io.json").write_text(json.dumps(sidecar))
-            entries.append({
-                "file": str(trace_path.relative_to(out)),
-                "sidecar": f"{profile.name}/{stem}.io.json",
-                "task": profile.name,
-                "label": profile.label,
-                "seed": file_seed,
-                "sha256": hashlib.sha256(text.encode()).hexdigest(),
-                "total_calls": book.total_calls,
-                "call_counts": book.call_counts,
-            })
-    manifest = {"seed": seed, "n_root_calls": n_root_calls,
-                "multi_cpu": multi_cpu, "abstime": abstime,
-                "profiles": [p.name for p in profiles],
-                "entries": entries}
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2))
-    return manifest
+            jobs.append((profile, file_seed, j))
+
+    def write_trace(job) -> str:
+        profile, file_seed, j = job
+        text, io, book = generate_trace(
+            profile, file_seed, n_root_calls=n_root_calls,
+            multi_cpu=multi_cpu, abstime=abstime)
+        stem = f"{j:04d}_{file_seed:09d}"
+        trace_path = out / profile.name / f"{stem}.trace"
+        trace_path.write_text(text)
+        sidecar = {"label": profile.label, "task": profile.name,
+                   **asdict(io)}
+        (out / profile.name / f"{stem}.io.json").write_text(
+            json.dumps(sidecar))
+        entry = {"file": str(trace_path.relative_to(out)),
+                 "sidecar": f"{profile.name}/{stem}.io.json",
+                 "task": profile.name,
+                 "label": profile.label,
+                 "seed": file_seed,
+                 "sha256": hashlib.sha256(text.encode()).hexdigest(),
+                 "total_calls": book.total_calls,
+                 "call_counts": book.call_counts}
+        # indented as an item of the manifest's "entries" list
+        return json.dumps(entry, indent=2).replace("\n", "\n    ")
+
+    entries = map_forked(write_trace, jobs)
+    text = json.dumps({"seed": seed, "n_root_calls": n_root_calls,
+                       "multi_cpu": multi_cpu, "abstime": abstime,
+                       "profiles": [p.name for p in profiles],
+                       "entries": []}, indent=2)
+    if entries:  # "entries" is the last key: fill its "[]\n}"
+        text = (text[:-4] + "[\n    " + ",\n    ".join(entries)
+                + "\n  ]\n}")
+    (out / "manifest.json").write_text(text)
+    return json.loads(text)
 
 
 def _mix(base: list[str], extra: list[str], extra_rate=3.0):

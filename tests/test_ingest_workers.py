@@ -260,12 +260,12 @@ def test_a_broken_worker_fails_at_its_first_missing_item(
 
 def test_ingest_forks_without_a_warning(tmp_path, monkeypatch):
     # Python 3.12 and later warn (DeprecationWarning) on a fork while
-    # other threads run; this pins that the forks of ingest and of exp1's
-    # study fits, under the Python the tests run on, warn of nothing
-    src = corpus(tmp_path, "default2", 12, n_root_calls=8)
+    # other threads run; this pins that the forks of generation, ingest and
+    # exp1's study fits, under the Python the tests run on, warn of nothing
     use_cpus(monkeypatch, TWO_CPUS)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        src = corpus(tmp_path, "default2", 12, n_root_calls=8)
         ft.load_matrix(src, strict=False)
         ex.run_experiment_1(src, {"learner": "tree", "k": 10,
                                   "grid": {"max_depth": [2, 4]}}, seed=7)

@@ -2,6 +2,8 @@ import builtins
 import hashlib
 import json
 import math
+import os
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -10,6 +12,8 @@ import pytest
 from ftracekit import call_graph as cg
 from ftracekit import trace_parser as tp
 from ftracekit import workloadgen as wg
+
+from conftest import ONE_CPU, TWO_CPUS, assert_no_child_left, use_cpus
 
 
 def bookkeeping_matches(book, sample) -> bool:
@@ -146,6 +150,18 @@ class TestGenerateCorpus:
         with pytest.raises(ValueError):
             wg.generate_corpus(wg.default_pair(), 0, seed=0, out_dir=tmp_path)
 
+    @pytest.mark.parametrize("roots", [0, -5])
+    def test_root_count_must_be_positive(self, roots, tmp_path, monkeypatch):
+        # before, zero-byte traces and a manifest with total_calls 0 were
+        # written, and `features` read them as a corpus
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        use_cpus(monkeypatch, TWO_CPUS)
+        with pytest.raises(ValueError, match="n_root_calls"):
+            wg.generate_corpus(wg.default_pair(), 2, seed=0,
+                               out_dir=tmp_path / "c", n_root_calls=roots)
+        assert not (tmp_path / "c").exists() and not forks
+
 
 def corpus_digest(directory) -> str:
     """sha256 over the relative path and bytes of every file in a corpus:
@@ -192,6 +208,69 @@ def test_corpus_bytes_unchanged(key, tmp_path):
     wg.generate_corpus(wg.profiles_by_name(profiles), 3, seed, tmp_path,
                        **LAYOUTS[layout])
     assert corpus_digest(tmp_path) == GOLDEN_CORPORA[key]
+
+
+class TestMappedCorpus:
+    """`generate_corpus` maps its traces over the usable CPUs
+    (`workers.map_forked`); see tests/test_ingest_workers.py for the map on
+    its own."""
+
+    @pytest.mark.parametrize("profiles,flags", [
+        ("default2", {}),
+        ("tasks6", {"multi_cpu": True, "abstime": True}),
+    ])
+    def test_one_and_two_workers_give_the_same_corpus(
+            self, profiles, flags, tmp_path, monkeypatch):
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        got = {}
+        for name, cpus in (("one", ONE_CPU), ("two", TWO_CPUS)):
+            use_cpus(monkeypatch, cpus)
+            out = tmp_path / name
+            manifest = wg.generate_corpus(wg.profiles_by_name(profiles), 5,
+                                          seed=7, out_dir=out, **flags)
+            assert_no_child_left()
+            assert len(forks) == {"one": 0, "two": 1}[name]
+            got[name] = corpus_digest(out), manifest
+        assert got["one"] == got["two"]
+        assert got["one"][1] == json.loads(
+            (tmp_path / "one" / "manifest.json").read_text())
+
+    @pytest.mark.parametrize("cpus", [ONE_CPU, TWO_CPUS])
+    def test_the_lowest_indexed_job_error_is_raised(self, cpus, tmp_path,
+                                                    monkeypatch):
+        # with two workers, job 1 is the forked worker's and job 2 this
+        # process's; a directory where each job's sidecar goes fails both,
+        # and job 1's error is raised, as in a serial run
+        ref = wg.generate_corpus(wg.default_pair(), 4, seed=7,
+                                 out_dir=tmp_path / "ref", n_root_calls=5)
+        out = tmp_path / "c"
+        sidecars = [out / ref["entries"][i]["sidecar"] for i in (1, 2)]
+        for path in sidecars:
+            path.mkdir(parents=True)
+        use_cpus(monkeypatch, cpus)
+        with pytest.raises(IsADirectoryError) as err:
+            wg.generate_corpus(wg.default_pair(), 4, seed=7, out_dir=out,
+                               n_root_calls=5)
+        assert err.value.filename == str(sidecars[0])
+        assert_no_child_left()
+
+    def test_workers_send_text_not_entries(self, tmp_path, monkeypatch):
+        # each job returns its manifest entry as JSON text; entry dicts
+        # unpickled in this process raised its traced peak by 10-17%
+        def peak(cpus, out):
+            use_cpus(monkeypatch, cpus)
+            tracemalloc.start()
+            try:
+                wg.generate_corpus(wg.task_profiles(), 12, seed=7,
+                                   out_dir=out, multi_cpu=True, abstime=True)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        peak(TWO_CPUS, tmp_path / "warm")  # imports and caches
+        one = peak(ONE_CPU, tmp_path / "one")
+        two = peak(TWO_CPUS, tmp_path / "two")
+        assert two <= 1.05 * one, (one, two)
 
 
 class TestExactDraws:
