@@ -295,23 +295,28 @@ def cmd_ablate(args) -> int:
     return 0
 
 
-def _write_exp1_tables(report, out_dir: Path) -> None:
-    payload = report.payload
-    for name, table in (
-            ("curve.csv", _curve_table(payload["learning_curve"])),
-            ("perturbation.csv", _perturbation_table(payload["perturbation"])),
-            ("ablation.csv", _ablation_table(payload["ablation"]))):
-        features._write_table_csv(out_dir / name, *table)
+def _write_texts(out_dir: Path, texts: dict) -> None:
+    """Each {file name: text} written into `out_dir`, made only now, so a
+    run or a table that fails leaves no directory and no file behind."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, text in texts.items():
+        (out_dir / name).write_text(text)
 
 
 def cmd_exp1(args) -> int:
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     report = experiments.run_experiment_1(
         args.corpus, {"k": args.k, "learner": args.learner}, seed=args.seed)
-    (out_dir / "report.json").write_text(report.to_json())
-    _write_exp1_tables(report, out_dir)
-    tm = report.payload["test_metrics"]
+    payload = report.payload
+    _write_texts(out_dir, {
+        "report.json": report.to_json(),
+        "curve.csv": features._table_text(
+            *_curve_table(payload["learning_curve"])),
+        "perturbation.csv": features._table_text(
+            *_perturbation_table(payload["perturbation"])),
+        "ablation.csv": features._table_text(
+            *_ablation_table(payload["ablation"]))})
+    tm = payload["test_metrics"]
     print(f"exp1: test accuracy {tm['accuracy']:.4f} f1 {tm['f1']:.4f} "
           f"auc {tm['roc_auc']:.4f} -> {out_dir}")
     return 0
@@ -319,10 +324,9 @@ def cmd_exp1(args) -> int:
 
 def cmd_exp2(args) -> int:
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     report = experiments.run_experiment_2(args.corpus, {"k": args.k},
                                           seed=args.seed)
-    (out_dir / "report.json").write_text(report.to_json())
+    _write_texts(out_dir, {"report.json": report.to_json()})
     tm = report.payload["test_metrics"]
     print(f"exp2: F1-macro {tm['f1_macro']:.4f} F1-micro {tm['f1_micro']:.4f} "
           f"-> {out_dir}")

@@ -4,13 +4,17 @@ All randomness flows from one top-level seed; reports embed the seed and a
 corpus digest so reruns are bit-identical (wall-clock time is kept out of
 the canonical payload).
 
-Ingest and exp1's grid-search, learning-curve and ablation fits run on the
-usable CPUs (`workers.map_forked`), as many as `taskset` allows; there is no
-option, and the reports are the same on any number of CPUs.
+Each study is a list of jobs and a step that reduces their results, so
+studies can share one map over the usable CPUs (`workers.map_forked`), as
+many as `taskset` allows.  exp1 maps its grid search in one call and every
+fit after it (final fit, perturbation, learning curve and ablation) in one
+more; ingest and one-vs-rest fits map their own.  There is no option, and
+the reports are the same on any number of CPUs.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -120,7 +124,9 @@ class Pipeline:
     def with_params(self, params: dict) -> "Pipeline":
         return replace(self, params={**self.params, **params})
 
-    def fit(self, m: FeatureMatrix, y, seed: int) -> "FittedPipeline":
+    def select(self, m: FeatureMatrix, y, seed: int) -> tuple:
+        """Scaling and ranking fit on `m`: the scaling (or None), `m`
+        scaled, the ranking's scores (or []) and the kept columns."""
         scaling = (feat.ScalingState.fit(self.scaling, m)
                    if self.scaling else None)
         scaled = scaling.apply(m) if scaling else m
@@ -134,12 +140,21 @@ class Pipeline:
             raise ValueError(f"unknown ranking {self.ranking!r}")
         columns = (selection.select_top_k(scores, min(self.k, len(scores)))
                    if scores else scaled.vocab.columns)
+        return scaling, scaled, scores, columns
+
+    def fit_learner(self, scaled: FeatureMatrix, columns: list[str], y,
+                    seed: int) -> learners.Model:
+        """The learner fit on the `columns` of `select`'s scaled rows."""
         kind, params = self.learner, self.params
         if _is_multilabel(y):
             kind, params, y = "one_vs_rest", {"base": kind, **params}, list(y)
-        model = learners.train(kind, scaled.subset_columns(columns).X, y,
-                               params, seed, columns)
-        return FittedPipeline(scaling, columns, model)
+        return learners.train(kind, scaled.subset_columns(columns).X, y,
+                              params, seed, columns)
+
+    def fit(self, m: FeatureMatrix, y, seed: int) -> "FittedPipeline":
+        scaling, scaled, _, columns = self.select(m, y, seed)
+        return FittedPipeline(scaling, columns,
+                              self.fit_learner(scaled, columns, y, seed))
 
 
 @dataclass
@@ -166,39 +181,60 @@ def _fit_and_score(m: FeatureMatrix, labels: np.ndarray, pipeline: Pipeline,
             for rows in scored]
 
 
+def _call(job):
+    return job()
+
+
+def _map_studies(*studies) -> list:
+    """Each study's reduce of its jobs' results, the jobs of all studies
+    mapped in order through one `map_forked` call.  A study is a pair: a
+    list of calls without arguments, and a function of their results."""
+    results = iter(map_forked(_call, [job for jobs, _ in studies
+                                      for job in jobs]))
+    return [reduce([next(results) for _ in jobs]) for jobs, reduce in studies]
+
+
+def _single(fn, *args, **kwargs):
+    """The study of one job, fn(*args, **kwargs), reduced to its result."""
+    return [functools.partial(fn, *args, **kwargs)], lambda results: results[0]
+
+
 def kfold_cv(m: FeatureMatrix, labels, pipeline: Pipeline,
              k: int = 5, seed: int = 0) -> dict:
     """Stratified k-fold cross-validation, the pipeline refit on each
     fold's training rows: each fold's metrics ("folds") and their "means"
     and "stds"."""
-    return _cv_many(m, labels, [(pipeline, None)], k, seed)[0]
+    return _map_studies(_cv_study(m, labels, [(pipeline, None)], k,
+                                  seed))[0][0]
 
 
-def _cv_many(m: FeatureMatrix, labels, cases: list, k: int,
-             seed: int) -> list[dict]:
-    """`kfold_cv` of each (pipeline, columns) case (all columns for None),
-    each (case, fold) fit one job of one `map_forked` call that builds its
-    own columns and training rows."""
+def _cv_study(m: FeatureMatrix, labels, cases: list, k: int, seed: int):
+    """`kfold_cv` of each (pipeline, columns) case (all columns for None)
+    as a study: one job per (case, fold) fit, which builds its own columns
+    and training rows, reduced to one `kfold_cv` dict per case."""
     labels = np.asarray(labels)
     all_idx = np.arange(len(labels))
     folds = stratified_folds(labels, k, seed)
 
-    def job(case_fold):
-        (pipeline, cols), i = case_fold
+    def job(pipeline, cols, i):
         sub = m if cols is None else m.subset_columns(cols)
         return _fit_and_score(sub, labels, pipeline,
                               np.delete(all_idx, folds[i]),
                               _sub_seed(seed, i), folds[i])[0].as_dict()
 
-    fits = map_forked(job, list(itertools.product(cases, range(k))))
-    out = []
-    for c in range(len(cases)):
-        fs = fits[c * k:(c + 1) * k]
-        keys = [key for key in fs[0] if key != "confusion"]
-        means = {key: float(np.mean([f[key] for f in fs])) for key in keys}
-        stds = {key: float(np.std([f[key] for f in fs])) for key in keys}
-        out.append({"means": means, "stds": stds, "folds": fs})
-    return out
+    def reduce(fits):
+        out = []
+        for c in range(len(cases)):
+            fs = fits[c * k:(c + 1) * k]
+            keys = [key for key in fs[0] if key != "confusion"]
+            means = {key: float(np.mean([f[key] for f in fs])) for key in keys}
+            stds = {key: float(np.std([f[key] for f in fs])) for key in keys}
+            out.append({"means": means, "stds": stds, "folds": fs})
+        return out
+
+    jobs = [functools.partial(job, pipeline, cols, i)
+            for (pipeline, cols), i in itertools.product(cases, range(k))]
+    return jobs, reduce
 
 
 def _grid_points(grid: dict) -> list[dict]:
@@ -216,8 +252,8 @@ def grid_search(m: FeatureMatrix, labels, pipeline: Pipeline, grid: dict,
     first-encountered on ties."""
     metric = "f1_micro" if _is_multilabel(labels) else "accuracy"
     points = _grid_points(grid)
-    cvs = _cv_many(m, labels, [(pipeline.with_params(params), None)
-                               for params in points], k, seed)
+    (cvs,) = _map_studies(_cv_study(m, labels, [
+        (pipeline.with_params(params), None) for params in points], k, seed))
     rows, best = [], None
     for params, cv in zip(points, cvs):
         rows.append({"params": params, "cv": cv})
@@ -251,6 +287,14 @@ def learning_curve(m: FeatureMatrix, labels, pipeline: Pipeline,
     while the held-out fold stays complete, keeping folds consistent.  The
     pipeline is refit on each subsample.
     """
+    return _map_studies(_curve_study(m, labels, pipeline, fractions, k,
+                                     seed))[0]
+
+
+def _curve_study(m: FeatureMatrix, labels, pipeline: Pipeline, fractions,
+                 k: int, seed: int):
+    """`learning_curve` as a study: one job per (fraction, fold) fit,
+    reduced to one row per fraction."""
     fractions = _checked_fractions(
         DEFAULT_FRACTIONS if fractions is None else fractions)
     labels = np.asarray(labels)
@@ -271,23 +315,26 @@ def learning_curve(m: FeatureMatrix, labels, pipeline: Pipeline,
                  for cls_idx in orders[fold_i]]
         return np.sort(np.concatenate(parts))
 
-    def job(frac_fold):
-        frac, i = frac_fold
+    def job(frac, i):
         tr = np.sort(np.concatenate([subsample(j, frac)
                                      for j in range(k) if j != i]))
         return [met.accuracy for met in _fit_and_score(
             m, labels, pipeline, tr, _sub_seed(seed, i), tr, folds[i])]
 
-    fits = map_forked(job, list(itertools.product(fractions, range(k))))
-    rows = []
-    for f, frac in enumerate(fractions):
-        train_accs, val_accs = zip(*fits[f * k:(f + 1) * k])
-        rows.append({"fraction": frac,
-                     "train_mean": float(np.mean(train_accs)),
-                     "train_std": float(np.std(train_accs)),
-                     "val_mean": float(np.mean(val_accs)),
-                     "val_std": float(np.std(val_accs))})
-    return rows
+    def reduce(fits):
+        rows = []
+        for f, frac in enumerate(fractions):
+            train_accs, val_accs = zip(*fits[f * k:(f + 1) * k])
+            rows.append({"fraction": frac,
+                         "train_mean": float(np.mean(train_accs)),
+                         "train_std": float(np.std(train_accs)),
+                         "val_mean": float(np.mean(val_accs)),
+                         "val_std": float(np.std(val_accs))})
+        return rows
+
+    jobs = [functools.partial(job, frac, i)
+            for frac, i in itertools.product(fractions, range(k))]
+    return jobs, reduce
 
 
 DEFAULT_SIGMAS = [0.1, 0.2, 0.5, 1.0]
@@ -338,6 +385,13 @@ ABLATION_GROUPS = (feat.GROUP_GRAPH, feat.GROUP_TEMPORAL, feat.GROUP_SYSTEM)
 def ablation_study(m: FeatureMatrix, labels, pipeline: Pipeline,
                    k: int = 5, seed: int = 0) -> list[dict]:
     """Full set, each leave-one-group-out, and each single group: 7 rows."""
+    return _map_studies(_ablation_study(m, labels, pipeline, k, seed))[0]
+
+
+def _ablation_study(m: FeatureMatrix, labels, pipeline: Pipeline, k: int,
+                    seed: int):
+    """`ablation_study` as a study: one job per (configuration, fold) fit,
+    reduced to one row per configuration."""
     named = [(n, feat.infer_group(n)) for n in m.vocab.columns]
     group_cols = {}
     for g in ABLATION_GROUPS:
@@ -353,11 +407,12 @@ def ablation_study(m: FeatureMatrix, labels, pipeline: Pipeline,
     for g in ABLATION_GROUPS:
         configs.append((f"{g}_only", group_cols[g]))
 
-    cvs = _cv_many(m, labels, [(pipeline, cols) for _, cols in configs],
-                   k, seed)
-    return [{"config": name, "n_features": len(cols),
-             "means": cv["means"], "stds": cv["stds"]}
-            for (name, cols), cv in zip(configs, cvs)]
+    jobs, reduce_cvs = _cv_study(
+        m, labels, [(pipeline, cols) for _, cols in configs], k, seed)
+    return jobs, lambda fits: [
+        {"config": name, "n_features": len(cols),
+         "means": cv["means"], "stds": cv["stds"]}
+        for (name, cols), cv in zip(configs, reduce_cvs(fits))]
 
 
 def balance_by_resampling(m: FeatureMatrix, task_labels,
@@ -429,32 +484,39 @@ def run_experiment_1(corpus_dir, config: Optional[dict] = None,
     best_params, search_report = grid_search(
         train, train.labels, pipe, cfg["grid"], k=cfg["folds"], seed=seed)
     pipe = pipe.with_params(best_params)
-    final = pipe.fit(pool, pool.labels, _sub_seed(seed, 99))
-    test_metrics = final.evaluate(test, test.labels)
+    # ranked once here; the final fit and the perturbation fit both use
+    # these columns
+    fit_seed = _sub_seed(seed, 99)
+    scaling, scaled, stats, columns = pipe.select(pool, pool.labels, fit_seed)
 
-    curve = learning_curve(pool, pool.labels, pipe,
-                           fractions=cfg["fractions"], k=cfg["folds"],
-                           seed=seed)
-    # robustness wants zero-mean features: z-score the selected columns
-    perturb = perturbation_study(
-        pool.subset_columns(final.columns), test.subset_columns(final.columns),
-        Pipeline(cfg["learner"], best_params, scaling="zscore"),
-        sigmas=cfg["sigmas"], seed=seed)
-    ablation = ablation_study(
-        matrix, matrix.labels,
-        Pipeline(cfg["learner"], best_params, scaling="minmax"),
-        k=cfg["folds"], seed=seed)
+    def final_fit() -> learners.Metrics:
+        model = pipe.fit_learner(scaled, columns, pool.labels, fit_seed)
+        return FittedPipeline(scaling, columns, model).evaluate(
+            test, test.labels)
 
-    k = len(final.columns)
-    # p-values for the report only, from the rows and scaling the final fit
-    # ranked; the fits before it ranked by the statistic alone
-    chi2 = selection.chi2_scores(final.scaling.apply(pool), pool.labels)
-    top_table = selection._ranked(chi2)[:k]
+    test_metrics, perturb, curve, ablation = _map_studies(
+        _single(final_fit),
+        # robustness wants zero-mean features: z-score the selected columns
+        _single(perturbation_study, pool.subset_columns(columns),
+                test.subset_columns(columns),
+                Pipeline(cfg["learner"], best_params, scaling="zscore"),
+                sigmas=cfg["sigmas"], seed=seed),
+        _curve_study(pool, pool.labels, pipe, cfg["fractions"], cfg["folds"],
+                     seed),
+        _ablation_study(matrix, matrix.labels,
+                        Pipeline(cfg["learner"], best_params,
+                                 scaling="minmax"), cfg["folds"], seed))
+
+    k = len(columns)
+    # p-values for the report only, from the statistics the final fit
+    # ranked by; the fits before it ranked by the statistic alone
+    top_table = selection._ranked(
+        selection._with_p_values(stats, pool.labels))[:k]
     payload = {
         "n_samples": int(matrix.n_rows),
         "n_features_before": len(matrix.vocab.columns),
         "n_features_selected": k,
-        "selected_features": final.columns,
+        "selected_features": columns,
         "chi2_top": [{"name": s.name, "score": s.score, "p_value": s.p_value}
                      for s in top_table],
         "best_params": best_params,

@@ -283,14 +283,19 @@ def _csv_cell(v) -> str:
     return str(v)
 
 
-def _write_table_csv(path, header: list[str], rows) -> None:
+def _table_text(header: list[str], rows) -> str:
     """Comma-separated table: floats as `.9g`, everything else as `str`;
     a column name or text cell holding a comma or line break, or one that
-    cannot be written as UTF-8, is refused before the file is opened."""
+    cannot be written as UTF-8, is refused."""
     lines = [",".join(map(_csv_cell, header))]
     for row in rows:
         lines.append(",".join(map(_csv_cell, row)))
-    Path(path).write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+def _write_table_csv(path, header: list[str], rows) -> None:
+    """`_table_text` written to `path`; a table it refuses opens no file."""
+    Path(path).write_text(_table_text(header, rows))
 
 
 def write_csv(m: FeatureMatrix, path) -> None:

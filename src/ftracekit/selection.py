@@ -111,7 +111,12 @@ def chi2_statistics(m: FeatureMatrix, labels: np.ndarray) -> list[ScoredFeature]
 def chi2_scores(m: FeatureMatrix, labels: np.ndarray) -> list[ScoredFeature]:
     """Every column's chi-squared statistic (see chi2_statistics) with its
     p-value; zero-mass columns get p = 1."""
-    scores = chi2_statistics(m, labels)
+    return _with_p_values(chi2_statistics(m, labels), labels)
+
+
+def _with_p_values(scores: list[ScoredFeature],
+                   labels: np.ndarray) -> list[ScoredFeature]:
+    """`chi2_statistics` scores of `labels` with their p-values."""
     df = learners._classes(np.asarray(labels)).size - 1
     out: list[ScoredFeature] = []
     clamped = 0

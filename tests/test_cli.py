@@ -141,6 +141,31 @@ class TestExitCodes:
         assert repr("count_f\udcffoo") in capsys.readouterr().err
         assert not out.exists()
 
+    def test_exp1_table_it_cannot_write_leaves_no_file(self, tmp_path,
+                                                       capsys):
+        # before, exp1 wrote report.json and curve.csv, then failed on the
+        # perturbation table, whose rows name the selected columns
+        corpus, out = tmp_path / "corpus", tmp_path / "out"
+        assert run(["gen", "--count", "20", "--seed", "7", "--roots", "8",
+                    "--out", str(corpus)]) == 0
+        for trace in corpus.rglob("*.trace"):
+            trace.write_text(trace.read_text().replace(
+                "aes_encrypt_block", "aes,encrypt_block"))
+        rc = run(["exp1", "--corpus", str(corpus), "--seed", "7",
+                  "--learner", "tree", "--out", str(out)])
+        assert rc == 2
+        assert "aes,encrypt_block' to a CSV table" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cmd", ["exp1", "exp2"])
+    def test_experiment_that_fails_makes_no_out_directory(self, cmd,
+                                                          tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run([cmd, "--corpus", str(tmp_path / "none"), "--seed", "7",
+                    "--out", str(out)]) == 2
+        assert "no *.trace files found" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["select", "--features", "f.csv", "--out", "s.csv", "--k", "-3"],
         ["select", "--features", "f.csv", "--out", "s.csv", "--k", "0"],

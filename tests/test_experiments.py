@@ -436,9 +436,9 @@ class TestExperiments:
 
 
 class TestMappedStudies:
-    """exp1's grid-search, learning-curve and ablation fits run through one
-    `workers.map_forked` call per study; see tests/test_ingest_workers.py
-    for the map on its own."""
+    """exp1's grid-search fits run through one `workers.map_forked` call, and
+    its final, perturbation, learning-curve and ablation fits through one
+    more; see tests/test_ingest_workers.py for the map on its own."""
 
     @pytest.mark.parametrize("config", [
         {"learner": "boosting", "k": 10,
@@ -457,13 +457,42 @@ class TestMappedStudies:
             use_cpus(monkeypatch, cpus)
             got[name] = ex.run_experiment_1(tmp_path, config, seed=7)
             assert_no_child_left()
-            # ingest, grid search, learning curve and ablation fork once
-            # each; a single worker forks nothing
-            assert len(forks) == {"one": 0, "two": 4}[name]
+            # ingest, grid search, and every fit after grid search fork
+            # once each; a single worker forks nothing
+            assert len(forks) == {"one": 0, "two": 3}[name]
         one, two = got["one"], got["two"]
         for key in ("learning_curve", "ablation", "search"):
             assert one.payload[key] == two.payload[key], key
         assert one.canonical_json() == two.canonical_json()
+
+    def test_kfold_cv_on_task_names_forks_no_grandchild(self, tmp_path,
+                                                        monkeypatch):
+        # each CV job fits a one-vs-rest model, whose map runs serially in
+        # the worker that runs the job: only this process forks.  Each fork
+        # is logged as the forking pid appended to a file every process
+        # shares.
+        rng = np.random.default_rng(0)
+        X = rng.random((60, 3))
+        tasks = np.select([X[:, 0] > 0.66, X[:, 0] > 0.33],
+                          ["alpha", "beta"], "gamma")
+        log = tmp_path / "forks.log"
+        fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+        fork = os.fork
+
+        def logged_fork():
+            os.write(fd, f"{os.getpid()}\n".encode())
+            return fork()
+        monkeypatch.setattr(os, "fork", logged_fork)
+        got = {}
+        for name, cpus in (("one", ONE_CPU), ("two", TWO_CPUS)):
+            use_cpus(monkeypatch, cpus)
+            got[name] = ex.kfold_cv(matrix(X), tasks,
+                                    ex.Pipeline("forest", {"n_trees": 5}),
+                                    k=3, seed=0)
+            assert_no_child_left()
+        os.close(fd)
+        assert log.read_text().split() == [str(os.getpid())]
+        assert got["one"] == got["two"]
 
     @pytest.mark.parametrize("study", ["kfold_cv", "learning_curve"])
     @pytest.mark.parametrize("cpus", [ONE_CPU, TWO_CPUS])
