@@ -8,8 +8,8 @@ Each study is a list of jobs and a step that reduces their results, so
 studies can share one map over the usable CPUs (`workers.map_forked`), as
 many as `taskset` allows.  exp1 maps its grid search in one call and every
 fit after it (final fit, perturbation, learning curve and ablation) in one
-more; ingest and one-vs-rest fits map their own.  There is no option, and
-the reports are the same on any number of CPUs.
+more; ingest maps its own.  There is no option, and the reports are the
+same on any number of CPUs.
 """
 
 from __future__ import annotations

@@ -19,7 +19,6 @@ import numpy as np
 from .errors import EmptyData, SingleClass, WidthMismatch
 from .grower import (_check_int, _check_real, _grow_classifiers,
                      _grow_regressor, _is_int, _regression_root)
-from .workers import map_forked
 
 MODEL_FORMAT_VERSION = 2
 
@@ -559,10 +558,9 @@ class OneVsRest:
         self.labels_ = sorted(set(tasks))
         if len(self.labels_) < 2:
             raise SingleClass("one-vs-rest needs at least two task labels")
-        Y = one_hot(tasks, self.labels_)
-        self.models_ = map_forked(lambda j: _fit_impl(
-            self.base_kind, X, Y[:, j], self.base_params,
-            _sub_seed(self.seed, j)), list(range(Y.shape[1])))
+        self.models_ = [_fit_impl(self.base_kind, X, y, self.base_params,
+                                  _sub_seed(self.seed, i))
+                        for i, y in enumerate(one_hot(tasks, self.labels_).T)]
         return self
 
     def outputs(self, X) -> tuple[np.ndarray, np.ndarray]:

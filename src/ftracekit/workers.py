@@ -1,16 +1,12 @@
 """`map_forked`: a map striped over the usable CPUs by forking, for corpus
-generation (`workloadgen`), ingest (`features.load_matrix`), exp1's study
-fits (`experiments`) and one-vs-rest fits (`learners.OneVsRest`).  `taskset`
-limits the workers; there is no option.  A map started inside a running map
-runs serially in its worker."""
+generation (`workloadgen`), ingest (`features.load_matrix`) and exp1's study
+fits (`experiments`).  `taskset` limits the workers; there is no option."""
 
 import os
 import pickle
 import signal
 
 from .errors import WorkerFailed
-
-_mapping = False  # a map is running in this process; forked workers inherit it
 
 
 def _map_stripe(fn, items: list) -> list:
@@ -36,10 +32,7 @@ def _child(w: int, fn, items: list, r: int, wfd: int) -> None:
         with os.fdopen(wfd, "wb") as out:
             for result in _map_stripe(fn, items):
                 try:
-                    # protocol 5 would load each numpy array as a view
-                    # of a bytearray of its own, which doubles the memory
-                    # a fitted forest keeps in the caller
-                    data = pickle.dumps(result, 4)
+                    data = pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
                 except Exception as exc:
                     result = WorkerFailed(
                         f"worker {w}: cannot send {result!r}: {exc!r}")
@@ -77,13 +70,12 @@ def map_forked(fn, items: list) -> list:
     at its first exception, and the lowest-indexed item's exception is
     raised, as a serial run would raise it; a worker that fails counts as
     failing at its first missing item.  One worker where the platform
-    cannot fork or inside a running map; no child outlives the call."""
-    global _mapping
-    n, nested = 1, _mapping
-    if not nested and hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+    cannot fork; no child outlives the call."""
+    n = 1
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
         n = max(1, min(len(os.sched_getaffinity(0)), len(items)))
     workers = []  # (pid, read end) of workers 1..n-1
-    finished, _mapping = False, True
+    finished = False
     try:
         for w in range(1, n):
             r, wfd = os.pipe()
@@ -97,7 +89,6 @@ def map_forked(fn, items: list) -> list:
                     for w, (pid, f) in enumerate(workers, start=1)]
         finished = True
     finally:
-        _mapping = nested
         for pid, f in workers:
             f.close()
             if not finished:

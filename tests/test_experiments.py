@@ -465,35 +465,6 @@ class TestMappedStudies:
             assert one.payload[key] == two.payload[key], key
         assert one.canonical_json() == two.canonical_json()
 
-    def test_kfold_cv_on_task_names_forks_no_grandchild(self, tmp_path,
-                                                        monkeypatch):
-        # each CV job fits a one-vs-rest model, whose map runs serially in
-        # the worker that runs the job: only this process forks.  Each fork
-        # is logged as the forking pid appended to a file every process
-        # shares.
-        rng = np.random.default_rng(0)
-        X = rng.random((60, 3))
-        tasks = np.select([X[:, 0] > 0.66, X[:, 0] > 0.33],
-                          ["alpha", "beta"], "gamma")
-        log = tmp_path / "forks.log"
-        fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
-        fork = os.fork
-
-        def logged_fork():
-            os.write(fd, f"{os.getpid()}\n".encode())
-            return fork()
-        monkeypatch.setattr(os, "fork", logged_fork)
-        got = {}
-        for name, cpus in (("one", ONE_CPU), ("two", TWO_CPUS)):
-            use_cpus(monkeypatch, cpus)
-            got[name] = ex.kfold_cv(matrix(X), tasks,
-                                    ex.Pipeline("forest", {"n_trees": 5}),
-                                    k=3, seed=0)
-            assert_no_child_left()
-        os.close(fd)
-        assert log.read_text().split() == [str(os.getpid())]
-        assert got["one"] == got["two"]
-
     @pytest.mark.parametrize("study", ["kfold_cv", "learning_curve"])
     @pytest.mark.parametrize("cpus", [ONE_CPU, TWO_CPUS])
     def test_the_lowest_indexed_job_error_is_raised(self, study, cpus,

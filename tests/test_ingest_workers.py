@@ -258,27 +258,10 @@ def test_a_broken_worker_fails_at_its_first_missing_item(
     assert_no_child_left()
 
 
-def test_a_map_inside_a_running_map_runs_serially(monkeypatch):
-    # each inner map runs in the process that runs its item, this one or
-    # the forked worker; a map after them forks again
-    use_cpus(monkeypatch, TWO_CPUS)
-
-    def inner(x):
-        return workers.map_forked(lambda y: (y, os.getpid()), [x, x + 1])
-    got = workers.map_forked(inner, list(range(4)))
-    assert [[y for y, _ in r] for r in got] == [[0, 1], [1, 2], [2, 3], [3, 4]]
-    pids = [{pid for _, pid in r} for r in got]
-    assert pids[0] == pids[2] == {os.getpid()}
-    assert pids[1] == pids[3] and len(pids[1]) == 1 and pids[1] != pids[0]
-    assert len(set(workers.map_forked(lambda x: os.getpid(), [0, 1]))) == 2
-    assert_no_child_left()
-
-
 def test_ingest_forks_without_a_warning(tmp_path, monkeypatch):
     # Python 3.12 and later warn (DeprecationWarning) on a fork while
-    # other threads run; this pins that the forks of generation, ingest,
-    # exp1's study fits and exp2's one-vs-rest fits, under the Python the
-    # tests run on, warn of nothing
+    # other threads run; this pins that the forks of generation, ingest and
+    # exp1's study fits, under the Python the tests run on, warn of nothing
     use_cpus(monkeypatch, TWO_CPUS)
     with warnings.catch_warnings():
         warnings.simplefilter("error")

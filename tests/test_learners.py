@@ -1,10 +1,8 @@
 import contextlib
 import itertools
 import json
-import os
 import signal
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,8 +11,6 @@ from hypothesis import strategies as st
 
 from ftracekit import learners as ln
 from ftracekit.errors import EmptyData, WidthMismatch
-
-from conftest import ONE_CPU, TWO_CPUS, assert_no_child_left, use_cpus
 
 
 NAN = float("nan")
@@ -511,77 +507,6 @@ class TestOneVsRest:
         truth = ln.one_hot(tasks, ovr.labels_)
         _, micro = ln._per_label(truth, Y)
         assert micro >= 0.9
-
-
-class TestMappedOneVsRest:
-    """`OneVsRest.fit` maps its per-label base fits over the usable CPUs
-    (`workers.map_forked`); see tests/test_ingest_workers.py for the map on
-    its own."""
-
-    def _data(self):
-        rng = np.random.default_rng(8)
-        X = rng.random((120, 4))
-        tasks = np.select([X[:, 0] > 0.75, X[:, 0] > 0.5, X[:, 0] > 0.25],
-                          ["a", "b", "c"], "d").tolist()
-        return X, tasks
-
-    @pytest.mark.parametrize("base, params", [
-        ("forest", {"n_trees": 6, "max_depth": 4}),
-        ("boosting", {"n_rounds": 6})])
-    def test_one_and_two_workers_fit_the_same_models(self, base, params,
-                                                     monkeypatch):
-        X, tasks = self._data()
-        got = {}
-        for name, cpus in (("one", ONE_CPU), ("two", TWO_CPUS)):
-            use_cpus(monkeypatch, cpus)
-            got[name] = ln.OneVsRest(base, params, seed=5).fit(X, tasks)
-            assert_no_child_left()
-        assert got["one"].to_dict() == got["two"].to_dict()
-        assert np.array_equal(got["one"].outputs(X)[1],
-                              got["two"].outputs(X)[1])
-
-    @pytest.mark.parametrize("cpus", [ONE_CPU, TWO_CPUS])
-    def test_the_lowest_indexed_job_error_is_raised(self, cpus, monkeypatch):
-        # with two workers, label 1 fails in the forked worker and the
-        # later label 2 in this process; label 1's error wins, as in a
-        # serial run
-        X, tasks = self._data()
-        label_of = {ln._sub_seed(5, j): j for j in range(4)}
-        fit_impl = ln._fit_impl
-
-        def failing(kind, X, y, params, seed):
-            if label_of[seed] in (1, 2):
-                raise ValueError(f"label {label_of[seed]} in pid {os.getpid()}")
-            return fit_impl(kind, X, y, params, seed)
-        monkeypatch.setattr(ln, "_fit_impl", failing)
-        use_cpus(monkeypatch, cpus)
-        with pytest.raises(ValueError, match="label 1 in pid") as err:
-            ln.OneVsRest("tree", seed=5).fit(X, tasks)
-        # one worker fails in this process, two in the forked worker
-        raised_here = str(err.value) == f"label 1 in pid {os.getpid()}"
-        assert raised_here == (cpus == ONE_CPU)
-        assert_no_child_left()
-
-    def test_models_from_the_worker_cost_no_more_memory(self, monkeypatch):
-        # this process's Python allocations, kept and at their peak, while
-        # it fits and keeps the models; with two workers half of them
-        # arrive pickled.  Pickle protocol 5 kept about 1.5 times as much.
-        X, tasks = self._data()
-        kept, peak = {}, {}
-        for name, cpus in (("one", ONE_CPU), ("two", TWO_CPUS)):
-            use_cpus(monkeypatch, cpus)
-            ln.OneVsRest("forest", {"n_trees": 2}).fit(X, tasks)  # warm-up
-            tracemalloc.start()
-            try:
-                model = ln.OneVsRest("forest", {"n_trees": 10},
-                                     seed=5).fit(X, tasks)
-                kept[name], peak[name] = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert_no_child_left()
-            del model
-        assert peak["two"] <= 1.05 * peak["one"], peak
-        assert kept["two"] <= 1.05 * kept["one"], kept
 
 
 class TestModelWrapper:
