@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import sub
@@ -44,15 +44,13 @@ class CallGraph:
 
 def build_graph(sample: TraceSample) -> CallGraph:
     """One node per function name, one edge per (parent, child) pair with
-    call-count multiplicity."""
-    g = CallGraph()
-    edges = g.edges
-    for rec in sample.preorder:
-        g.nodes.add(rec.name)
-        for child in rec.children:
-            key = (rec.name, child.name)
-            edges[key] = edges.get(key, 0) + 1
-    return g
+    call-count multiplicity, from the sample's columns."""
+    pairs: Counter = Counter()  # (parent id, child id) -> calls
+    for ids, parents, *_ in sample.cpus.values():
+        pairs.update((ids[p], i) for p, i in zip(parents, ids) if p >= 0)
+    names = sample.names
+    return CallGraph(set(names), {(names[a], names[b]): k
+                                  for (a, b), k in pairs.items()})
 
 
 def betweenness(graph: CallGraph) -> dict[str, float]:

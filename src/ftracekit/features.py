@@ -16,7 +16,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, replace
+from itertools import chain
+from dataclasses import astuple, dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
@@ -24,19 +25,16 @@ import numpy as np
 
 from . import call_graph
 from .errors import EmptyCorpus
-from .trace_parser import TraceSample, load_sample, trace_paths
+from .trace_parser import IoMeta, TraceSample, load_sample, trace_paths
 from .workers import map_forked
 
 GROUP_GRAPH = "graph"
 GROUP_TEMPORAL = "temporal"
 GROUP_SYSTEM = "system"
 
-GRAPH_AGGREGATE_COLUMNS = [
-    "betweenness_mean", "betweenness_max",
-    "eigenvector_mean", "eigenvector_max",
-    "clustering_mean", "clustering_max",
-    "avg_nbr_deg_mean", "avg_nbr_deg_max",
-]
+GRAPH_AGGREGATE_COLUMNS = [f"{metric}_{agg}" for metric in (
+    "betweenness", "eigenvector", "clustering", "avg_nbr_deg")
+    for agg in ("mean", "max")]
 TEMPORAL_GLOBAL_COLUMNS = [
     "mean_call_duration", "std_call_duration", "mean_intercall_interval",
 ]
@@ -152,50 +150,36 @@ class TraceSummary:
 
 
 def extract(sample: TraceSample) -> TraceSummary:
-    """Summarise one parsed trace; no vocabulary is needed."""
-    counts: dict[str, float] = {}
-    durs: dict[str, float] = {}
-    all_durs: list[float] = []
-    starts: list[float] = []
-    records = sample.preorder
-    total_calls = len(records)
-    for rec in records:
-        d = rec.duration_us or 0.0  # unknown durations count as 0
-        all_durs.append(d)
-        if rec.start_time is not None:
-            starts.append(rec.start_time)
-        counts[rec.name] = counts.get(rec.name, 0.0) + 1
-        durs[rec.name] = durs.get(rec.name, 0.0) + d
+    """Summarise one parsed trace from its columns; no vocabulary is needed.
+    Each column is joined over the CPUs in ascending order, so every sum
+    runs over the calls in pre-order, left to right, as `np.bincount` adds;
+    an unknown duration counts as 0."""
+    cols = [sample.cpus[cpu] for cpu in sorted(sample.cpus)]
+    ids = np.fromiter(chain.from_iterable(c.ids for c in cols), np.intp)
+    all_durs = np.array([d or 0.0 for c in cols for d in c.durations])
+    starts = np.array([t for c in cols for t in c.starts if t is not None])
+    names, n = sample.names, len(sample.names)
+    counts = dict(zip(names, map(float, np.bincount(ids, minlength=n))))
+    durs = dict(zip(names, np.bincount(ids, all_durs, minlength=n).tolist()))
 
     graph = call_graph.build_graph(sample)
     if graph.nodes:
         agg = []
         for metric in (call_graph.betweenness, call_graph.eigenvector,
                        call_graph.clustering, call_graph.avg_neighbor_degree):
-            vals = list(metric(graph).values())
-            agg += [float(np.mean(vals)), float(np.max(vals))]
+            vals = np.fromiter(metric(graph).values(), float)
+            agg += [float(vals.mean()), float(vals.max())]
     else:
         agg = [0.0] * len(GRAPH_AGGREGATE_COLUMNS)
 
-    if all_durs:
-        mean_dur = float(np.mean(all_durs))
-        std_dur = float(np.std(all_durs))
-    else:
-        mean_dur = std_dur = 0.0
-    if len(starts) >= 2:
-        s = np.sort(np.asarray(starts))
-        intercall = float(np.mean(np.diff(s))) * 1e6  # us
-    else:
-        intercall = 0.0  # abstime absent: flagged by extract_matrix
+    mean_dur, std_dur = ((float(np.mean(all_durs)), float(np.std(all_durs)))
+                         if len(all_durs) else (0.0, 0.0))
+    # in us; 0 where abstime is absent, which extract_matrix flags
+    intercall = (float(np.mean(np.diff(np.sort(starts)))) * 1e6
+                 if len(starts) >= 2 else 0.0)
 
-    io = sample.io_meta
-    system = [
-        float(io.read_count) if io else 0.0,
-        float(io.write_count) if io else 0.0,
-        float(io.read_bytes) if io else 0.0,
-        float(io.write_bytes) if io else 0.0,
-        float(total_calls),
-    ]
+    io = sample.io_meta or IoMeta()  # without a sidecar every count is 0
+    system = [float(v) for v in astuple(io)] + [float(len(all_durs))]
     return TraceSummary(
         counts=counts, durations=durs,
         trace_values=agg + [mean_dur, std_dur, intercall] + system,

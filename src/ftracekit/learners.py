@@ -334,6 +334,8 @@ class RandomForest(_ClassProbaOutputs):
             tree.classes_ = self.classes_
             self.trees.append(tree)
         _grow_classifiers(self.trees, X, y, rows)
+        for tree in self.trees:
+            tree.rng = None  # drawn from only while growing
         self._stack = _FlatTree.stacked(self.trees)
         return self
 

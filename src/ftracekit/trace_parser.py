@@ -1,8 +1,9 @@
 """Parser for Linux ftrace function_graph text output.
 
-Turns raw trace text into per-CPU forests of nested call records with
-durations and parent/child hierarchy.  The parser tolerates interleaved
-CPUs, truncated dumps, comment lines and CPU-switch boundary markers.
+Turns raw trace text into per-CPU columns of calls (name id, parent,
+duration, start and end), from which forests of nested call records are
+built on demand.  The parser tolerates interleaved CPUs, truncated dumps,
+comment lines and CPU-switch boundary markers.
 """
 
 from __future__ import annotations
@@ -12,22 +13,17 @@ import io
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 from .errors import EmptyCorpus, MalformedLine, NestingError
 
 # duration thresholds (us) for the kernel's overhead annotation characters
-_MARKER_THRESHOLDS = [
-    (1_000_000.0, "$"),
-    (100_000.0, "@"),
-    (10_000.0, "*"),
-    (1_000.0, "#"),
-    (100.0, "!"),
-    (10.0, "+"),
-]
+_MARKER_THRESHOLDS = [(1_000_000.0, "$"), (100_000.0, "@"), (10_000.0, "*"),
+                      (1_000.0, "#"), (100.0, "!"), (10.0, "+")]
 OVERHEAD_MARKERS = "".join(m for _, m in reversed(_MARKER_THRESHOLDS))
 
 
@@ -60,23 +56,55 @@ class CallRecord:
             stack.extend(reversed(rec.children))
 
 
-@dataclass
+# One CPU's calls in line order, its pre-order, as lists: name-table id,
+# parent index (-1 for a root), and duration, start and end (None where
+# unknown).  A call's depth is its parent's plus one.
+CallColumns = namedtuple("CallColumns", "ids parents durations starts ends")
+
+
 class TraceSample:
-    records: dict[int, list[CallRecord]] = field(default_factory=dict)
-    io_meta: Optional[IoMeta] = None
-    label: Optional[int] = None
-    task_name: Optional[str] = None
-    warnings: list[str] = field(default_factory=list)
-    has_abstime: bool = False
-    source: Optional[str] = None
-    sha256: Optional[bytes] = None  # of the file's bytes, set by load_sample
+    """One parsed trace, kept as columns: `names`, the name table in order
+    of first appearance, and `cpus`, a CallColumns per CPU.  `records`
+    (CallRecord forests by CPU) and `preorder` are views built from them on
+    first use; a sample made from `records` keeps those and has no columns."""
+
+    _FIELDS = ("records", "io_meta", "label", "task_name", "warnings",
+               "has_abstime", "source", "sha256")
+
+    def __init__(self, records=None, io_meta=None, label=None, task_name=None,
+                 warnings=None, has_abstime=False, source=None, sha256=None,
+                 names=None, cpus=None):
+        if records is not None:
+            self.records = records  # in place of the view
+        self.io_meta, self.label, self.task_name = io_meta, label, task_name
+        self.warnings = [] if warnings is None else warnings
+        # sha256 is of the file's bytes, set by load_sample
+        self.has_abstime, self.source, self.sha256 = has_abstime, source, sha256
+        self.names = [] if names is None else names
+        self.cpus = {} if cpus is None and records is None else cpus
+
+    def __eq__(self, other):
+        return type(other) is TraceSample and all(
+            getattr(self, f) == getattr(other, f) for f in self._FIELDS)
+
+    @cached_property
+    def records(self) -> dict[int, list[CallRecord]]:
+        """CallRecord forests by CPU, from the columns, without recursion."""
+        forests = {}
+        for cpu, col in self.cpus.items():
+            recs, forests[cpu] = [], []
+            for nid, p, *times in zip(*col):
+                parent = recs[p] if p >= 0 else None
+                rec = CallRecord(
+                    self.names[nid], cpu, parent.depth + 1 if parent else 0,
+                    *times, parent.name if parent else None)
+                (parent.children if parent else forests[cpu]).append(rec)
+                recs.append(rec)
+        return forests
 
     @cached_property
     def preorder(self) -> list[CallRecord]:
-        """Every record, CPUs in ascending order, each forest in pre-order.
-
-        Walked once, on first use, and shared by every later reader; the
-        parser hands over a sample whose forests are complete."""
+        """Every record, CPUs in ascending order, each forest in pre-order."""
         return [rec for cpu in sorted(self.records)
                 for root in self.records[cpu] for rec in root.walk()]
 
@@ -87,10 +115,12 @@ class TraceSample:
 # line layout:  [abstime |]  cpu)  [comm-pid |]  [marker] [duration us]  |  body
 # Each field and body form is written once here.  _LINE_RE chains them into
 # one match for the fast path; _parse_line_strict applies them one at a time
-# to say which field a malformed line breaks.
-_CPU = r"\s*(?:(\d+\.\d+)\s+\|\s*)?(\d+)\)"          # [abstime |] cpu)
-_COMM_PID = r"\s*\S+-\d+\s+\|"                        # comm-pid |
-_DURATION = (r"\s*(?:[%s]\s*)?(?:(\d+(?:\.\d+)?)\s+us\s*)?\|"
+# to say which field a malformed line breaks.  A run that the next token
+# cannot match is possessive (*+, ++), so a refused line is not retried a
+# character at a time; the \S+ of a comm-pid or a name must give back.
+_CPU = r"\s*+(?:(\d+\.\d+)\s++\|\s*+)?(\d+)\)"        # [abstime |] cpu)
+_COMM_PID = r"\s*+\S+-\d+\s++\|"                      # comm-pid |
+_DURATION = (r"\s*+(?:[%s]\s*)?(?:(\d+(?:\.\d+)?)\s+us\s*)?\|"
              % re.escape(OVERHEAD_MARKERS))             # [marker] [duration us] |
 _EXIT = r"\}\s*;?\s*(?:/\*\s*(.*?)\s*\*/)?"             # } [;] [/* tail */]
 _LEAF = r"(\S+)\(\)\s*;"                              # name();
@@ -110,7 +140,7 @@ _EXIT_RE, _LEAF_RE, _ENTRY_RE = (re.compile(p) for p in (_EXIT, _LEAF, _ENTRY))
 # line refused here takes the slow path.  Each nesting level indents by the
 # kernel's 2 spaces.
 _LINE_RE = re.compile(
-    r"(?=[^=\n]*(?:=(?!>)[^=\n]*)*\Z)" + _CPU + "(?:" + _COMM_PID + ")?"
+    r"(?=[^=\n]*+(?:=(?!>)[^=\n]*+)*+\Z)" + _CPU + "(?:" + _COMM_PID + ")?"
     + _DURATION + r"  ((?:  )*)"                        # gap, indentation
     + "(?(3)(?:" + _EXIT + r"|(?!\}|/\*)" + _LEAF + ")"  # exit or leaf
     + r"|(?!\}|/\*)" + _ENTRY + r")\s*\Z")              # entry
@@ -123,10 +153,9 @@ def _parse_line_strict(line: str) -> Optional[tuple]:
     None for a comment, a boundary or a /* ... */ body; a malformed line
     raises MalformedLine."""
     stripped = line.strip()
-    if not stripped or stripped.startswith("#"):
-        return None
-    if set(stripped) <= {"-"} or "=>" in stripped:
-        # CPU-switch separator emitted by the kernel between task migrations
+    # a comment, or the CPU-switch separator the kernel prints at a migration
+    if (not stripped or stripped.startswith("#") or set(stripped) <= {"-"}
+            or "=>" in stripped):
         return None
 
     m = _CPU_RE.match(line)
@@ -164,31 +193,25 @@ def _parse_line_strict(line: str) -> Optional[tuple]:
     if content.startswith("/*"):
         return None
 
+    # the body's form, and which of the last three fields its name fills
     if content.startswith("}"):
-        m = _EXIT_RE.fullmatch(content)
-        if not m:
-            raise MalformedLine(f"bad exit line: {line!r}")
-        if duration_us is None:
-            raise MalformedLine(f"exit line without duration: {line!r}")
-        return abstime, cpu, duration_us, depth, m.group(1), None, None
-
-    if content.endswith("{"):
-        m = _ENTRY_RE.fullmatch(content)
-        if not m:
-            raise MalformedLine(f"bad entry line: {line!r}")
-        if duration_us is not None:
-            raise MalformedLine(f"entry line carries a duration: {line!r}")
-        return abstime, cpu, None, depth, None, None, m.group(1)
-
-    if content.endswith(";"):
-        m = _LEAF_RE.fullmatch(content)
-        if not m:
-            raise MalformedLine(f"bad leaf line: {line!r}")
-        if duration_us is None:
-            raise MalformedLine(f"leaf line without duration: {line!r}")
-        return abstime, cpu, duration_us, depth, None, m.group(1), None
-
-    raise MalformedLine(f"unrecognized body: {line!r}")
+        form, regex, slot = "exit", _EXIT_RE, 4
+    elif content.endswith("{"):
+        form, regex, slot = "entry", _ENTRY_RE, 6
+    elif content.endswith(";"):
+        form, regex, slot = "leaf", _LEAF_RE, 5
+    else:
+        raise MalformedLine(f"unrecognized body: {line!r}")
+    m = regex.fullmatch(content)
+    if not m:
+        raise MalformedLine(f"bad {form} line: {line!r}")
+    if form == "entry" and duration_us is not None:
+        raise MalformedLine(f"entry line carries a duration: {line!r}")
+    if form != "entry" and duration_us is None:
+        raise MalformedLine(f"{form} line without duration: {line!r}")
+    out = [abstime, cpu, duration_us, depth, None, None, None]
+    out[slot] = m.group(1)
+    return tuple(out)
 
 
 def parse_trace(stream, strict: bool = False) -> TraceSample:
@@ -198,19 +221,15 @@ def parse_trace(stream, strict: bool = False) -> TraceSample:
     Nesting state is tracked per CPU.  Tolerant mode (the default) never
     aborts: anomalies are collected as warnings on the returned sample.
     """
-    if isinstance(stream, str):
-        lines: Iterable[str] = stream.splitlines()
-    else:
-        lines = stream
+    lines = stream.splitlines() if isinstance(stream, str) else stream
 
-    roots: dict[int, list[CallRecord]] = {}
-    stacks: dict[int, list[CallRecord]] = {}
+    cpus: dict[int, CallColumns] = {}
+    stacks: dict[int, list[tuple]] = {}  # open entries' (index, name), per CPU
+    ids: dict[str, int] = {}  # the name table, in order of first appearance
     warnings: list[str] = []
     has_abstime = False
     match = _LINE_RE.match
     cur_cpu = None
-    stack: list[CallRecord] = []
-    cpu_roots: list[CallRecord] = []
 
     def anomaly(msg: str, exc: Optional[Exception] = None) -> None:
         """Strict mode raises exc, or a NestingError of msg; tolerant mode
@@ -236,61 +255,60 @@ def parse_trace(stream, strict: bool = False) -> TraceSample:
                 depth = len(depth) // 2
         if m is None:
             try:
-                fields = _parse_line_strict(line)
+                parsed = _parse_line_strict(line)
             except MalformedLine as exc:
                 exc.lineno = lineno
                 anomaly(f"line {lineno}: malformed, skipped ({exc})", exc)
                 continue
-            if fields is None:
+            if parsed is None:
                 continue
-            abstime, cpu, duration, depth, tail, leaf, entry = fields
+            abstime, cpu, duration, depth, tail, leaf, entry = parsed
         if abstime is not None:
             has_abstime = True
 
         if cpu != cur_cpu:
             cur_cpu = cpu
             stack = stacks.setdefault(cpu, [])
-            cpu_roots = roots.setdefault(cpu, [])
+            if cpu not in cpus:
+                cpus[cpu] = CallColumns([], [], [], [], [])
+            call_ids, parents, durs, starts, ends = cpus[cpu]
 
         name = entry or leaf  # None on an exit
         if name is not None:
             if depth != len(stack):
                 anomaly(f"line {lineno}: depth {depth} does not match "
                         f"nesting level {len(stack)} on cpu {cpu}")
-            parent = stack[-1] if stack else None
-            # name, cpu, depth, duration_us, start_time, end_time, parent_name
-            rec = CallRecord(
-                name, cpu, len(stack), duration, abstime,
-                (abstime + duration * 1e-6
-                 if leaf is not None and abstime is not None else None),
-                parent.name if parent else None)
-            (parent.children if parent else cpu_roots).append(rec)
+            parents.append(stack[-1][0] if stack else -1)
             if entry is not None:
-                stack.append(rec)
+                stack.append((len(call_ids), name))
+            call_ids.append(ids.setdefault(name, len(ids)))
+            durs.append(duration)
+            starts.append(abstime)
+            ends.append(abstime + duration * 1e-6
+                        if leaf is not None and abstime is not None else None)
         else:
             if not stack:
                 anomaly(f"line {lineno}: unmatched exit on cpu {cpu}, dropped")
                 continue
-            rec = stack.pop()
+            i, open_name = stack.pop()
             if depth != len(stack):
                 anomaly(f"line {lineno}: exit depth {depth} does not match "
                         f"entry depth {len(stack)} on cpu {cpu}")
-            if tail and tail != rec.name:
+            if tail and tail != open_name:
                 anomaly(f"line {lineno}: exit tail {tail!r} does not "
-                        f"match open entry {rec.name!r}")
-            rec.duration_us = duration
+                        f"match open entry {open_name!r}")
+            durs[i] = duration  # an exit always has one
             if abstime is not None:
-                rec.end_time = abstime
-                if rec.start_time is None and duration is not None:
-                    rec.start_time = abstime - duration * 1e-6
+                ends[i] = abstime
+                if starts[i] is None:
+                    starts[i] = abstime - duration * 1e-6
 
-    for cpu in sorted(stacks):
-        for rec in stacks[cpu]:
-            warnings.append(
-                f"cpu {cpu}: entry {rec.name!r} unclosed at end of stream, "
-                "duration unknown")
+    warnings += [f"cpu {cpu}: entry {name!r} unclosed at end of stream, "
+                 "duration unknown" for cpu in sorted(stacks)
+                 for _, name in stacks[cpu]]
 
-    return TraceSample(records=roots, warnings=warnings, has_abstime=has_abstime)
+    return TraceSample(warnings=warnings, has_abstime=has_abstime,
+                       names=list(ids), cpus=cpus)
 
 
 def format_forest(ordered_roots: list[CallRecord], abstime: bool = False) -> str:
@@ -327,10 +345,6 @@ def sidecar_path(trace_path) -> Path:
     return p.with_name(base + ".io.json")
 
 
-# IoMeta's fields, in order, as a sidecar names them
-_SIDECAR_COUNTS = ("read_count", "write_count", "read_bytes", "write_bytes")
-
-
 def _sidecar_int(sidecar: Path, meta: dict, key: str, top=math.inf) -> int:
     """A sidecar field that must be a JSON integer (no bool, float or
     string) from 0 to `top`; 0 when absent."""
@@ -364,8 +378,8 @@ def load_sample(trace_path, strict: bool = False) -> TraceSample:
         meta = json.loads(sc.read_text())
         if not isinstance(meta, dict):
             raise ValueError(f"{sc}: a sidecar must hold a JSON object")
-        sample.io_meta = IoMeta(*(_sidecar_int(sc, meta, key)
-                                  for key in _SIDECAR_COUNTS))
+        sample.io_meta = IoMeta(*(_sidecar_int(sc, meta, f.name)
+                                  for f in fields(IoMeta)))
         if "label" in meta:
             sample.label = _sidecar_int(sc, meta, "label", 1)
         if "task" in meta:

@@ -352,10 +352,29 @@ def task_profiles() -> list[WorkloadProfile]:
     ]
 
 
+def scale_pair() -> list[WorkloadProfile]:
+    """Two classes over one shared base of 1,000 names at rates
+    1/(1+i)^0.8, nested up to 8 deep: given thousands of root calls, a
+    trace has the length and breadth of a real capture.  The classes share
+    their vocabulary and differ in durations and I/O."""
+    common = dict(vocabulary=[(f"ksym_{i:04d}", 1.0 / (1 + i) ** 0.8)
+                              for i in range(1000)],
+                  max_depth=8, branching=2.2)
+    return [
+        WorkloadProfile(name="scale_plain", label=0, duration_median_us=3.0,
+                        **common),
+        WorkloadProfile(name="scale_crypto", label=1, duration_median_us=1.2,
+                        io_model={"read_count": 40, "write_count": 60,
+                                  "read_block": 4096, "write_block": 512},
+                        **common),
+    ]
+
+
 PROFILE_SETS = {
     "default2": default_pair,
     "graphonly": graph_signal_pair,
     "tasks6": task_profiles,
+    "scale": scale_pair,
 }
 
 

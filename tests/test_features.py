@@ -8,10 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ftracekit import call_graph as cg
 from ftracekit import features as ft
 from ftracekit import trace_parser as tp
 from ftracekit import workloadgen as wg
 from ftracekit.errors import EmptyCorpus
+
+from conftest import ONE_CPU, TWO_CPUS, use_cpus
 
 
 def summary_from_text(text, io=None, label=None, task=None):
@@ -166,6 +169,28 @@ class TestExtract:
         n_small, n_large = 6 * 2, 6 * 8
         per_trace = (peaks[1] - peaks[0]) / (n_large - n_small)
         assert per_trace < 15_000, peaks
+
+    @pytest.mark.parametrize("cpus", [ONE_CPU, TWO_CPUS])
+    def test_ingest_never_builds_call_records(self, cpus, tmp_path,
+                                              monkeypatch):
+        # load_matrix, extract and build_graph read the parser's columns;
+        # the CallRecord forests are a view for `parse` and the tests
+        wg.generate_corpus(wg.task_profiles(), 2, seed=7, out_dir=tmp_path,
+                           multi_cpu=True, abstime=True)
+        want = ft.load_matrix(tmp_path, strict=True)
+        sample = tp.load_sample(tp.trace_paths(tmp_path)[0], strict=True)
+
+        def no_records(*args, **kwargs):
+            raise AssertionError("CallRecord view built")
+        monkeypatch.setattr(tp.TraceSample, "records", property(no_records))
+        monkeypatch.setattr(tp, "CallRecord", no_records)
+        use_cpus(monkeypatch, cpus)
+        got = ft.load_matrix(tmp_path, strict=True)
+        assert np.array_equal(got.X, want.X) and got.tasks == want.tasks
+        assert ft.extract(sample).counts
+        assert cg.build_graph(sample).edges
+        with pytest.raises(AssertionError, match="view built"):
+            sample.preorder
 
     def test_labels_dropped_if_any_missing(self):
         s1 = summary_from_text(TWO_FN_TEXT, label=1)

@@ -164,6 +164,26 @@ class TestRandomForest:
         again = ln.RandomForest.from_dict(forest.to_dict())
         assert np.array_equal(forest.predict(X), again.predict(X))
 
+    def test_fitted_trees_drop_their_generators(self):
+        # about 150 KB of exp2's one-vs-rest forests was the trees' spent
+        # generators; a standalone tree keeps its own, so a refit draws on
+        X, y = self._data()
+        forest = ln.RandomForest(n_trees=4, max_depth=3, seed=2).fit(X, y)
+        assert [t.rng for t in forest.trees] == [None] * 4
+        again = ln.RandomForest(n_trees=4, max_depth=3, seed=2).fit(X, y)
+        assert json.dumps(forest.to_dict()) == json.dumps(again.to_dict())
+        assert np.array_equal(forest.fit(X, y).predict_proba(X),
+                              again.predict_proba(X))
+
+    def test_a_standalone_tree_keeps_its_generator(self):
+        # a refit draws on from where the first fit left it
+        X, y = self._data()
+        tree = ln.DecisionTree(max_depth=3, max_features=2,
+                               rng=np.random.default_rng(5)).fit(X, y)
+        after_one = tree.rng.bit_generator.state
+        tree.fit(X, y)
+        assert tree.rng.bit_generator.state != after_one
+
 
 class TestRegressionTree:
     @pytest.mark.parametrize("n,value", [(10_000, -0.9999), (50_000, 0.3)])

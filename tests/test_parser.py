@@ -1,5 +1,7 @@
 import hashlib
 import json
+import re
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -316,3 +318,87 @@ class TestLoadSample:
         sample = tp.load_sample(trace)
         assert sample.sha256 == hashlib.sha256(trace.read_bytes()).digest()
         assert [r.name for r in sample.preorder] == ["f\udcff"]
+
+
+class TestColumns:
+    """A parsed sample is columns; the record forests are a view of them."""
+
+    def test_a_parsed_sample_keeps_at_most_100_bytes_a_line(self):
+        # as CallRecord trees it kept about 200 bytes a line
+        text, _, _ = wg.generate_trace(wg.task_profiles()[0], 7,
+                                       n_root_calls=80, multi_cpu=True,
+                                       abstime=True)
+        lines = text.splitlines()
+        lines *= -(-60_000 // len(lines))
+        tracemalloc.start()
+        try:
+            sample = tp.parse_trace(lines, strict=True)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert sample.warnings == [] and len(sample.cpus) == 2
+        assert kept <= 100 * len(lines), kept / len(lines)
+
+    def test_columns_and_view(self):
+        text = "\n".join([
+            " 5.000000 |  1)               |  a() {",
+            " 5.000001 |  1)   0.500 us    |    b();",
+            " 3.000000 |  0)   0.250 us    |  b();",
+            " 0)               |  c() {",
+            " 6.000000 |  1)   2.000 us    |  } /* a */",
+        ])
+        sample = tp.parse_trace(text)
+        assert sample.names == ["a", "b", "c"]
+        assert list(sample.cpus) == [1, 0]
+        # ids, parents, durations, starts, ends; c is never closed
+        assert sample.cpus[1] == ([0, 1], [-1, 0], [2.0, 0.5], [5.0, 5.000001],
+                                  [6.0, 5.000001 + 0.5e-6])
+        assert sample.cpus[0] == ([1, 2], [-1, -1], [0.25, None], [3.0, None],
+                                  [3.0 + 0.25e-6, None])
+        (c,) = [r for r in sample.preorder if r.name == "c"]
+        assert (c.duration_us, c.start_time, c.end_time) == (None, None, None)
+        (a,) = sample.records[1]
+        assert [(r.name, r.depth, r.parent_name) for r in a.walk()] == [
+            ("a", 0, None), ("b", 1, "a")]
+        assert sample.warnings == [
+            "cpu 0: entry 'c' unclosed at end of stream, duration unknown"]
+
+    def test_a_sample_made_from_records_keeps_them(self):
+        rec = tp.CallRecord("f", 3, 7, duration_us=2)
+        sample = tp.TraceSample(records={0: [rec]}, warnings=["w"])
+        assert sample.records[0][0] is rec and sample.preorder == [rec]
+        assert sample.cpus is None
+        assert sample == tp.TraceSample(records={0: [rec]}, warnings=["w"])
+        assert sample != tp.TraceSample(records={0: []}, warnings=["w"])
+
+
+# the backtracking form of _LINE_RE: each possessive run made greedy again
+BACKTRACKING_LINE_RE = re.compile(
+    tp._LINE_RE.pattern.replace("*+", "*").replace("++", "+"))
+NOISE = st.text(st.sampled_from(list(" \t|(){};/*-=>#.0123456789+!us\n\x00xé")),
+                max_size=3)
+LINES = [ln for p in wg.task_profiles()[:2] for multi in (False, True)
+         for ln in wg.generate_trace(p, 3, n_root_calls=2, multi_cpu=multi,
+                                     abstime=multi)[0].splitlines()] + [
+    " 0)    bash-4251   |   0.332 us    |  cpumask_next();",
+    " 1234.567890 |  0)    bash-1    |               |  a() {",
+    " 0)  bash-123  =>  cc1-456 ", " 0) ! 100.0 us    |  f();"]
+
+
+class TestPossessiveLineRegex:
+    def test_nine_runs_are_possessive(self):
+        # the lookahead's three, the \s runs of the CPU and comm-pid
+        # columns and the one that opens the duration column
+        pattern = tp._LINE_RE.pattern
+        assert (pattern.count("*+"), pattern.count("++")) == (7, 2)
+
+    @settings(max_examples=800, deadline=None)
+    @given(st.sampled_from(LINES), st.lists(
+        st.tuples(st.integers(0, 120), st.integers(0, 2), NOISE), max_size=3))
+    def test_accepts_the_lines_the_backtracking_form_accepts(self, line,
+                                                              edits):
+        for pos, cut, noise in edits:
+            line = line[:pos] + noise + line[pos + cut:]
+        got, want = (r.match(line) for r in (tp._LINE_RE,
+                                             BACKTRACKING_LINE_RE))
+        assert (got and got.groups()) == (want and want.groups())

@@ -26,6 +26,10 @@ class TestProfiles:
     def test_profile_sets(self):
         assert len(wg.profiles_by_name("default2")) == 2
         assert len(wg.profiles_by_name("graphonly")) == 2
+        plain, crypto = wg.profiles_by_name("scale")
+        assert (plain.label, crypto.label) == (0, 1)
+        assert plain.vocabulary == crypto.vocabulary
+        assert len(plain.vocabulary) == 1000
         tasks = wg.profiles_by_name("tasks6")
         assert [p.name for p in tasks] == [
             "aes_encrypt", "chacha_stream", "file_copy", "grep_scan",
@@ -200,6 +204,11 @@ GOLDEN_CORPORA = {
     ("tasks6", "multi_cpu_abstime", 11): "2009a2b2b356cb27ede8719bda0995f1575ed9ff41f4255b24f8e67f26284f6b",
 }
 
+# the scale set, recorded with the single-pass generator when it was added
+GOLDEN_CORPORA.update({
+    ("scale", "plain", 7): "fc710fc0fd6de5d7e35bbed8dd43b388410cd52871afd18b920ab5944e727ba0",
+    ("scale", "multi_cpu_abstime", 7): "ada941b204c79d97af3a27dcb63d189b230153dd5d59efc2f505a0a187d50570",
+})
 
 @pytest.mark.parametrize("key", sorted(GOLDEN_CORPORA),
                          ids=lambda key: "-".join(map(str, key)))
