@@ -16,7 +16,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from itertools import chain
 from dataclasses import astuple, dataclass, field, replace
 from pathlib import Path
 from typing import Optional
@@ -155,7 +154,7 @@ def extract(sample: TraceSample) -> TraceSummary:
     runs over the calls in pre-order, left to right, as `np.bincount` adds;
     an unknown duration counts as 0."""
     cols = [sample.cpus[cpu] for cpu in sorted(sample.cpus)]
-    ids = np.fromiter(chain.from_iterable(c.ids for c in cols), np.intp)
+    ids = np.array([i for c in cols for i in c.ids], np.intp)
     all_durs = np.array([d or 0.0 for c in cols for d in c.durations])
     starts = np.array([t for c in cols for t in c.starts if t is not None])
     names, n = sample.names, len(sample.names)

@@ -22,8 +22,14 @@ from typing import Iterator, Optional
 from .errors import EmptyCorpus, MalformedLine, NestingError
 
 # duration thresholds (us) for the kernel's overhead annotation characters
-_MARKER_THRESHOLDS = [(1_000_000.0, "$"), (100_000.0, "@"), (10_000.0, "*"),
-                      (1_000.0, "#"), (100.0, "!"), (10.0, "+")]
+_MARKER_THRESHOLDS = [
+    (1_000_000.0, "$"),
+    (100_000.0, "@"),
+    (10_000.0, "*"),
+    (1_000.0, "#"),
+    (100.0, "!"),
+    (10.0, "+"),
+]
 OVERHEAD_MARKERS = "".join(m for _, m in reversed(_MARKER_THRESHOLDS))
 
 
@@ -115,9 +121,8 @@ class TraceSample:
 # line layout:  [abstime |]  cpu)  [comm-pid |]  [marker] [duration us]  |  body
 # Each field and body form is written once here.  _LINE_RE chains them into
 # one match for the fast path; _parse_line_strict applies them one at a time
-# to say which field a malformed line breaks.  A run that the next token
-# cannot match is possessive (*+, ++), so a refused line is not retried a
-# character at a time; the \S+ of a comm-pid or a name must give back.
+# to say which field a malformed line breaks.  Runs the next token cannot
+# match are possessive (*+, ++); the \S+ of a comm-pid or name must give back.
 _CPU = r"\s*+(?:(\d+\.\d+)\s++\|\s*+)?(\d+)\)"        # [abstime |] cpu)
 _COMM_PID = r"\s*+\S+-\d+\s++\|"                      # comm-pid |
 _DURATION = (r"\s*+(?:[%s]\s*)?(?:(\d+(?:\.\d+)?)\s+us\s*)?\|"
