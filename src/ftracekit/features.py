@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import astuple, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
@@ -24,16 +24,19 @@ import numpy as np
 
 from . import call_graph
 from .errors import EmptyCorpus
-from .trace_parser import IoMeta, TraceSample, load_sample, trace_paths
+from .trace_parser import TraceSample, load_sample, trace_paths
 from .workers import map_forked
 
 GROUP_GRAPH = "graph"
 GROUP_TEMPORAL = "temporal"
 GROUP_SYSTEM = "system"
 
-GRAPH_AGGREGATE_COLUMNS = [f"{metric}_{agg}" for metric in (
-    "betweenness", "eigenvector", "clustering", "avg_nbr_deg")
-    for agg in ("mean", "max")]
+GRAPH_AGGREGATE_COLUMNS = [
+    "betweenness_mean", "betweenness_max",
+    "eigenvector_mean", "eigenvector_max",
+    "clustering_mean", "clustering_max",
+    "avg_nbr_deg_mean", "avg_nbr_deg_max",
+]
 TEMPORAL_GLOBAL_COLUMNS = [
     "mean_call_duration", "std_call_duration", "mean_intercall_interval",
 ]
@@ -171,14 +174,25 @@ def extract(sample: TraceSample) -> TraceSummary:
     else:
         agg = [0.0] * len(GRAPH_AGGREGATE_COLUMNS)
 
-    mean_dur, std_dur = ((float(np.mean(all_durs)), float(np.std(all_durs)))
-                         if len(all_durs) else (0.0, 0.0))
-    # in us; 0 where abstime is absent, which extract_matrix flags
-    intercall = (float(np.mean(np.diff(np.sort(starts)))) * 1e6
-                 if len(starts) >= 2 else 0.0)
+    if len(all_durs):
+        mean_dur = float(np.mean(all_durs))
+        std_dur = float(np.std(all_durs))
+    else:
+        mean_dur = std_dur = 0.0
+    if len(starts) >= 2:
+        s = np.sort(starts)
+        intercall = float(np.mean(np.diff(s))) * 1e6  # us
+    else:
+        intercall = 0.0  # abstime absent: flagged by extract_matrix
 
-    io = sample.io_meta or IoMeta()  # without a sidecar every count is 0
-    system = [float(v) for v in astuple(io)] + [float(len(all_durs))]
+    io = sample.io_meta
+    system = [
+        float(io.read_count) if io else 0.0,
+        float(io.write_count) if io else 0.0,
+        float(io.read_bytes) if io else 0.0,
+        float(io.write_bytes) if io else 0.0,
+        float(len(all_durs)),
+    ]
     return TraceSummary(
         counts=counts, durations=durs,
         trace_values=agg + [mean_dur, std_dur, intercall] + system,

@@ -14,10 +14,10 @@ import json
 import math
 import re
 from collections import namedtuple
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .errors import EmptyCorpus, MalformedLine, NestingError
 
@@ -158,9 +158,10 @@ def _parse_line_strict(line: str) -> Optional[tuple]:
     None for a comment, a boundary or a /* ... */ body; a malformed line
     raises MalformedLine."""
     stripped = line.strip()
-    # a comment, or the CPU-switch separator the kernel prints at a migration
-    if (not stripped or stripped.startswith("#") or set(stripped) <= {"-"}
-            or "=>" in stripped):
+    if not stripped or stripped.startswith("#"):
+        return None
+    if set(stripped) <= {"-"} or "=>" in stripped:
+        # CPU-switch separator emitted by the kernel between task migrations
         return None
 
     m = _CPU_RE.match(line)
@@ -198,25 +199,31 @@ def _parse_line_strict(line: str) -> Optional[tuple]:
     if content.startswith("/*"):
         return None
 
-    # the body's form, and which of the last three fields its name fills
     if content.startswith("}"):
-        form, regex, slot = "exit", _EXIT_RE, 4
-    elif content.endswith("{"):
-        form, regex, slot = "entry", _ENTRY_RE, 6
-    elif content.endswith(";"):
-        form, regex, slot = "leaf", _LEAF_RE, 5
-    else:
-        raise MalformedLine(f"unrecognized body: {line!r}")
-    m = regex.fullmatch(content)
-    if not m:
-        raise MalformedLine(f"bad {form} line: {line!r}")
-    if form == "entry" and duration_us is not None:
-        raise MalformedLine(f"entry line carries a duration: {line!r}")
-    if form != "entry" and duration_us is None:
-        raise MalformedLine(f"{form} line without duration: {line!r}")
-    out = [abstime, cpu, duration_us, depth, None, None, None]
-    out[slot] = m.group(1)
-    return tuple(out)
+        m = _EXIT_RE.fullmatch(content)
+        if not m:
+            raise MalformedLine(f"bad exit line: {line!r}")
+        if duration_us is None:
+            raise MalformedLine(f"exit line without duration: {line!r}")
+        return abstime, cpu, duration_us, depth, m.group(1), None, None
+
+    if content.endswith("{"):
+        m = _ENTRY_RE.fullmatch(content)
+        if not m:
+            raise MalformedLine(f"bad entry line: {line!r}")
+        if duration_us is not None:
+            raise MalformedLine(f"entry line carries a duration: {line!r}")
+        return abstime, cpu, None, depth, None, None, m.group(1)
+
+    if content.endswith(";"):
+        m = _LEAF_RE.fullmatch(content)
+        if not m:
+            raise MalformedLine(f"bad leaf line: {line!r}")
+        if duration_us is None:
+            raise MalformedLine(f"leaf line without duration: {line!r}")
+        return abstime, cpu, duration_us, depth, None, m.group(1), None
+
+    raise MalformedLine(f"unrecognized body: {line!r}")
 
 
 def parse_trace(stream, strict: bool = False) -> TraceSample:
@@ -226,7 +233,10 @@ def parse_trace(stream, strict: bool = False) -> TraceSample:
     Nesting state is tracked per CPU.  Tolerant mode (the default) never
     aborts: anomalies are collected as warnings on the returned sample.
     """
-    lines = stream.splitlines() if isinstance(stream, str) else stream
+    if isinstance(stream, str):
+        lines: Iterable[str] = stream.splitlines()
+    else:
+        lines = stream
 
     cpus: dict[int, CallColumns] = {}
     stacks: dict[int, list[tuple]] = {}  # open entries' (index, name), per CPU
@@ -260,14 +270,14 @@ def parse_trace(stream, strict: bool = False) -> TraceSample:
                 depth = len(depth) // 2
         if m is None:
             try:
-                parsed = _parse_line_strict(line)
+                fields = _parse_line_strict(line)
             except MalformedLine as exc:
                 exc.lineno = lineno
                 anomaly(f"line {lineno}: malformed, skipped ({exc})", exc)
                 continue
-            if parsed is None:
+            if fields is None:
                 continue
-            abstime, cpu, duration, depth, tail, leaf, entry = parsed
+            abstime, cpu, duration, depth, tail, leaf, entry = fields
         if abstime is not None:
             has_abstime = True
 
@@ -350,6 +360,10 @@ def sidecar_path(trace_path) -> Path:
     return p.with_name(base + ".io.json")
 
 
+# IoMeta's fields, in order, as a sidecar names them
+_SIDECAR_COUNTS = ("read_count", "write_count", "read_bytes", "write_bytes")
+
+
 def _sidecar_int(sidecar: Path, meta: dict, key: str, top=math.inf) -> int:
     """A sidecar field that must be a JSON integer (no bool, float or
     string) from 0 to `top`; 0 when absent."""
@@ -383,8 +397,8 @@ def load_sample(trace_path, strict: bool = False) -> TraceSample:
         meta = json.loads(sc.read_text())
         if not isinstance(meta, dict):
             raise ValueError(f"{sc}: a sidecar must hold a JSON object")
-        sample.io_meta = IoMeta(*(_sidecar_int(sc, meta, f.name)
-                                  for f in fields(IoMeta)))
+        sample.io_meta = IoMeta(*(_sidecar_int(sc, meta, key)
+                                  for key in _SIDECAR_COUNTS))
         if "label" in meta:
             sample.label = _sidecar_int(sc, meta, "label", 1)
         if "task" in meta:
