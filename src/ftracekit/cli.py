@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -37,7 +38,11 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The command-line parser, built once per process: a parser's actions
+    and subparsers refer to each other, so each one built would be garbage
+    that only the cyclic collector frees.  Parsing keeps no state in it."""
     p = _Parser(prog="ftracekit",
                 description="function_graph traces -> features -> experiments")
     sub = p.add_subparsers(dest="cmd", required=True)

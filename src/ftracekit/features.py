@@ -43,6 +43,10 @@ TEMPORAL_GLOBAL_COLUMNS = [
 SYSTEM_GLOBAL_COLUMNS = [
     "read_count", "write_count", "read_bytes", "write_bytes", "total_calls",
 ]
+# traces whose graph metrics `load_matrix` computes together, at most; a
+# corpus is cut into at least _BATCHES batches, so a small one still
+# gives that many CPUs work
+_BATCH, _BATCHES = 64, 8
 
 
 @dataclass
@@ -151,11 +155,12 @@ class TraceSummary:
     sha256: Optional[bytes]
 
 
-def extract(sample: TraceSample) -> TraceSummary:
-    """Summarise one parsed trace from its columns; no vocabulary is needed.
-    Each column is joined over the CPUs in ascending order, so every sum
-    runs over the calls in pre-order, left to right, as `np.bincount` adds;
-    an unknown duration counts as 0."""
+def _summary(sample: TraceSample) -> TraceSummary:
+    """Summarise one parsed trace from its columns, all but its graph
+    aggregates, which `trace_values` leaves as zeros for `_summarise`.  Each
+    column is joined over the CPUs in ascending order, so every sum runs
+    over the calls in pre-order, left to right, as `np.bincount` adds; an
+    unknown duration counts as 0."""
     cols = [sample.cpus[cpu] for cpu in sorted(sample.cpus)]
     ids = np.array([i for c in cols for i in c.ids], np.intp)
     all_durs = np.array([d or 0.0 for c in cols for d in c.durations])
@@ -163,16 +168,6 @@ def extract(sample: TraceSample) -> TraceSummary:
     names, n = sample.names, len(sample.names)
     counts = dict(zip(names, map(float, np.bincount(ids, minlength=n))))
     durs = dict(zip(names, np.bincount(ids, all_durs, minlength=n).tolist()))
-
-    graph = call_graph.build_graph(sample)
-    if graph.nodes:
-        agg = []
-        for metric in (call_graph.betweenness, call_graph.eigenvector,
-                       call_graph.clustering, call_graph.avg_neighbor_degree):
-            vals = np.fromiter(metric(graph).values(), float)
-            agg += [float(vals.mean()), float(vals.max())]
-    else:
-        agg = [0.0] * len(GRAPH_AGGREGATE_COLUMNS)
 
     if len(all_durs):
         mean_dur = float(np.mean(all_durs))
@@ -195,9 +190,29 @@ def extract(sample: TraceSample) -> TraceSummary:
     ]
     return TraceSummary(
         counts=counts, durations=durs,
-        trace_values=agg + [mean_dur, std_dur, intercall] + system,
+        trace_values=[0.0] * len(GRAPH_AGGREGATE_COLUMNS)
+        + [mean_dur, std_dur, intercall] + system,
         n_warnings=len(sample.warnings), has_abstime=sample.has_abstime,
         label=sample.label, task=sample.task_name, sha256=sample.sha256)
+
+
+def _summarise(samples) -> list[TraceSummary]:
+    """Summaries of parsed traces, taken from an iterable one at a time:
+    only each trace's summary and packed graph are kept, and the
+    graph aggregates of all of them are computed as one batch."""
+    summaries, graphs = [], []
+    for sample in samples:
+        summaries.append(_summary(sample))
+        graphs.append(call_graph.sample_graph(sample))
+        del sample  # before the next one is parsed
+    for s, agg in zip(summaries, call_graph.aggregates(graphs).tolist()):
+        s.trace_values[:len(agg)] = agg
+    return summaries
+
+
+def extract(sample: TraceSample) -> TraceSummary:
+    """Summarise one parsed trace; no vocabulary is needed."""
+    return _summarise([sample])[0]
 
 
 def build_vocabulary(summaries: list[TraceSummary]) -> FeatureVocabulary:
@@ -252,11 +267,17 @@ def extract_matrix(summaries: list[TraceSummary],
 
 
 def load_matrix(corpus_dir, strict: bool) -> FeatureMatrix:
-    """Parse and summarise every trace under a corpus directory, striped
-    over the usable CPUs (`workers.map_forked`), each process holding one parsed
-    trace at a time; then build the vocabulary and one row per trace."""
-    summaries = map_forked(lambda path: extract(load_sample(path, strict)),
-                            trace_paths(corpus_dir))
+    """Parse and summarise every trace under a corpus directory in
+    batches of consecutive traces, striped over the usable CPUs
+    (`workers.map_forked`), each process holding one parsed trace at a
+    time; then build the vocabulary and one row per trace.  The batches
+    are consecutive, so the first trace that fails is the one raised."""
+    paths = trace_paths(corpus_dir)
+    size = min(_BATCH, -(-len(paths) // _BATCHES))
+    batches = map_forked(
+        lambda batch: _summarise(load_sample(p, strict) for p in batch),
+        [paths[i:i + size] for i in range(0, len(paths), size)])
+    summaries = [s for batch in batches for s in batch]
     m = extract_matrix(summaries, build_vocabulary(summaries))
     m.data_digest = hashlib.sha256(
         b"".join(s.sha256 for s in summaries)).hexdigest()

@@ -188,6 +188,29 @@ class TestExitCodes:
             in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
+    def test_a_refused_call_leaves_nothing_for_the_next(self, tmp_path,
+                                                        capsys):
+        # the parser is built once per process and shared by every call
+        assert cli._build_parser() is cli._build_parser()
+        bad = ["gen", "--profiles", "tasks6", "--count", "1", "--seed", "3",
+               "--out", str(tmp_path / "bad"), "--multi-cpu", "--abstime",
+               "--roots", "0"]
+        with pytest.raises(SystemExit) as e:
+            run(bad)
+        assert e.value.code == 1
+        assert "argument --roots: '0' is not a positive integer" \
+            in capsys.readouterr().err
+        assert run(["gen", "--count", "1", "--seed", "3", "--roots", "4",
+                    "--out", str(tmp_path / "good")]) == 0
+        assert "gen: wrote 2 traces" in capsys.readouterr().out
+        # the flags of the refused call did not carry over
+        workloadgen.generate_corpus(workloadgen.profiles_by_name("default2"),
+                                    1, 3, tmp_path / "alone", n_root_calls=4)
+        files = lambda d: {p.relative_to(d): p.read_bytes()  # noqa: E731
+                           for p in sorted(d.rglob("*")) if p.is_file()}
+        assert files(tmp_path / "good") == files(tmp_path / "alone")
+        assert not (tmp_path / "bad").exists()
+
     def test_gen_into_a_corpus_is_runtime_error(self, tmp_path, capsys):
         # before, the second run wrote its traces beside the first's
         out = tmp_path / "c"
