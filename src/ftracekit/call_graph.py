@@ -1,26 +1,24 @@
 """Function-call graphs and the four per-node structure metrics.
 
-The graph is built directed with call-count edge multiplicities; all four
-metrics are computed on the undirected simple view (multiplicities and
-self-loops ignored), since directed centralities degenerate on the
+A trace's call graph is a `Graph`: one node per function name, numbered in
+sorted-name order, and one edge per pair of names of which one called the
+other.  All four metrics see it as an undirected simple graph (call counts
+and self-calls ignored), since directed centralities degenerate on the
 near-DAG graphs that kernel traces produce.
 
-The metrics run on a batch of graphs at once (`aggregates`), each graph a
-`Graph` of packed edge keys in sorted-name order; the one-graph functions
-are batches of one.  Every float is computed with the operations, and
-summed in the order, of the per-node loops they replaced (Brandes'
-algorithm from each source in turn, a left-to-right power iteration), so
-the values are bit for bit those of the loops.  A step holds about
-`_CELLS` cells of any one array, or one graph's worth where that is more.
+The metrics run on a batch of graphs at once (`aggregates`); the one-graph
+functions are batches of one and return one value per node, in sorted-name
+order.  Every float is computed with the operations, and summed in the
+order, of the per-node loops they replaced (Brandes' algorithm from each
+source in turn, a left-to-right power iteration), so the values are bit
+for bit those of the loops.  A step holds about `_CELLS` cells of any one
+array, or one graph's worth where that is more.
 """
 
 from __future__ import annotations
 
 import struct
 import warnings
-from collections import Counter, deque
-from dataclasses import dataclass, field
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -51,43 +49,11 @@ def _graph(n: int, pairs) -> Graph:
     return Graph(n, struct.pack(f"{len(keys)}q", *sorted(keys)))
 
 
-@dataclass
-class CallGraph:
-    nodes: set[str] = field(default_factory=set)
-    edges: dict[tuple[str, str], int] = field(default_factory=dict)
-
-    @cached_property
-    def _arrays(self) -> tuple[list[str], Graph]:
-        """Node names sorted, and the Graph they number.  Computed on first
-        use, so a graph is complete before a metric reads it."""
-        names = sorted(self.nodes)
-        index = {v: i for i, v in enumerate(names)}
-        return names, _graph(len(names), ((index[a], index[b])
-                                          for a, b in self.edges))
-
-    @property
-    def _adjacency(self) -> tuple[list[str], list[list[int]]]:
-        """Node names sorted, and for each node the sorted indices of its
-        neighbours in the undirected simple view."""
-        names, graph = self._arrays
-        b = _Batch([graph])
-        return names, [b.indices[i:j].tolist()
-                       for i, j in zip(b.indptr[:-1], b.indptr[1:])]
-
-
 def _calls(sample: TraceSample):
     """(name id of the parent, name id of the call) for each call that has
     a parent, from the sample's columns."""
     for ids, parents, *_ in sample.cpus.values():
         yield from ((ids[p], i) for p, i in zip(parents, ids) if p >= 0)
-
-
-def build_graph(sample: TraceSample) -> CallGraph:
-    """One node per function name, one edge per (parent, child) pair with
-    call-count multiplicity, from the sample's columns."""
-    names, pairs = sample.names, Counter(_calls(sample))
-    return CallGraph(set(names), {(names[a], names[b]): k
-                                  for (a, b), k in pairs.items()})
 
 
 def sample_graph(sample: TraceSample) -> Graph:
@@ -414,40 +380,13 @@ def aggregates(graphs: list[Graph], max_iter: int = 1000) -> np.ndarray:
     return out
 
 
-def _per_node(graph: CallGraph, metric, *args) -> dict[str, float]:
-    names, arrays = graph._arrays
-    return dict(zip(names, metric(_Batch([arrays]), *args).tolist()))
-
-
-def betweenness(graph: CallGraph) -> dict[str, float]:
+def betweenness(graph: Graph) -> np.ndarray:
     """Normalized shortest-path betweenness (Brandes) on the undirected
     simple view; divides by (n-1)(n-2)/2, zero for n < 3."""
-    return _per_node(graph, _betweenness)
+    return _betweenness(_Batch([graph]))
 
 
-def connected_components(adj) -> list[list]:
-    """Components of an adjacency mapping (node -> neighbours), each
-    sorted, in the order of their smallest nodes."""
-    seen: set = set()
-    comps: list[list] = []
-    for start in sorted(adj):
-        if start in seen:
-            continue
-        comp = []
-        queue = deque([start])
-        seen.add(start)
-        while queue:
-            v = queue.popleft()
-            comp.append(v)
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        comps.append(sorted(comp))
-    return comps
-
-
-def eigenvector(graph: CallGraph, max_iter: int = 1000) -> dict[str, float]:
+def eigenvector(graph: Graph, max_iter: int = 1000) -> np.ndarray:
     """Principal-eigenvector scores via power iteration on A + I.
 
     Computed on the largest connected component (nodes elsewhere get 0);
@@ -455,14 +394,14 @@ def eigenvector(graph: CallGraph, max_iter: int = 1000) -> dict[str, float]:
     returned vector has unit L2 norm.  Hitting the iteration cap emits
     NonConvergenceWarning but still returns values.
     """
-    return _per_node(graph, _eigenvector, max_iter)
+    return _eigenvector(_Batch([graph]), max_iter)
 
 
-def clustering(graph: CallGraph) -> dict[str, float]:
+def clustering(graph: Graph) -> np.ndarray:
     """Local clustering coefficient; degree < 2 nodes get 0."""
-    return _per_node(graph, _clustering)
+    return _clustering(_Batch([graph]))
 
 
-def avg_neighbor_degree(graph: CallGraph) -> dict[str, float]:
+def avg_neighbor_degree(graph: Graph) -> np.ndarray:
     """Mean undirected degree over each node's neighbors; isolated -> 0."""
-    return _per_node(graph, _avg_neighbor_degree)
+    return _avg_neighbor_degree(_Batch([graph]))

@@ -6,7 +6,6 @@ Exit codes: 0 success, 1 validation error, 2 runtime error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import sys
@@ -127,49 +126,70 @@ def _common_study_flags(sp):
     sp.add_argument("--out", required=True, help="output CSV")
 
 
-_FIELDS = [f.name for f in dataclasses.fields(trace_parser.CallRecord)
-           if f.name != "children"]
+# a call's record up to the value of its "children", laid out as
+# json.dumps(..., indent=2) lays it out at the indentation `pad`
+_RECORD = ('{{\n{pad}  "name": {},\n{pad}  "cpu": {},\n{pad}  "depth": {},\n'
+           '{pad}  "duration_us": {},\n{pad}  "start_time": {},\n'
+           '{pad}  "end_time": {},\n{pad}  "parent_name": {},\n'
+           '{pad}  "children": ').format
 
 
-def _list_todo(recs: list, pad: str) -> list:
-    """`_write_parse_json`'s work for a JSON list of records whose opening
-    line is indented by `pad`: text to write and (record, indent) pairs."""
-    if not recs:
-        return ["[]"]
-    inner = pad + "  "
-    sep = ",\n" + inner
-    todo = ["[\n" + inner]
-    for rec in recs:
-        todo += [(rec, inner), sep]
-    todo[-1] = "\n" + pad + "]"
-    return todo
+def _end(depth: int, started: bool) -> str:
+    """The text that closes the list of children of the open call at
+    `depth` (a CPU's list of roots at depth -1), and then that call."""
+    pad = " " * (6 + 4 * depth)
+    return ((f"\n{pad}  ]" if started else "[]")
+            + (f"\n{pad}}}" if depth >= 0 else ""))
 
 
 def _write_parse_json(sample: trace_parser.TraceSample, out) -> None:
     """Write to `out` the text `json.dumps(d, indent=2)` gives for `d`, the
-    sample's header and record forests as nested dicts, one record at a time
-    and without building `d`.  The stdlib encoder recurses once per nesting
-    level, and a parsed trace can be thousands of levels deep."""
+    sample's header and its calls as nested dicts, a forest per CPU, in one
+    pass over each CPU's columns and without building `d`.  The stdlib
+    encoder recurses once per nesting level, and a parsed trace can be
+    thousands of levels deep."""
+    write = out.write
     head = json.dumps({"source": sample.source,
                        "has_abstime": sample.has_abstime,
                        "warnings": sample.warnings}, indent=2)
-    todo = [head[:-2] + ',\n  "records": {']
-    for i, cpu in enumerate(sorted(sample.records)):
-        todo += [f'{"," if i else ""}\n    "{cpu}": ',
-                 *_list_todo(sample.records[cpu], "    ")]
-    todo.append("\n  }\n}" if sample.records else "}\n}")
-    todo.reverse()
-    while todo:
-        item = todo.pop()
-        if isinstance(item, str):
-            out.write(item)
-            continue
-        rec, pad = item
-        out.write("{" + "".join(
-            f'\n{pad}  "{k}": {json.dumps(getattr(rec, k))},'
-            for k in _FIELDS) + f'\n{pad}  "children": ')
-        todo.append("\n" + pad + "}")
-        todo += reversed(_list_todo(rec.children, pad + "  "))
+    write(head[:-2] + ',\n  "records": {')
+    quoted = [json.dumps(name) for name in sample.names]
+    for n, cpu in enumerate(sorted(sample.cpus)):
+        ids, parents, *times = sample.cpus[cpu]
+        write(f'{"," if n else ""}\n    "{cpu}": ')
+        # the open calls, under -1 for the CPU's list of roots, and whether
+        # the innermost open list has an item yet
+        stack, started = [-1], False
+        for i, p, *values in zip(range(len(ids)), parents, *times):
+            while stack[-1] != p:
+                stack.pop()
+                write(_end(len(stack) - 1, started))
+                started = True
+            depth = len(stack) - 1
+            pad = " " * (6 + 4 * depth)
+            write(("," if started else "[") + "\n" + pad + _RECORD(
+                quoted[ids[i]], cpu, depth, *map(json.dumps, values),
+                quoted[ids[p]] if p >= 0 else "null", pad=pad))
+            stack.append(i)
+            started = False
+        while stack:
+            stack.pop()
+            write(_end(len(stack) - 1, started))
+            started = True
+    write("\n  }\n}" if sample.cpus else "}\n}")
+
+
+def _json_params(text: str) -> dict:
+    """The hyperparameters a --params value gives: a JSON object, or a
+    ValueError."""
+    try:
+        params = json.loads(text)
+    except RecursionError:
+        raise ValueError("--params is nested too deeply") from None
+    if not isinstance(params, dict):
+        raise ValueError("--params must be a JSON object, not "
+                         + type(params).__name__)
+    return params
 
 
 def _read_labeled_csv(path, column="label") -> features.FeatureMatrix:
@@ -210,7 +230,8 @@ def cmd_parse(args) -> int:
     sample = trace_parser.load_sample(args.input, args.strict)
     with open(args.out, "w") as out:
         _write_parse_json(sample, out)
-    print(f"parse: {sample.record_count()} records, "
+    calls = sum(len(col.ids) for col in sample.cpus.values())
+    print(f"parse: {calls} records, "
           f"{len(sample.warnings)} warnings -> {args.out}")
     return 0
 
@@ -240,7 +261,7 @@ def cmd_select(args) -> int:
 
 def cmd_train(args) -> int:
     m = _read_labeled_csv(args.features)
-    params = json.loads(args.params)
+    params = _json_params(args.params)
     model = learners.train(args.learner, m.X, m.labels, params, args.seed,
                            m.vocab.columns)
     learners.save_model(model, args.out)
@@ -268,7 +289,7 @@ def cmd_eval(args) -> int:
 def cmd_curve(args) -> int:
     m = _read_labeled_csv(args.features)
     fractions = [float(f) for f in args.fractions.split(",")]
-    pipe = experiments.Pipeline(args.learner, json.loads(args.params))
+    pipe = experiments.Pipeline(args.learner, _json_params(args.params))
     rows = experiments.learning_curve(m, m.labels, pipe,
                                       fractions=fractions, seed=args.seed)
     features._write_table_csv(args.out, *_curve_table(rows))
@@ -280,7 +301,7 @@ def cmd_perturb(args) -> int:
     m = _read_labeled_csv(args.features)
     sigmas = [float(s) for s in args.sigmas.split(",")]
     _, pool, test = experiments.holdout_split(m, m.labels, args.seed)
-    pipe = experiments.Pipeline(args.learner, json.loads(args.params),
+    pipe = experiments.Pipeline(args.learner, _json_params(args.params),
                                 scaling="zscore")
     table = experiments.perturbation_study(pool, test, pipe, sigmas=sigmas,
                                            seed=args.seed)
@@ -292,7 +313,7 @@ def cmd_perturb(args) -> int:
 
 def cmd_ablate(args) -> int:
     m = _read_labeled_csv(args.features)
-    pipe = experiments.Pipeline(args.learner, json.loads(args.params),
+    pipe = experiments.Pipeline(args.learner, _json_params(args.params),
                                 scaling="minmax")
     rows = experiments.ablation_study(m, m.labels, pipe, seed=args.seed)
     features._write_table_csv(args.out, *_ablation_table(rows))

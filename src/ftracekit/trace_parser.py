@@ -1,9 +1,9 @@
 """Parser for Linux ftrace function_graph text output.
 
 Turns raw trace text into per-CPU columns of calls (name id, parent,
-duration, start and end), from which forests of nested call records are
-built on demand.  The parser tolerates interleaved CPUs, truncated dumps,
-comment lines and CPU-switch boundary markers.
+duration, start and end).  The parser tolerates interleaved CPUs,
+truncated dumps, comment lines and CPU-switch boundary markers.
+`format_forest` renders trees of `CallRecord`s back to trace text.
 """
 
 from __future__ import annotations
@@ -15,9 +15,8 @@ import math
 import re
 from collections import namedtuple
 from dataclasses import dataclass, field
-from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 from .errors import EmptyCorpus, MalformedLine, NestingError
 
@@ -43,6 +42,8 @@ class IoMeta:
 
 @dataclass(slots=True)
 class CallRecord:
+    """One call as a node of a tree: what the generator builds and
+    `format_forest` renders."""
     name: str
     cpu: int
     depth: int
@@ -52,15 +53,6 @@ class CallRecord:
     parent_name: Optional[str] = None
     children: list["CallRecord"] = field(default_factory=list)
 
-    def walk(self) -> Iterator["CallRecord"]:
-        """This record and its descendants in pre-order, with an explicit
-        stack, so any nesting depth the parser accepts can be walked."""
-        stack = [self]
-        while stack:
-            rec = stack.pop()
-            yield rec
-            stack.extend(reversed(rec.children))
-
 
 # One CPU's calls in line order, its pre-order, as lists: name-table id,
 # parent index (-1 for a root), and duration, start and end (None where
@@ -68,54 +60,19 @@ class CallRecord:
 CallColumns = namedtuple("CallColumns", "ids parents durations starts ends")
 
 
+@dataclass
 class TraceSample:
     """One parsed trace, kept as columns: `names`, the name table in order
-    of first appearance, and `cpus`, a CallColumns per CPU.  `records`
-    (CallRecord forests by CPU) and `preorder` are views built from them on
-    first use; a sample made from `records` keeps those and has no columns."""
-
-    _FIELDS = ("records", "io_meta", "label", "task_name", "warnings",
-               "has_abstime", "source", "sha256")
-
-    def __init__(self, records=None, io_meta=None, label=None, task_name=None,
-                 warnings=None, has_abstime=False, source=None, sha256=None,
-                 names=None, cpus=None):
-        if records is not None:
-            self.records = records  # in place of the view
-        self.io_meta, self.label, self.task_name = io_meta, label, task_name
-        self.warnings = [] if warnings is None else warnings
-        # sha256 is of the file's bytes, set by load_sample
-        self.has_abstime, self.source, self.sha256 = has_abstime, source, sha256
-        self.names = [] if names is None else names
-        self.cpus = {} if cpus is None and records is None else cpus
-
-    def __eq__(self, other):
-        return type(other) is TraceSample and all(
-            getattr(self, f) == getattr(other, f) for f in self._FIELDS)
-
-    @cached_property
-    def records(self) -> dict[int, list[CallRecord]]:
-        """CallRecord forests by CPU, from the columns, without recursion."""
-        forests = {}
-        for cpu, col in self.cpus.items():
-            recs, forests[cpu] = [], []
-            for nid, p, *times in zip(*col):
-                parent = recs[p] if p >= 0 else None
-                rec = CallRecord(
-                    self.names[nid], cpu, parent.depth + 1 if parent else 0,
-                    *times, parent.name if parent else None)
-                (parent.children if parent else forests[cpu]).append(rec)
-                recs.append(rec)
-        return forests
-
-    @cached_property
-    def preorder(self) -> list[CallRecord]:
-        """Every record, CPUs in ascending order, each forest in pre-order."""
-        return [rec for cpu in sorted(self.records)
-                for root in self.records[cpu] for rec in root.walk()]
-
-    def record_count(self) -> int:
-        return len(self.preorder)
+    of first appearance, and `cpus`, a CallColumns per CPU."""
+    names: list[str] = field(default_factory=list)
+    cpus: dict[int, CallColumns] = field(default_factory=dict)
+    warnings: list[str] = field(default_factory=list)
+    has_abstime: bool = False
+    io_meta: Optional[IoMeta] = None
+    label: Optional[int] = None
+    task_name: Optional[str] = None
+    source: Optional[str] = None
+    sha256: Optional[bytes] = None  # of the file's bytes, set by load_sample
 
 
 # line layout:  [abstime |]  cpu)  [comm-pid |]  [marker] [duration us]  |  body
@@ -394,7 +351,10 @@ def load_sample(trace_path, strict: bool = False) -> TraceSample:
     sample.sha256 = hashlib.sha256(data).digest()
     sc = sidecar_path(p)
     if sc.exists():
-        meta = json.loads(sc.read_text())
+        try:
+            meta = json.loads(sc.read_text())
+        except RecursionError:
+            raise ValueError(f"{sc}: nested too deeply") from None
         if not isinstance(meta, dict):
             raise ValueError(f"{sc}: a sidecar must hold a JSON object")
         sample.io_meta = IoMeta(*(_sidecar_int(sc, meta, key)

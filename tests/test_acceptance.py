@@ -20,6 +20,7 @@ from ftracekit import selection as sel
 from ftracekit import trace_parser as tp
 from ftracekit import workloadgen as wg
 
+from conftest import by_name
 from test_callgraph import (adjacency_sets, oracle_betweenness,
                             oracle_clustering, oracle_avg_nbr_deg,
                             oracle_eigenvector, random_connected_graph)
@@ -94,19 +95,19 @@ def test_criterion_2_graph_metric_oracles():
         n = int(rng.integers(2, 13))
         g = random_connected_graph(rng, n)
         adj = adjacency_sets(g)
-        bc = cg.betweenness(g)
+        bc = by_name(cg.betweenness, g)
         for v, want in oracle_betweenness(adj, g.nodes).items():
             if abs(bc[v] - want) > 1e-9:
                 ok, detail = False, f"betweenness graph {i} node {v}"
-        ev = cg.eigenvector(g)
+        ev = by_name(cg.eigenvector, g)
         for v, want in oracle_eigenvector(adj, g.nodes).items():
             if abs(ev[v] - want) > 1e-5:
                 ok, detail = False, f"eigenvector graph {i} node {v}"
-        cl = cg.clustering(g)
+        cl = by_name(cg.clustering, g)
         for v, want in oracle_clustering(adj, g.nodes).items():
             if cl[v] != pytest.approx(want, abs=0):
                 ok, detail = False, f"clustering graph {i} node {v}"
-        nd = cg.avg_neighbor_degree(g)
+        nd = by_name(cg.avg_neighbor_degree, g)
         for v, want in oracle_avg_nbr_deg(adj, g.nodes).items():
             if nd[v] != pytest.approx(want, abs=0):
                 ok, detail = False, f"avg_nbr_deg graph {i} node {v}"

@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 from ftracekit import (cli, experiments, features, learners, trace_parser,
                        workloadgen)
 
+from conftest import call_records
+
 
 def run(argv):
     return cli.main(argv)
@@ -58,12 +60,21 @@ class TestExitCodes:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_bad_params_json_is_runtime_error(self, feature_csv, tmp_path,
-                                              capsys):
-        rc = run(["train", "--features", str(feature_csv),
-                  "--params", "{not json", "--seed", "1",
-                  "--out", str(tmp_path / "m.json")])
+    @pytest.mark.parametrize("cmd", ["train", "curve", "perturb", "ablate"])
+    @pytest.mark.parametrize("params", [
+        "{not json", "5", "[1]", "[" * 5000 + "]" * 5000,
+        '{"a": ' * 5000 + "1" + "}" * 5000,
+    ], ids=["not_json", "number", "list", "deep_list", "deep_object"])
+    def test_bad_params_json_is_runtime_error(self, cmd, params, feature_csv,
+                                              tmp_path, capsys):
+        # before, all but the first ended train in an uncaught TypeError or
+        # RecursionError
+        out = tmp_path / "out"
+        rc = run([cmd, "--features", str(feature_csv), "--params", params,
+                  "--seed", "1", "--out", str(out)])
         assert rc == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("learner, params, name", [
         ("forest", {"max_features": 0.5}, "max_features"),
@@ -234,6 +245,17 @@ class TestExitCodes:
         assert rc == 2
         err = capsys.readouterr().err
         assert "x.io.json" in err and field in err
+
+    @pytest.mark.parametrize("cmd", ["parse", "features"])
+    def test_sidecar_nested_too_deeply_is_runtime_error(self, cmd, tmp_path,
+                                                        capsys):
+        # before, the decoder's RecursionError ended both with exit 1
+        (tmp_path / "x.trace").write_text(" 0)   1.000 us    |  f();\n")
+        (tmp_path / "x.io.json").write_text("[" * 200_000 + "]" * 200_000)
+        source = (["--input", str(tmp_path / "x.trace")] if cmd == "parse"
+                  else ["--corpus", str(tmp_path)])
+        assert run([cmd, *source, "--out", str(tmp_path / "out")]) == 2
+        assert "x.io.json: nested too deeply" in capsys.readouterr().err
 
     @pytest.mark.parametrize("cmd", ["train", "eval"])
     def test_csv_label_other_than_0_or_1_is_refused(self, cmd, feature_csv,
@@ -580,33 +602,44 @@ class TestPipeline:
 _names = st.text(st.characters() | st.sampled_from('"\\\n\té\udcff\ud800'),
                  max_size=6)
 _scalars = st.none() | st.integers() | st.floats()
-_records = st.builds(trace_parser.CallRecord, name=_names, cpu=st.integers(),
-                     depth=st.integers(), duration_us=_scalars,
-                     start_time=_scalars, end_time=_scalars,
-                     parent_name=st.none() | _names)
 
 
 @st.composite
-def _forests(draw, max_depth=30):
-    """A list of root records, built in pre-order: each record's level is
-    a draw from [0, max_depth) capped at one below the record before it."""
-    roots, path = [], []
+def _columns(draw, n_names, max_depth=30):
+    """One CPU's CallColumns in pre-order: each call's level is a draw from
+    [0, max_depth) capped at one below the call before it."""
+    ids, parents, path = [], [], []
     for level in draw(st.lists(st.integers(0, max_depth - 1), max_size=40)):
-        level = min(level, len(path))
-        rec = draw(_records)
         del path[level:]
-        (path[-1].children if path else roots).append(rec)
-        path.append(rec)
-    return roots
+        parents.append(path[-1] if path else -1)
+        path.append(len(ids))
+        ids.append(draw(st.integers(0, n_names - 1)))
+    times = st.lists(_scalars, min_size=len(ids), max_size=len(ids))
+    return trace_parser.CallColumns(ids, parents, *(draw(times)
+                                                    for _ in range(3)))
 
 
-def _chain(depth: int) -> trace_parser.CallRecord:
-    """A root with one descendant at each level below it, `depth` in all."""
-    root = rec = trace_parser.CallRecord("f0", 0, 0)
-    for i in range(1, depth):
-        rec.children.append(trace_parser.CallRecord(f"f{i}", 0, i, 1.5))
-        rec = rec.children[0]
-    return root
+@st.composite
+def _samples(draw):
+    names = draw(st.lists(_names, min_size=1, max_size=8))
+    return trace_parser.TraceSample(
+        names=names, source=draw(st.none() | _names),
+        has_abstime=draw(st.booleans()),
+        warnings=draw(st.lists(_names, max_size=3)),
+        cpus=draw(st.dictionaries(st.integers(0, 300), _columns(len(names)),
+                                  max_size=3)))
+
+
+def _chains(*depths) -> trace_parser.CallColumns:
+    """A root for each depth, with one descendant at each level below it,
+    `depth` calls in all; call i of a chain is named f<i>."""
+    ids, parents = [], []
+    for depth in depths:
+        for i in range(depth):
+            parents.append(len(ids) - 1 if i else -1)
+            ids.append(i)
+    return trace_parser.CallColumns(ids, parents, [1.5] * len(ids),
+                                    [None] * len(ids), [None] * len(ids))
 
 
 def _as_dict(rec: trace_parser.CallRecord) -> dict:
@@ -615,30 +648,54 @@ def _as_dict(rec: trace_parser.CallRecord) -> dict:
             "children": [_as_dict(c) for c in rec.children]}
 
 
+def _peak(fn) -> int:
+    """The tracemalloc peak while fn() runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestParseJson:
     """`ftracekit parse`'s writer against stdlib json of the dict form."""
 
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
-    @given(source=st.none() | _names, has_abstime=st.booleans(),
-           warnings=st.lists(_names, max_size=3),
-           records=st.dictionaries(st.integers(0, 300), _forests(),
-                                   max_size=3))
-    @example(source="t.trace", has_abstime=False, warnings=["w"],
-             records={1: [_chain(30)], 10: [], 2: [_chain(2), _chain(1)]})
-    def test_matches_stdlib(self, source, has_abstime, warnings, records):
-        sample = trace_parser.TraceSample(
-            records=records, warnings=warnings, has_abstime=has_abstime,
-            source=source)
+    @given(_samples())
+    @example(trace_parser.TraceSample(
+        names=[f"f{i}" for i in range(30)], source="t.trace", warnings=["w"],
+        cpus={1: _chains(30), 10: _chains(), 2: _chains(2, 1)}))
+    def test_matches_stdlib(self, sample):
         want = json.dumps({
-            "source": source, "has_abstime": has_abstime,
-            "warnings": warnings,
+            "source": sample.source, "has_abstime": sample.has_abstime,
+            "warnings": sample.warnings,
             "records": {str(cpu): [_as_dict(r) for r in roots]
-                        for cpu, roots in sorted(records.items())}},
+                        for cpu, roots in call_records(sample).items()}},
             indent=2)
         out = io.StringIO()
         cli._write_parse_json(sample, out)
         assert out.getvalue() == want
+
+    def test_parse_builds_no_call_records(self, tmp_path, monkeypatch):
+        # the parse command once built every call's CallRecord to write its
+        # JSON, peaking at 1.37x the parsed sample on this trace
+        text, _, _ = workloadgen.generate_trace(
+            workloadgen.task_profiles()[0], 7, n_root_calls=300,
+            multi_cpu=True, abstime=True)
+        trace = tmp_path / "t.trace"
+        trace.write_text(text)
+
+        def no_records(*args, **kwargs):
+            raise AssertionError("CallRecord built")
+        monkeypatch.setattr(trace_parser, "CallRecord", no_records)
+        argv = ["parse", "--input", str(trace), "--out",
+                str(tmp_path / "o.json")]
+        assert run(argv) == 0  # and the argument parser, built once, exists
+        alone = _peak(lambda: trace_parser.load_sample(trace))
+        parse = _peak(lambda: run(argv))
+        assert parse <= 1.15 * alone, parse / alone
 
     def test_memory_stays_near_the_parsed_records(self, tmp_path):
         # the parse command once copied every record into a dict and the

@@ -173,24 +173,21 @@ class TestExtract:
     @pytest.mark.parametrize("cpus", [ONE_CPU, TWO_CPUS])
     def test_ingest_never_builds_call_records(self, cpus, tmp_path,
                                               monkeypatch):
-        # load_matrix, extract and build_graph read the parser's columns;
-        # the CallRecord forests are a view for `parse` and the tests
+        # load_matrix, extract and sample_graph read the parser's columns;
+        # only the generator builds CallRecords
         wg.generate_corpus(wg.task_profiles(), 2, seed=7, out_dir=tmp_path,
                            multi_cpu=True, abstime=True)
         want = ft.load_matrix(tmp_path, strict=True)
-        sample = tp.load_sample(tp.trace_paths(tmp_path)[0], strict=True)
 
         def no_records(*args, **kwargs):
-            raise AssertionError("CallRecord view built")
-        monkeypatch.setattr(tp.TraceSample, "records", property(no_records))
+            raise AssertionError("CallRecord built")
         monkeypatch.setattr(tp, "CallRecord", no_records)
         use_cpus(monkeypatch, cpus)
         got = ft.load_matrix(tmp_path, strict=True)
         assert np.array_equal(got.X, want.X) and got.tasks == want.tasks
+        sample = tp.load_sample(tp.trace_paths(tmp_path)[0], strict=True)
         assert ft.extract(sample).counts
-        assert cg.build_graph(sample).edges
-        with pytest.raises(AssertionError, match="view built"):
-            sample.preorder
+        assert cg.sample_graph(sample).keys
 
     def test_labels_dropped_if_any_missing(self):
         s1 = summary_from_text(TWO_FN_TEXT, label=1)

@@ -23,8 +23,8 @@ from ftracekit import trace_parser as tp
 from ftracekit import workloadgen as wg
 from ftracekit.errors import NonConvergenceWarning
 
-from conftest import ONE_CPU, TWO_CPUS, use_cpus
-from test_callgraph import graph_from_edges, random_connected_graph
+from conftest import ONE_CPU, TWO_CPUS, by_name, graph_from_edges, use_cpus
+from test_callgraph import random_connected_graph
 from test_graph_oracle import betweenness as reference_betweenness
 from test_graph_oracle import both
 from test_ingest_digest import GOLDEN
@@ -37,7 +37,7 @@ def mixed_batch():
     rng = np.random.default_rng(5)
     path = [(f"p{i:02d}", f"p{i + 1:02d}") for i in range(15)]
     return [
-        cg.CallGraph(),  # no nodes
+        graph_from_edges([]),  # no nodes
         graph_from_edges([], extra_nodes=["alone"]),
         graph_from_edges([("a", "b")]),
         graph_from_edges([("a", "a"), ("a", "b"), ("b", "c"), ("c", "c")]),
@@ -58,7 +58,7 @@ def per_node(batch, graphs, values):
     graph, keyed by sorted node names."""
     out = []
     for g, lo, hi in zip(graphs, batch.off[:-1], batch.off[1:]):
-        out.append(dict(zip(g._arrays[0], values[lo:hi].tolist())))
+        out.append(dict(zip(g.nodes, values[lo:hi].tolist())))
     return out
 
 
@@ -74,20 +74,20 @@ def nonconverged(fn, *args):
 def run_batch(graphs, max_iter):
     """Each graph's four per-node dicts from one batch, the batch's
     aggregates, and the warnings of each of the two eigenvector runs."""
-    b = cg._Batch([g._arrays[1] for g in graphs])
+    b = cg._Batch([g.graph for g in graphs])
     ev, ev_warned = nonconverged(cg._eigenvector, b, max_iter)
     got = [per_node(b, graphs, values) for values in (
         cg._betweenness(b), ev, cg._clustering(b),
         cg._avg_neighbor_degree(b))]
     agg, agg_warned = nonconverged(
-        cg.aggregates, [g._arrays[1] for g in graphs], max_iter)
+        cg.aggregates, [g.graph for g in graphs], max_iter)
     return got, agg, (ev_warned, agg_warned)
 
 
 def run_alone(graph, max_iter):
-    ev, warned = nonconverged(cg.eigenvector, graph, max_iter)
-    return [cg.betweenness(graph), ev, cg.clustering(graph),
-            cg.avg_neighbor_degree(graph)], warned
+    ev, warned = nonconverged(by_name, cg.eigenvector, graph, max_iter)
+    return [by_name(cg.betweenness, graph), ev, by_name(cg.clustering, graph),
+            by_name(cg.avg_neighbor_degree, graph)], warned
 
 
 class TestBatchEqualsAlone:
@@ -120,13 +120,13 @@ class TestBatchEqualsAlone:
         assert len(big.nodes) ** 2 > cg._CELLS
         graphs = [big, graph_from_edges([("a", "b"), ("b", "c")]), big]
         got, _, _ = run_batch(graphs, 1000)
-        ref, _ = both(big.nodes, list(big.edges))
+        ref, _ = both(big.nodes, big.edges)
         want = reference_betweenness(ref)
         assert list(got[0][0].items()) == list(want.items())
         assert got[0][2] == got[0][0]
 
 
-def parallel_chain(widths) -> cg.CallGraph:
+def parallel_chain(widths):
     """Joints in a row, joint i joined to joint i + 1 through `widths[i]`
     nodes of its own: the product of the widths is the number of shortest
     paths from one end to the other."""
@@ -147,16 +147,16 @@ class TestExactPathCounts:
     def test_more_paths_than_float64_counts_exactly(self, widths):
         g = parallel_chain(widths)
         assert np.prod(widths, dtype=object) > 2 ** 53
-        ref, _ = both(g.nodes, list(g.edges))
+        ref, _ = both(g.nodes, g.edges)
         want = reference_betweenness(ref)
-        assert list(cg.betweenness(g).items()) == list(want.items())
+        assert list(by_name(cg.betweenness, g).items()) == list(want.items())
 
     def test_float64_path_counts_would_differ(self, monkeypatch):
         # powers of two divide exactly in float64; 105^12 paths do not
         g = parallel_chain(ODD_WIDTHS)
-        ref, _ = both(g.nodes, list(g.edges))
+        ref, _ = both(g.nodes, g.edges)
         monkeypatch.setattr(cg, "_EXACT_PATHS", float("inf"))
-        assert cg.betweenness(g) != reference_betweenness(ref)
+        assert by_name(cg.betweenness, g) != reference_betweenness(ref)
 
 
 class TestIngestUsesTheBatch:
@@ -165,8 +165,8 @@ class TestIngestUsesTheBatch:
             self, cpus, tmp_path, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("one-graph entry point called")
-        for name in ("build_graph", "betweenness", "eigenvector",
-                     "clustering", "avg_neighbor_degree"):
+        for name in ("betweenness", "eigenvector", "clustering",
+                     "avg_neighbor_degree"):
             monkeypatch.setattr(cg, name, refuse)
         monkeypatch.setattr(ft, "extract", refuse)
         sizes = []

@@ -26,6 +26,8 @@ from hypothesis import strategies as st
 from ftracekit import call_graph as cg
 from ftracekit.errors import NonConvergenceWarning
 
+from conftest import by_name, graph_from_edges, preorder
+
 # reference metrics
 
 @dataclass
@@ -48,7 +50,7 @@ def build_graph(sample: TraceSample) -> CallGraph:
     """One node per function name, one edge per (parent, child) pair with
     call-count multiplicity."""
     g = CallGraph()
-    for rec in sample.preorder:
+    for rec in preorder(sample):
         g.nodes.add(rec.name)
         for child in rec.children:
             key = (rec.name, child.name)
@@ -209,12 +211,12 @@ def graphs(draw):
 
 
 def both(nodes, edges):
-    ref, new = CallGraph(), cg.CallGraph()
-    for g in (ref, new):
-        g.nodes.update(nodes)
-        for e in edges:
-            g.edges[e] = g.edges.get(e, 0) + 1
-    return ref, new
+    """The graph of `nodes` and `edges` for the reference metrics and as a
+    NamedGraph for the metrics under test."""
+    ref = CallGraph(set(nodes))
+    for e in edges:
+        ref.edges[e] = ref.edges.get(e, 0) + 1
+    return ref, graph_from_edges(edges, nodes)
 
 
 METRICS = [(betweenness, cg.betweenness), (eigenvector, cg.eigenvector),
@@ -289,7 +291,7 @@ class TestAgainstReference:
         for want_fn, got_fn in METRICS:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", NonConvergenceWarning)
-                want, got = want_fn(ref), got_fn(new)
+                want, got = want_fn(ref), by_name(got_fn, new)
             assert list(got.items()) == list(want.items()), want_fn.__name__
 
     def test_generated_call_graphs(self):
@@ -298,23 +300,24 @@ class TestAgainstReference:
         from ftracekit import workloadgen as wg
         for i, profile in enumerate(wg.task_profiles() + wg.graph_signal_pair()):
             text, _, _ = wg.generate_trace(profile, seed=40 + i, n_root_calls=30)
-            new = cg.build_graph(tp.parse_trace(text))
-            ref, _ = both(new.nodes, list(new.edges))
+            sample = tp.parse_trace(text)
+            ref, graph = build_graph(sample), cg.sample_graph(sample)
             for want_fn, got_fn in METRICS:
-                assert list(got_fn(new).items()) == list(want_fn(ref).items())
+                got = dict(zip(sorted(sample.names), got_fn(graph).tolist()))
+                assert list(got.items()) == list(want_fn(ref).items())
 
     def test_nonconvergence_warns_as_before(self):
         ref, new = both("abc", [("a", "b"), ("b", "c")])
         with pytest.warns(NonConvergenceWarning):
             want = eigenvector(ref, max_iter=2)
         with pytest.warns(NonConvergenceWarning):
-            got = cg.eigenvector(new, max_iter=2)
+            got = by_name(cg.eigenvector, new, 2)
         assert got == want
 
     def test_ties_between_largest_components(self):
         ref, new = both("abcdef", [("a", "b"), ("b", "c"), ("d", "e"), ("e", "f")])
-        assert cg.eigenvector(new) == eigenvector(ref)
-        assert cg.eigenvector(new)["a"] == 0.0
+        assert by_name(cg.eigenvector, new) == eigenvector(ref)
+        assert by_name(cg.eigenvector, new)["a"] == 0.0
 
 
 class TestDenseOracles:
@@ -322,12 +325,12 @@ class TestDenseOracles:
     @given(graphs())
     def test_betweenness(self, g):
         want = dense_betweenness(*g)
-        got = cg.betweenness(both(*g)[1])
+        got = by_name(cg.betweenness, both(*g)[1])
         assert got == pytest.approx(want, abs=1e-12)
 
     @settings(max_examples=300, deadline=None)
     @given(graphs())
     def test_eigenvector(self, g):
         want = dense_eigenvector(*g)
-        got = cg.eigenvector(both(*g)[1])
+        got = by_name(cg.eigenvector, both(*g)[1])
         assert got == pytest.approx(want, abs=1e-6)

@@ -1,4 +1,4 @@
-"""Golden digests of the trace -> feature-matrix path.
+"""Golden digests of the trace -> feature-matrix path and of `ftracekit parse`.
 
 Two small corpora, one per trace layout, go through `load_matrix`; the
 sha256 of the matrix bytes and the matrix warnings must equal the values
@@ -7,12 +7,19 @@ replaced the step-by-step parser and the dict-based metrics.  Any change to
 ingest that moves one bit of one feature fails here.  The digests were
 recorded with numpy 2.4 on x86-64; a numpy build whose mean or std rounds
 differently would need them recorded again.
+
+The parse digests were recorded while `parse` still wrote its JSON from a
+tree of call records: a strict parse of a generated multi-CPU abstime
+trace, and a tolerant parse of a hand-written trace with each anomaly
+tolerant mode keeps going past.
 """
 
 import hashlib
+from pathlib import Path
 
 import pytest
 
+from ftracekit import cli
 from ftracekit import features as ft
 from ftracekit import workloadgen as wg
 
@@ -63,3 +70,48 @@ def test_vocabulary_and_csv_bytes_unchanged(name, tmp_path):
     assert hashlib.sha256(m.vocab.to_json().encode()).hexdigest() == vocab_sha
     assert hashlib.sha256(
         (tmp_path / "features.csv").read_bytes()).hexdigest() == csv_sha
+
+
+# an unmatched exit on a CPU that has calls and on one that has none, a
+# malformed line, two roots on one CPU and an entry left open; two lines
+# carry an abstime column
+HAND_TRACE = """\
+# tracer: function_graph
+#
+# CPU  DURATION                  FUNCTION CALLS
+# |     |   |                     |   |   |   |
+ 0)               |  vfs_read() {
+ 100.000000 |  0)   0.300 us    |    rw_verify_area();
+ 1)   1.000 us    |  } /* ksys_write */
+ 2)   1.000 us    |  } /* do_exit */
+ 0)   this line is not a function_graph line
+ 100.000020 |  0) + 12.150 us   |  } /* vfs_read */
+ 0)   0.100 us    |  schedule();
+ 1)               |  ksys_write() {
+ 1)   0.250 us    |    fsnotify();
+"""
+
+PARSE_GOLDEN = {
+    # name: (strict, sha256 of the parse JSON)
+    "tasks6_multi_cpu_abstime_strict": (
+        True, "3bd07ba7f9be431576ed66117ec047b139a5ca40edf9418b25a5d454ce5044e5"),
+    "hand_written_tolerant": (
+        False, "fa9e2fd28023f6516a91b12898592a6eda549353a08414a781bc2b4650305749"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PARSE_GOLDEN))
+def test_parse_json_bytes_unchanged(name, tmp_path, monkeypatch):
+    strict, sha = PARSE_GOLDEN[name]
+    # a relative input keeps the JSON's "source" field free of tmp_path
+    monkeypatch.chdir(tmp_path)
+    if strict:
+        wg.generate_corpus(wg.profiles_by_name("tasks6"), 1, 7, "corpus",
+                           multi_cpu=True, abstime=True)
+        trace = sorted(Path("corpus").rglob("*.trace"))[0]
+    else:
+        trace = Path("hand.trace")
+        trace.write_text(HAND_TRACE)
+    argv = ["parse", "--input", str(trace), "--out", "out.json"]
+    assert cli.main(argv + ["--strict"] * strict) == 0
+    assert hashlib.sha256(Path("out.json").read_bytes()).hexdigest() == sha

@@ -13,12 +13,17 @@ from ftracekit import trace_parser as tp
 from ftracekit import workloadgen as wg
 from ftracekit.errors import MalformedLine, NestingError
 
+from conftest import call_records, preorder, walk
 
+
+def roots_of(sample):
+    """The roots of the sample's forests, CPUs in ascending order."""
+    return [r for roots in call_records(sample).values() for r in roots]
 
 
 def format_sample(sample):
     """The sample's forests, CPUs in ascending order, as function_graph text."""
-    roots = [r for cpu in sorted(sample.records) for r in sample.records[cpu]]
+    roots = roots_of(sample)
     return tp.format_forest(roots, abstime=sample.has_abstime)
 
 
@@ -65,7 +70,7 @@ class TestParseLine:
 
     def test_tolerant_garbage_becomes_comment(self):
         sample = tp.parse_trace("complete nonsense\n 0)   0.462 us    |  f();")
-        assert [r.name for r in sample.preorder] == ["f"]
+        assert [r.name for r in preorder(sample)] == ["f"]
         assert len(sample.warnings) == 1 and "malformed" in sample.warnings[0]
 
 
@@ -77,7 +82,7 @@ class TestParseTrace:
             " 0)   2.150 us    |  } /* vfs_read */",
         ])
         sample = tp.parse_trace(text, strict=True)
-        (root,) = sample.records[0]
+        (root,) = call_records(sample)[0]
         assert root.name == "vfs_read"
         assert root.duration_us == 2.15
         (child,) = root.children
@@ -88,7 +93,7 @@ class TestParseTrace:
 
     def test_empty_stream(self):
         sample = tp.parse_trace("")
-        assert sample.record_count() == 0
+        assert sample.cpus == {}
         assert sample.warnings == []
 
     def test_interleaved_cpus(self):
@@ -99,18 +104,19 @@ class TestParseTrace:
             " 0)   1.000 us    |  } /* a */",
         ])
         sample = tp.parse_trace(text, strict=True)
-        assert [r.name for r in sample.records[0][0].walk()] == ["a", "b"]
-        assert sample.records[1][0].name == "c"
+        forests = call_records(sample)
+        assert [r.name for r in walk(forests[0])] == ["a", "b"]
+        assert forests[1][0].name == "c"
 
     def test_unclosed_entry_gets_unknown_duration(self):
         sample = tp.parse_trace(" 0)               |  a() {")
-        (root,) = sample.records[0]
+        (root,) = call_records(sample)[0]
         assert root.duration_us is None
         assert len(sample.warnings) == 1
 
     def test_unmatched_exit_dropped_tolerantly(self):
         sample = tp.parse_trace(" 0)   1.000 us    |  } /* a */")
-        assert sample.record_count() == 0
+        assert preorder(sample) == []
         assert len(sample.warnings) == 1
 
     def test_unmatched_exit_strict_raises(self):
@@ -123,7 +129,7 @@ class TestParseTrace:
             " 0)   1.000 us    |  } /* b */",
         ])
         sample = tp.parse_trace(text)
-        assert sample.records[0][0].duration_us == 1.0
+        assert call_records(sample)[0][0].duration_us == 1.0
         assert any("tail" in w for w in sample.warnings)
         with pytest.raises(NestingError):
             tp.parse_trace(text, strict=True)
@@ -144,7 +150,7 @@ class TestParseTrace:
         sample = tp.parse_trace(bad + "\n 0)   2.000 us    |  g();\n")
         assert len(sample.warnings) == 1
         assert sample.warnings[0].startswith("line 1: malformed, skipped")
-        assert [r.name for r in sample.records[0]] == ["g"]
+        assert [r.name for r in call_records(sample)[0]] == ["g"]
         with pytest.raises(MalformedLine):
             tp.parse_trace(bad, strict=True)
 
@@ -155,8 +161,7 @@ class TestParseTrace:
         lines += [f" 0)   1.000 us    |  {'  ' * i}}} /* f{i % 3} */"
                   for i in reversed(range(depth))]
         sample = tp.parse_trace("\n".join(lines), strict=True)
-        assert sample.record_count() == depth
-        assert [r.depth for r in sample.preorder] == list(range(depth))
+        assert [r.depth for r in preorder(sample)] == list(range(depth))
         summary = ft.extract(sample)
         vocab = ft.build_vocabulary([summary])
         row = ft.extract_matrix([summary], vocab).X[0]
@@ -178,10 +183,10 @@ class TestGeneratedTraces:
         text, _, book = wg.generate_trace(profile, seed=5, n_root_calls=15)
         sample = tp.parse_trace(text, strict=True)
         assert sample.warnings == []
-        assert sample.record_count() == book.total_calls
-        assert Counter(rec.name for rec in sample.preorder) == book.call_counts
+        assert len(preorder(sample)) == book.total_calls
+        assert Counter(rec.name for rec in preorder(sample)) == book.call_counts
         again = tp.parse_trace(format_sample(sample), strict=True)
-        assert again.records == sample.records
+        assert call_records(again) == call_records(sample)
 
     def test_roundtrip_with_abstime_and_multi_cpu(self):
         profile = wg.default_pair()[0]
@@ -190,16 +195,16 @@ class TestGeneratedTraces:
         sample = tp.parse_trace(text, strict=True)
         assert sample.warnings == []
         assert sample.has_abstime
-        assert set(sample.records) == {0, 1}
-        assert sample.record_count() == book.total_calls
+        assert set(sample.cpus) == {0, 1}
+        assert len(preorder(sample)) == book.total_calls
         again = tp.parse_trace(format_sample(sample), strict=True)
-        assert again.records == sample.records
+        assert call_records(again) == call_records(sample)
 
     def test_duration_containment(self):
         profile = wg.default_pair()[1]
         text, _, _ = wg.generate_trace(profile, seed=2, n_root_calls=25)
         sample = tp.parse_trace(text, strict=True)
-        for rec in sample.preorder:
+        for rec in preorder(sample):
             # a parent's duration covers the sum of its children's
             assert rec.duration_us >= sum(c.duration_us for c in rec.children) - 1e-3
 
@@ -207,7 +212,7 @@ class TestGeneratedTraces:
         profile = wg.default_pair()[1]
         text, _, _ = wg.generate_trace(profile, seed=4, n_root_calls=25)
         sample = tp.parse_trace(text, strict=True)
-        for rec in sample.preorder:
+        for rec in preorder(sample):
             for child in rec.children:
                 assert child.depth == rec.depth + 1
 
@@ -237,7 +242,7 @@ def forests(draw):
 
 def shape(roots):
     return [(r.cpu, r.depth, r.name, r.duration_us, len(r.children))
-            for root in roots for r in root.walk()]
+            for r in walk(roots)]
 
 
 class TestFormatRoundTrip:
@@ -248,8 +253,7 @@ class TestFormatRoundTrip:
         sample = tp.parse_trace(text, strict=True)
         assert sample.warnings == []
         assert sample.has_abstime == abstime
-        parsed = [r for cpu in sorted(sample.records)
-                  for r in sample.records[cpu]]
+        parsed = roots_of(sample)
         assert shape(parsed) == shape(roots)
         assert tp.format_forest(parsed, abstime=abstime) == text
 
@@ -297,6 +301,16 @@ class TestSidecar:
         with pytest.raises(ValueError, match="JSON object"):
             tp.load_sample(trace)
 
+    @pytest.mark.parametrize("open_, close", [("[", "]"), ('{"a":', "}")],
+                             ids=["list", "object"])
+    def test_sidecar_nested_deeper_than_the_decoder_goes(self, open_, close,
+                                                          tmp_path):
+        # before, the decoder's RecursionError escaped load_sample
+        trace = self.trace_with_sidecar(tmp_path,
+                                        open_ * 200_000 + "1" + close * 200_000)
+        with pytest.raises(ValueError, match=r"x\.io\.json: nested too deep"):
+            tp.load_sample(trace)
+
 
 class TestLoadSample:
     def test_lines_split_as_text_mode_open_splits_them(self, tmp_path):
@@ -308,7 +322,7 @@ class TestLoadSample:
                            + leaf.format("c") + "\f" + leaf.format("d")
                            + "\n").encode())
         sample = tp.load_sample(trace)
-        assert [r.name for r in sample.preorder] == ["a", "b"]
+        assert [r.name for r in preorder(sample)] == ["a", "b"]
         assert len(sample.warnings) == 1
         assert sample.warnings[0].startswith("line 3: malformed, skipped")
 
@@ -317,11 +331,11 @@ class TestLoadSample:
         trace.write_bytes(b" 0)   1.000 us    |  f\xff();\r\n")
         sample = tp.load_sample(trace)
         assert sample.sha256 == hashlib.sha256(trace.read_bytes()).digest()
-        assert [r.name for r in sample.preorder] == ["f\udcff"]
+        assert [r.name for r in preorder(sample)] == ["f\udcff"]
 
 
 class TestColumns:
-    """A parsed sample is columns; the record forests are a view of them."""
+    """A parsed sample is columns; `call_records` rebuilds its forests."""
 
     def test_a_parsed_sample_keeps_at_most_100_bytes_a_line(self):
         # as CallRecord trees it kept about 200 bytes a line
@@ -355,21 +369,13 @@ class TestColumns:
                                   [6.0, 5.000001 + 0.5e-6])
         assert sample.cpus[0] == ([1, 2], [-1, -1], [0.25, None], [3.0, None],
                                   [3.0 + 0.25e-6, None])
-        (c,) = [r for r in sample.preorder if r.name == "c"]
+        (c,) = [r for r in preorder(sample) if r.name == "c"]
         assert (c.duration_us, c.start_time, c.end_time) == (None, None, None)
-        (a,) = sample.records[1]
-        assert [(r.name, r.depth, r.parent_name) for r in a.walk()] == [
+        (a,) = call_records(sample)[1]
+        assert [(r.name, r.depth, r.parent_name) for r in walk([a])] == [
             ("a", 0, None), ("b", 1, "a")]
         assert sample.warnings == [
             "cpu 0: entry 'c' unclosed at end of stream, duration unknown"]
-
-    def test_a_sample_made_from_records_keeps_them(self):
-        rec = tp.CallRecord("f", 3, 7, duration_us=2)
-        sample = tp.TraceSample(records={0: [rec]}, warnings=["w"])
-        assert sample.records[0][0] is rec and sample.preorder == [rec]
-        assert sample.cpus is None
-        assert sample == tp.TraceSample(records={0: [rec]}, warnings=["w"])
-        assert sample != tp.TraceSample(records={0: []}, warnings=["w"])
 
 
 # the backtracking form of _LINE_RE: each possessive run made greedy again

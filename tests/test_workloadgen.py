@@ -13,13 +13,15 @@ from ftracekit import call_graph as cg
 from ftracekit import trace_parser as tp
 from ftracekit import workloadgen as wg
 
-from conftest import ONE_CPU, TWO_CPUS, assert_no_child_left, use_cpus
+from conftest import (ONE_CPU, TWO_CPUS, assert_no_child_left, preorder,
+                      use_cpus)
 
 
 def bookkeeping_matches(book, sample) -> bool:
     """Exact oracle check: parsed counts equal generator bookkeeping."""
-    return (sample.record_count() == book.total_calls
-            and Counter(rec.name for rec in sample.preorder) == book.call_counts)
+    records = preorder(sample)
+    return (len(records) == book.total_calls
+            and Counter(rec.name for rec in records) == book.call_counts)
 
 
 class TestProfiles:
@@ -69,7 +71,7 @@ class TestGenerateTrace:
         p = wg.default_pair()[0]
         text, _, book = wg.generate_trace(p, seed=0, n_root_calls=0)
         assert book.total_calls == 0
-        assert tp.parse_trace(text, strict=True).record_count() == 0
+        assert preorder(tp.parse_trace(text, strict=True)) == []
 
     def test_ring_classes_share_count_distribution(self):
         tight, loose = wg.graph_signal_pair()
@@ -78,14 +80,13 @@ class TestGenerateTrace:
         assert book_t.call_counts == book_l.call_counts
 
     def test_ring_classes_differ_only_in_wiring(self):
-        from ftracekit import call_graph as cg
         tight, loose = wg.graph_signal_pair()
         text_t, _, _ = wg.generate_trace(tight, seed=5, n_root_calls=24)
         text_l, _, _ = wg.generate_trace(loose, seed=5, n_root_calls=24)
-        g_t = cg.build_graph(tp.parse_trace(text_t, strict=True))
-        g_l = cg.build_graph(tp.parse_trace(text_l, strict=True))
-        cl_t = np.mean(list(cg.clustering(g_t).values()))
-        cl_l = np.mean(list(cg.clustering(g_l).values()))
+        g_t = cg.sample_graph(tp.parse_trace(text_t, strict=True))
+        g_l = cg.sample_graph(tp.parse_trace(text_l, strict=True))
+        cl_t = np.mean(cg.clustering(g_t))
+        cl_l = np.mean(cg.clustering(g_l))
         assert cl_t > cl_l + 0.2
 
     def test_float_sums_skip_builtin_sum(self, monkeypatch):
@@ -102,9 +103,9 @@ class TestGenerateTrace:
         monkeypatch.setattr(builtins, "sum", no_float_sum)
         text, _, book = wg.generate_trace(wg.task_profiles()[0], 7,
                                           n_root_calls=6)
-        scores = cg.eigenvector(cg.build_graph(tp.parse_trace(text)))
+        scores = cg.eigenvector(cg.sample_graph(tp.parse_trace(text)))
         assert len(scores) == len(book.call_counts)
-        assert max(scores.values()) > 0
+        assert max(scores) > 0
 
 
 class TestGenerateCorpus:
@@ -122,7 +123,7 @@ class TestGenerateCorpus:
             text = trace.read_text()
             assert hashlib.sha256(text.encode()).hexdigest() == entry["sha256"]
             sample = tp.parse_trace(text, strict=True)
-            assert sample.record_count() == entry["total_calls"]
+            assert len(preorder(sample)) == entry["total_calls"]
             meta = json.loads(sidecar.read_text())
             assert set(meta) == {"label", "task", "read_count", "write_count",
                                  "read_bytes", "write_bytes"}
