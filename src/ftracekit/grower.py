@@ -204,12 +204,15 @@ def _grow_classifiers(trees, X, y, rows) -> None:
 def _search_state(XT, order):
     """What a regression node's split search needs besides its residuals:
     its rows presorted per column as (features, rows) `order`, the node
-    values in that order, the mask of cuts between equal values, and each
-    cut's left and right sizes as floats."""
+    values in that order, the flat places in them of the cuts between
+    unequal neighbours, so none next to a NaN (a cut at place i splits
+    after it), and those cuts' left and right sizes as floats."""
     xs = XT[np.arange(len(XT))[:, None], order]
     m = order.shape[1]
-    nl = np.arange(1, m, dtype=float)
-    return order, xs, ~(xs[:, :-1] < xs[:, 1:]), nl, m - nl
+    at = np.flatnonzero(xs[:, :-1] < xs[:, 1:])
+    at += at // (m - 1)  # from the (features, rows - 1) cuts to xs
+    nl = at % m + 1.0
+    return order, xs, at, nl, m - nl
 
 
 def _regression_root(X):
@@ -222,20 +225,20 @@ def _regression_root(X):
     return XT, np.arange(X.shape[0]), _search_state(XT, order)
 
 
-def _best_split(xs, gs, tied, nl, nr, total_sum, total_sq):
+def _best_split(xs, gs, at, nl, nr, total_sum, total_sq):
     """Exact least-squares split of one regression node.
 
-    `xs` is (features >= 1, rows >= 2): each candidate column's node
-    values in ascending order, and `gs` the residuals in the same order,
-    summing to `total_sum` with squares summing to `total_sq`; `tied`,
-    `nl` and `nr` are the cut mask and sizes of `_search_state`.  A cut's
-    cost is the SSE of its two sides from float prefix sums of `gs`; cuts
-    between equal values cost inf.  One flat argmin over (feature, cut)
-    picks the lowest cost; ties go to the lowest candidate, then the
-    lowest threshold.  Returns (candidate position, threshold, cost),
-    the threshold by the rule of `_gini_search`.
+    `xs` is (features, rows >= 2): each candidate column's node values in
+    ascending order, and `gs` the residuals in the same order, summing to
+    `total_sum` with squares summing to `total_sq`.  Only the cuts `at`
+    of `_search_state` are scored, each by the SSE of its two sides from
+    float prefix sums of `gs`.  The first lowest cost in (feature, cut)
+    order wins.  Returns (candidate position, threshold, cost), the
+    threshold by the rule of `_gini_search`, and cost inf for no cut.
     """
-    cum = np.cumsum(gs[:, :-1], axis=1)
+    if not len(at):
+        return 0, 0.0, math.inf
+    cum = gs.cumsum(1).take(at)
     # (total_sq - cum**2 / nl) - (total_sum - cum)**2 / nr in place
     cost = np.multiply(cum, cum)
     cost /= nl
@@ -244,22 +247,23 @@ def _best_split(xs, gs, tied, nl, nr, total_sum, total_sq):
     cum *= cum
     cum /= nr
     cost -= cum
-    np.copyto(cost, np.inf, where=tied)
-    f, cut = divmod(int(np.argmin(cost)), len(nl))
+    i = int(cost.argmin())
+    f, cut = divmod(int(at[i]), xs.shape[1])
     lo, hi = xs[f, cut:cut + 2].tolist()
     mid = (lo + hi) / 2.0
-    return f, mid if lo <= mid < hi else lo, float(cost[f, cut])
+    return f, mid if lo <= mid < hi else lo, float(cost[i])
 
 
 def _grow_regressor(tree, g, h, root) -> None:
     """Fit the regression tree `tree` to residuals g, with Newton leaf
     values sum(g)/sum(h), from the root state of `_regression_root`.
 
-    A node whose residuals are all equal is a leaf without a search.  A
-    child keeps its parent's order and the mask of the data's rows on its
-    side; only when it searches does it stable-partition that order with
-    the mask and build its own `_search_state`, so every node sees its
-    rows in the order a stable argsort of its own subset would give.
+    A node whose residuals are all equal is a leaf without a search: any
+    cut of it gains 0 but for rounding noise.  A child keeps its parent's
+    order and the mask of the data's rows on its side; only when it
+    searches does it stable-partition that order with the mask and build
+    its own `_search_state`, so every node sees its rows, and sums their
+    residuals, in the order a stable argsort of its own subset would give.
     Nodes are laid out as `_grow_classifiers` lays them out, and
     `fit_leaves_` gets the leaf id of each training row.
     """
@@ -272,21 +276,21 @@ def _grow_regressor(tree, g, h, root) -> None:
         rows, order, mask, depth, parent, side = stack.pop()
         if parent >= 0:
             nodes[parent][side] = len(nodes)
-        gn = g[rows]
+        gn = g if mask is None else g[rows]
         n = len(gn)
         if (depth < tree.max_depth and n >= tree.min_samples_split
-                and len(XT) and gn.min() != gn.max()):
-            order, xs, tied, nl, nr = (root_state if mask is None else
-                                       _search_state(XT, order[mask[order]]
-                                                     .reshape(len(order), -1)))
-            total_sum = gn.sum()
-            total_sq = np.sum(gn * gn)
-            feat, thr, cost = _best_split(xs, g[order], tied, nl, nr,
+                and np.minimum.reduce(gn) != np.maximum.reduce(gn)):
+            order, xs, at, nl, nr = (root_state if mask is None else
+                                     _search_state(XT, order[mask[order]]
+                                                   .reshape(len(order), -1)))
+            total_sum = np.add.reduce(gn)
+            total_sq = np.add.reduce(gn * gn)
+            feat, thr, cost = _best_split(xs, g[order], at, nl, nr,
                                           total_sum, total_sq)
             # an inf cost (no cut) fails this too
             if total_sq - total_sum ** 2 / n - cost > 1e-12:
                 goes_left = XT[feat] <= thr
-                here = goes_left[rows]
+                here = goes_left if mask is None else goes_left[rows]
                 stack.append((rows[~here], order, ~goes_left, depth + 1,
                               len(nodes), 3))
                 stack.append((rows[here], order, goes_left, depth + 1,
@@ -294,5 +298,6 @@ def _grow_regressor(tree, g, h, root) -> None:
                 nodes.append([feat, thr, -1, -1, [0.0]])
                 continue
         tree.fit_leaves_[rows] = len(nodes)
-        nodes.append([-1, 0.0, -1, -1, [gn.sum() / (h[rows].sum() + 1e-12)]])
+        nodes.append([-1, 0.0, -1, -1,
+                      [np.add.reduce(gn) / (np.add.reduce(h[rows]) + 1e-12)]])
     tree._set_arrays(*zip(*nodes))

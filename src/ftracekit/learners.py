@@ -27,6 +27,14 @@ def _sub_seed(seed: int, *tags: int) -> int:
     return int(np.random.SeedSequence([seed, *tags]).generate_state(1)[0])
 
 
+def _rows(X, what: str) -> np.ndarray:
+    """X as floats; EmptyData unless it has a row to fit `what` on."""
+    X = np.asarray(X, dtype=float)
+    if X.shape[0] == 0:
+        raise EmptyData(f"cannot fit {what} on zero samples")
+    return X
+
+
 def _classes(y: np.ndarray) -> np.ndarray:
     """y's distinct labels in ascending order, as np.unique gives them; a
     sorted set keeps out numpy.ma, which np.unique imports."""
@@ -53,15 +61,11 @@ class TreeNode:
     def value(self) -> Optional[np.ndarray]:
         return self._tree.value[self._i] if self.is_leaf else None
 
-    @property
-    def left(self) -> Optional["TreeNode"]:
-        return None if self.is_leaf else TreeNode(self._tree,
-                                                  self._tree.left[self._i])
+    def _child(self, ids) -> Optional["TreeNode"]:
+        return None if self.is_leaf else TreeNode(self._tree, ids[self._i])
 
-    @property
-    def right(self) -> Optional["TreeNode"]:
-        return None if self.is_leaf else TreeNode(self._tree,
-                                                  self._tree.right[self._i])
+    left = property(lambda self: self._child(self._tree.left))
+    right = property(lambda self: self._child(self._tree.right))
 
 
 class _FlatTree:
@@ -179,8 +183,7 @@ class _Proba1Outputs:
         p = self.predict_proba1(X)
         return (p >= 0.5).astype(int), p
 
-    def predict(self, X) -> np.ndarray:
-        return self.outputs(X)[0]
+    predict = _ClassProbaOutputs.predict
 
 
 class DecisionTree(_ClassProbaOutputs, _FlatTree):
@@ -189,12 +192,11 @@ class DecisionTree(_ClassProbaOutputs, _FlatTree):
     A single tree is a forest of one: `fit` grows it with
     `grower._grow_classifiers`, as `RandomForest.fit` grows all its
     trees.  A node's candidate columns are all of them, or `max_features`
-    drawn from `rng`; every cut of every candidate is scored at once from
-    prefix counts of one-hot classes.  Ties in impurity go to the lowest
-    feature index, then the lowest threshold.  Nodes are laid out
-    depth-first, left child first, from an explicit stack, so depth is
-    bounded by the data, not by Python's recursion limit.  `fit` raises
-    ValueError unless max_depth is None or an int >= 0 and
+    drawn from `rng`; their cuts between unequal values are scored at
+    once from prefix counts of one-hot classes.  Ties in impurity go to
+    the lowest feature index, then the lowest threshold.  Nodes grow from
+    an explicit stack, so Python's recursion limit bounds no depth.
+    `fit` raises ValueError unless max_depth is None or an int >= 0 and
     min_samples_split an int >= 1.
     """
 
@@ -210,10 +212,8 @@ class DecisionTree(_ClassProbaOutputs, _FlatTree):
         self._imp_raw: Optional[np.ndarray] = None
 
     def fit(self, X, y):
-        X = np.asarray(X, dtype=float)
+        X = _rows(X, "a tree")
         y = np.asarray(y)
-        if X.shape[0] == 0:
-            raise EmptyData("cannot fit a tree on zero samples")
         self.classes_ = _classes(y)
         _grow_classifiers([self], X, y, [np.arange(X.shape[0])])
         return self
@@ -239,17 +239,10 @@ class DecisionTree(_ClassProbaOutputs, _FlatTree):
 
 class RegressionTree(_FlatTree):
     """Variance-reduction tree for boosting residuals; Newton leaf values
-    sum(g)/sum(h), grown by `grower._grow_regressor`.
-
-    A node whose residuals are all equal is a leaf without a search: every
-    cut of it gains 0, and searching it anyway could only split on
-    rounding noise.  Split search is presorted: every node sees its rows
-    in the order a stable argsort of its own subset would give, and that
-    order matters, as the SSE of each cut comes from a float prefix sum
-    of g.  Ties go to the lowest feature, then the lowest threshold.
-    After `fit`, `fit_leaves_` holds the leaf id of each training row.
-    `fit` raises ValueError unless max_depth is an int >= 0 and
-    min_samples_split an int >= 1.
+    sum(g)/sum(h), grown by `grower._grow_regressor`.  Ties go to the
+    lowest feature, then the lowest threshold.  After `fit`, `fit_leaves_`
+    holds the leaf id of each training row.  `fit` raises ValueError
+    unless max_depth is an int >= 0 and min_samples_split an int >= 1.
     """
 
     def __init__(self, max_depth=3, min_samples_split=2):
@@ -310,10 +303,8 @@ class RandomForest(_ClassProbaOutputs):
         return self.max_features
 
     def fit(self, X, y):
-        X = np.asarray(X, dtype=float)
+        X = _rows(X, "a forest")
         y = np.asarray(y)
-        if X.shape[0] == 0:
-            raise EmptyData("cannot fit a forest on zero samples")
         if not _is_int(self.n_trees, 1):
             raise ValueError(f"a forest needs at least one tree, got "
                              f"n_trees={self.n_trees!r}")
@@ -364,13 +355,24 @@ class RandomForest(_ClassProbaOutputs):
         return f
 
 
+def _binary(y) -> np.ndarray:
+    """y as floats; ValueError naming its values unless all are 0 or 1."""
+    y = np.asarray(y, dtype=float)
+    if ((y != 0) & (y != 1)).any():
+        raise ValueError(f"labels must be 0 or 1, got {_classes(y).tolist()}")
+    return y
+
+
+# np.clip and np.mean by their ufuncs, which skip the Python wrappers
+
 def _sigmoid(z):
-    return 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
+    return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(z, -500), 500)))
 
 
 def _log_loss(y, p):
-    p = np.clip(p, 1e-12, 1 - 1e-12)
-    return float(-np.mean(y * np.log(p) + (1 - y) * np.log(1 - p)))
+    p = np.minimum(np.maximum(p, 1e-12), 1 - 1e-12)
+    v = y * np.log(p) + (1 - y) * np.log(1 - p)
+    return float(-(np.add.reduce(v) / len(v)))
 
 
 class GradientBoosting(_Proba1Outputs):
@@ -399,10 +401,8 @@ class GradientBoosting(_Proba1Outputs):
         self._stack_trees()
 
     def fit(self, X, y):
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if X.shape[0] == 0:
-            raise EmptyData("cannot fit boosting on zero samples")
+        X = _rows(X, "boosting")
+        y = _binary(y)
         _check_int("n_rounds", self.n_rounds, 0)
         _check_real("learning_rate", self.learning_rate, 0.0)
         _check_int("max_depth", self.max_depth, 0)
@@ -516,10 +516,8 @@ class LogisticModel(_Proba1Outputs):
         return loss, grad_w, grad_b
 
     def fit(self, X, y):
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if X.shape[0] == 0:
-            raise EmptyData("cannot fit logistic regression on zero samples")
+        X = _rows(X, "logistic regression")
+        y = _binary(y)
         _check_int("epochs", self.epochs, 0)
         _check_real("step", self.step, 0.0)
         _check_real("l2", self.l2, 0.0, inclusive=True)

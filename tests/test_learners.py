@@ -1,12 +1,13 @@
 import contextlib
 import itertools
 import json
+import math
 import signal
 import sys
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from ftracekit import learners as ln
@@ -292,6 +293,34 @@ def time_limit(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
+class TestBinaryLabels:
+    """Boosting and logistic regression model P(y = 1) and take only 0/1
+    labels.  Unchecked, {0, 2} fit a constant model predicting 1, {1, 2}
+    failed in `math.log` and a NaN label gave a NaN prior."""
+
+    X = np.random.default_rng(0).random((6, 2))
+    PARAMS = {"n_rounds": 3, "epochs": 3}
+
+    @pytest.mark.parametrize("kind", ["boosting", "logistic"])
+    @pytest.mark.parametrize("y, named", [
+        ([0, 2, 0, 2, 0, 2], "[0.0, 2.0]"),
+        ([1, 2, 1, 2, 1, 2], "[1.0, 2.0]"),
+        ([0, 1, 0, 1, 0, -1], "[-1.0, 0.0, 1.0]"),
+        ([0, 1, 0, 1, 0, 0.5], "[0.0, 0.5, 1.0]"),
+        ([0, 1, 0, 1, 0, NAN], "nan")])
+    def test_other_labels_rejected(self, kind, y, named):
+        with pytest.raises(ValueError, match="labels must be 0 or 1") as err:
+            ln.train(kind, self.X, np.array(y), self.PARAMS)
+        assert named in str(err.value)
+
+    @pytest.mark.parametrize("kind", ["boosting", "logistic"])
+    def test_bools_are_zero_and_one(self, kind):
+        y = np.array([False, True] * 3)
+        assert (ln.train(kind, self.X, y, self.PARAMS).impl.to_dict()
+                == ln.train(kind, self.X, y.astype(int),
+                            self.PARAMS).impl.to_dict())
+
+
 # two neighbouring values whose midpoint rounds onto the upper one, and
 # two whose sum overflows
 CLOSE_PAIRS = [np.array([[1 + 2**-52], [1 + 2 * 2**-52]]),
@@ -401,9 +430,11 @@ class TestSigmoidAndLogLoss:
                         suppress_health_check=[HealthCheck.too_slow])
 
     @SETTINGS
-    @given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=300))
+    @given(st.lists(st.floats(), min_size=1, max_size=300))
+    @example([NAN, -NAN, math.inf, -math.inf, -0.0, 0.0, 600.0, -600.0])
     def test_sigmoid_bits(self, values):
-        # st.floats reaches past the +-500 clip, up to the infinities
+        # st.floats reaches past the +-500 clip, up to the infinities, and
+        # draws NaNs of either sign
         z = np.array(values)
         want = 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
         assert ln._sigmoid(z).tobytes() == want.tobytes()

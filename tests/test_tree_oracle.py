@@ -22,11 +22,14 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from ftracekit import learners as ln
 from ftracekit.errors import EmptyData
+
+NAN = float("nan")
 
 # decision trees
 
@@ -401,6 +404,27 @@ def regression_tree_case(draw):
 UNBOUNDED = dict(max_depth=None, min_samples_split=2, max_features=None)
 
 
+def depth3_case(X, g):
+    """A regression case of depth at most 3 with every h = 0.25."""
+    return (np.array(X, dtype=float), np.array(g, dtype=float),
+            np.full(len(g), 0.25), dict(max_depth=3, min_samples_split=2))
+
+
+# The regression search scores only cuts between unequal neighbours:
+# columns without one, cuts beside NaNs, a two-row node, two features
+# whose best cuts cost the same (the lower feature wins), and children
+# below the root that build their own search state.
+DISTINCT_CUT_CASES = [
+    depth3_case([[3.0, -1.0]] * 4, [0.5, -0.25, 0.125, -0.375]),
+    depth3_case([[0.0, NAN], [NAN, 1.0], [1.0, 2.0], [2.0, NAN], [3.0, 0.0]],
+                [1.0, -1.0, 0.5, -0.5, 0.25]),
+    depth3_case([[2.0, 1.0], [1.0, 1.0]], [0.25, -0.75]),
+    depth3_case([[0.0, 5.0], [1.0, 7.0], [2.0, 9.0]], [1.0, -1.0, -1.0]),
+    depth3_case([[3.0, 0.0], [0.0, 1.0], [2.0, 1.0], [1.0, 0.0]],
+                [1.0, 1.0, -1.0, -1.0]),
+]
+
+
 @PROPS
 @given(decision_tree_case())
 @example((CLOSE_PAIRS[0], np.array([0, 1]), UNBOUNDED, 0))
@@ -423,6 +447,11 @@ def test_decision_tree_matches_reference(case):
           dict(max_depth=3, min_samples_split=2)))
 @example((CLOSE_PAIRS[1], np.array([-0.5, 0.5]), np.full(2, 0.25),
           dict(max_depth=3, min_samples_split=2)))
+@example(DISTINCT_CUT_CASES[0])
+@example(DISTINCT_CUT_CASES[1])
+@example(DISTINCT_CUT_CASES[2])
+@example(DISTINCT_CUT_CASES[3])
+@example(DISTINCT_CUT_CASES[4])
 def test_regression_tree_matches_reference(case):
     X, g, h, params = case
     new = ln.RegressionTree(**params).fit(X, g, h)
@@ -457,6 +486,20 @@ def test_regression_tree_on_few_residual_values_matches_reference(data):
     assert np.array_equal(new.value[new.fit_leaves_, 0], ref.predict(X))
     probe = np.vstack([X, X + 0.5, X - 0.5])
     assert np.array_equal(new.predict(probe), ref.predict(probe))
+
+
+@pytest.mark.parametrize("case, shape", [
+    (DISTINCT_CUT_CASES[0], [-1]), (DISTINCT_CUT_CASES[1], [0, 0, 1]),
+    (DISTINCT_CUT_CASES[2], [0]), (DISTINCT_CUT_CASES[3], [0]),
+    (DISTINCT_CUT_CASES[4], [0, 0])],
+    ids=["no_cut", "nan", "two_rows", "tied_features", "child_search"])
+def test_distinct_cut_cases_reach_their_paths(case, shape):
+    # the examples above test what they say: no split, splits beside and
+    # below NaN rows, and the first feature's cut out of two equal ones
+    X, g, h, params = case
+    tree = ln.RegressionTree(**params).fit(X, g, h)
+    assert tree.feature[tree.left >= 0].tolist() == [f for f in shape if f >= 0]
+    assert_same(tree.to_dict(), RegressionTree(**params).fit(X, g, h).to_dict())
 
 
 def test_equal_values_keep_row_order():
