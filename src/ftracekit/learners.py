@@ -183,7 +183,8 @@ class _Proba1Outputs:
         p = self.predict_proba1(X)
         return (p >= 0.5).astype(int), p
 
-    predict = _ClassProbaOutputs.predict
+    def predict(self, X) -> np.ndarray:
+        return self.outputs(X)[0]
 
 
 class DecisionTree(_ClassProbaOutputs, _FlatTree):
@@ -195,7 +196,7 @@ class DecisionTree(_ClassProbaOutputs, _FlatTree):
     drawn from `rng`; their cuts between unequal values are scored at
     once from prefix counts of one-hot classes.  Ties in impurity go to
     the lowest feature index, then the lowest threshold.  Nodes grow from
-    an explicit stack, so Python's recursion limit bounds no depth.
+    an explicit stack, so Python's recursion limit does not bound depth.
     `fit` raises ValueError unless max_depth is None or an int >= 0 and
     min_samples_split an int >= 1.
     """
